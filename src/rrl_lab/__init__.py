@@ -52,6 +52,7 @@ from .errors import (
 from .psp import (
     PoleMeasure,
     fourier_psp,
+    moments,
     psp_eval,
     recover_residue,
     taylor_inner,

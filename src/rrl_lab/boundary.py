@@ -47,15 +47,29 @@ class ArcProbeResult:
         return out.getvalue()
 
 
-def _safe_eval(g: Callable[[complex], complex], z: complex) -> complex:
+def _abs_eval(g: Callable, z: np.ndarray) -> np.ndarray:
+    """|g| on an array of points; g must return an array of z's shape or a
+    scalar that broadcasts to it."""
     try:
-        return complex(g(z))
+        vals = np.broadcast_to(np.asarray(g(z), dtype=complex), z.shape)
     except Exception as exc:  # propagate as a typed probe failure
-        raise EvalFailure(f"evaluator failed at z = {z}: {exc}") from exc
+        raise EvalFailure(
+            f"evaluator failed on {z.size} points from z = {complex(z.flat[0])}: {exc}"
+        ) from exc
+    # np.hypot is bit-equal to abs() of a Python complex; np.abs is not
+    return np.hypot(vals.real, vals.imag)
+
+
+def _scale(r: float, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """r * (c + s*i) as the complex product (r + 0i) * (c + s*i), zero signs included."""
+    z = np.empty(np.shape(c), dtype=complex)
+    z.real = r * c - 0.0 * s
+    z.imag = r * s + 0.0 * c
+    return z
 
 
 def arc_l1_growth(
-    g: Callable[[complex], complex],
+    g: Callable[[np.ndarray], np.ndarray],
     omega1: float,
     omega2: float,
     radii: Sequence[float] | None = None,
@@ -74,12 +88,9 @@ def arc_l1_growth(
     if quadrature_n < 64:
         raise ValidationError("quadrature_n must be >= 64")
     omegas = np.linspace(omega1, omega2, quadrature_n + 1)
-    ints = np.empty(len(rs))
-    for i, r in enumerate(rs):
-        vals = np.array(
-            [abs(_safe_eval(g, r * complex(np.cos(o), np.sin(o)))) for o in omegas]
-        )
-        ints[i] = np.trapezoid(vals, omegas)
+    cos, sin = np.cos(omegas), np.sin(omegas)
+    ints = np.array([np.trapezoid(_abs_eval(g, _scale(r, cos, sin)), omegas)
+                     for r in rs])
     return ArcProbeResult(
         omega1=float(omega1),
         omega2=float(omega2),
@@ -90,7 +101,7 @@ def arc_l1_growth(
 
 
 def radial_blowup(
-    g: Callable[[complex], complex],
+    g: Callable[[np.ndarray], np.ndarray],
     point: CirclePoint,
     radii: Sequence[float] | None = None,
 ) -> np.ndarray:
@@ -103,4 +114,5 @@ def radial_blowup(
     if np.any(rs <= 0) or np.any(rs >= 1):
         raise ValidationError("radii must lie in (0, 1)")
     lam = point.value()
-    return np.array([abs(_safe_eval(g, r * lam)) for r in rs])
+    c, s = np.array([lam.real]), np.array([lam.imag])
+    return np.array([_abs_eval(g, _scale(r, c, s))[0] for r in rs])

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import ValidationError
+
 Angle = Union[Fraction, float]
 
 # float fractional parts this close to 1 are snapped to 0 (cell boundary fuzz)
@@ -79,6 +81,8 @@ class CirclePoint:
             if not (0 <= a < 1):
                 object.__setattr__(self, "angle", a % 1)
         elif isinstance(a, float):
+            if not math.isfinite(a):
+                raise ValidationError(f"angle must be finite, got {a!r}")
             object.__setattr__(self, "angle", frac_part(a))
         elif isinstance(a, int):
             object.__setattr__(self, "angle", Fraction(0))
@@ -127,9 +131,3 @@ class CirclePoint:
 def roots_of_unity(q: int) -> list[CirclePoint]:
     """All q-th roots of unity, sorted by angle."""
     return [CirclePoint.exact(p, q) for p in range(q)]
-
-
-def angle_of(point_or_angle) -> Angle:
-    if isinstance(point_or_angle, CirclePoint):
-        return point_or_angle.angle
-    return point_or_angle

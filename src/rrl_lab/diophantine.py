@@ -20,7 +20,7 @@ import numpy as np
 from . import cyclotomic as cyc
 from .circle import CirclePoint, frac_part
 from .errors import CapExceeded, DuplicateRoot, NotARoot, ValidationError
-from .psp import PoleMeasure
+from .psp import PoleMeasure, moments
 
 PIGEONHOLE_J_CAP = 8
 PIGEONHOLE_MAX_SCAN = 5_000_000
@@ -300,7 +300,4 @@ def moment_sequence(measure: PoleMeasure, n_max: int) -> np.ndarray:
     """Moments M(n) = sum weight * lambda^n for n = 0 .. n_max."""
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
-    out = np.zeros(n_max + 1, dtype=complex)
-    for n in range(n_max + 1):
-        out[n] = sum(w * p.power(n).value() for p, w in measure.atoms)
-    return out
+    return moments(measure, range(n_max + 1))

@@ -39,15 +39,6 @@ def hecke_stream(theta: float, gamma: float = 0.0,
     return s
 
 
-def _outer_partial(theta: float, gamma: float, z: complex, n_terms: int) -> complex:
-    """-sum_{n=-N}^{-1} {gamma + n*theta} z^n, the direct outer partial sum."""
-    total = 0j
-    zinv = 1.0 / z
-    for k in range(1, n_terms + 1):
-        total -= frac_part(gamma - k * theta) * zinv**k
-    return total
-
-
 def hecke_outer_eval(theta: float, z: complex, n_terms: int) -> complex:
     """Continuation formula sum_{k<=N} {k*theta} z^(-k) + 1/(1-z) on |z| > 1.
 

@@ -18,13 +18,14 @@ angle-sorted order).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .circle import CirclePoint, turn_to_complex
+from .circle import FRAC_SNAP, CirclePoint, turn_to_complex
 from .errors import DuplicatePole, NonConvergent, PoleCollision, ValidationError
 
 DEFAULT_EXCLUSION = 1e-12
@@ -117,42 +118,152 @@ def uniform_roots_measure(q: int, weight: complex | None = None) -> PoleMeasure:
     return PoleMeasure([(CirclePoint.exact(p, q), w) for p in range(q)])
 
 
-def psp_eval(m: PoleMeasure, z: complex,
-             exclusion_radius: float = DEFAULT_EXCLUSION) -> complex:
-    """Evaluate the pole series at z, atoms in angle order.
+def _smith_quot(ar: float, ai: float, br: np.ndarray, bi: np.ndarray):
+    """(ar + ai*i) / (br + bi*i) elementwise, as CPython divides complex numbers.
 
-    Raises PoleCollision when z is within the exclusion radius of an atom.
+    Smith's algorithm spelled out on real arrays (CPython's ``_Py_c_quot``),
+    so every quotient is bit-equal to the scalar ``/``; numpy's own complex
+    division rounds differently.  Zero divisors are excluded by the caller.
     """
-    z = complex(z)
-    total = 0j
+    abr, abi = np.abs(br), np.abs(bi)
+    with np.errstate(all="ignore"):
+        ratio1 = bi / br
+        denom1 = br + bi * ratio1
+        ratio2 = br / bi
+        denom2 = br * ratio2 + bi
+        by_real = abr >= abi
+        by_imag = abi >= abr
+        qr = np.where(by_real, (ar + ai * ratio1) / denom1,
+                      np.where(by_imag, (ar * ratio2 + ai) / denom2, np.nan))
+        qi = np.where(by_real, (ai - ar * ratio1) / denom1,
+                      np.where(by_imag, (ai * ratio2 - ar) / denom2, np.nan))
+    return qr, qi
+
+
+def psp_eval(m: PoleMeasure, z,
+             exclusion_radius: float = DEFAULT_EXCLUSION) -> complex | np.ndarray:
+    """Evaluate the pole series at z (a scalar or an array), atoms in angle order.
+
+    A scalar z goes through the same code as a length-1 array and comes
+    back as a complex; an array comes back as a complex array of its shape.
+    Each point sees the float operations of the scalar sum
+    ``total += w / (z - lambda)``, so results are bit-equal to it.  Raises
+    PoleCollision when a point is within the exclusion radius of an atom.
+    """
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    zr, zi = flat.real, flat.imag
+    tr, ti = np.zeros(flat.size), np.zeros(flat.size)
     for p, w in m.atoms:
-        d = z - p.value()
-        if abs(d) <= exclusion_radius:
-            raise PoleCollision(f"z = {z} within {exclusion_radius} of pole {p}")
-        total += w / d
-    return total
+        lam = p.value()
+        dr, di = zr - lam.real, zi - lam.imag
+        hit = (np.hypot(dr, di) <= exclusion_radius) | ((dr == 0.0) & (di == 0.0))
+        if hit.any():
+            at = complex(flat[np.argmax(hit)])
+            raise PoleCollision(f"z = {at} within {exclusion_radius} of pole {p}")
+        qr, qi = _smith_quot(w.real, w.imag, dr, di)
+        tr, ti = tr + qr, ti + qi
+    if zs.ndim == 0:
+        return complex(tr[0], ti[0])
+    out = np.empty(zs.shape, dtype=complex)
+    out.real, out.imag = tr.reshape(zs.shape), ti.reshape(zs.shape)
+    return out
+
+
+def _exact_parts(p: int, q: int, exps: list[int], cache: dict):
+    """cos and sin of 2*pi*p*e/q for every exponent, from turn_to_complex.
+
+    Exponents are reduced mod q in Python ints, so shifts like 30! never
+    reach int64.  Per order q the cache holds the residues and, when it is
+    no longer than the exponent list, the table of turn_to_complex(j/q)
+    shared by all atoms of that order; otherwise only this atom's distinct
+    residues are evaluated.
+    """
+    if q not in cache:
+        residues = np.array([e % q for e in exps],
+                            dtype=np.int64 if q < 2**31 else object)
+        table = (np.array([turn_to_complex(Fraction(j, q)) for j in range(q)])
+                 if q <= len(exps) else None)
+        cache[q] = residues, table
+    residues, table = cache[q]
+    idx = (p * residues) % q
+    if table is not None:
+        vals = table[idx]
+    else:
+        uniq, inverse = np.unique(idx, return_inverse=True)
+        vals = np.array([turn_to_complex(Fraction(int(j), q)) for j in uniq])[inverse]
+    return vals.real, vals.imag
+
+
+def _float_parts(angle: float, exps_f: np.ndarray):
+    """cos and sin of 2*pi*angle*e: CirclePoint.power then turn_to_complex, vectorised.
+
+    ``exps_f`` holds the exponents rounded to float as Python's float * int
+    rounds them.  np.cos/np.sin equal math.cos/math.sin on [0, pi/4], the
+    only range the octant reduction below passes them.
+    """
+    u = np.mod(angle * exps_f, 1.0)
+    u[u > 1.0 - FRAC_SNAP] = 0.0
+    quadrant = np.floor(4.0 * u)
+    r = np.maximum(u - quadrant * 0.25, 0.0)
+    low = r <= 0.125
+    t = 2.0 * math.pi * np.where(low, r, 0.25 - r)
+    c, s = np.cos(t), np.sin(t)
+    x, y = np.where(low, c, s), np.where(low, s, c)
+    re = np.select([quadrant == 0, quadrant == 1, quadrant == 2], [x, -y, -x], y)
+    im = np.select([quadrant == 0, quadrant == 1, quadrant == 2], [y, x, -y], -x)
+    return re, im
+
+
+def moments(m: PoleMeasure, exps: Sequence[int]) -> np.ndarray:
+    """sum_atoms weight * lambda^e for each integer exponent e.
+
+    The one kernel behind every moment and Taylor coefficient.  Atoms are
+    summed in angle order with separate real and imaginary accumulators
+    and the textbook complex product, so each entry is bit-equal to the
+    scalar loop ``total += w * lambda**e`` over CirclePoint powers.
+    Exponents may be arbitrarily large Python ints for exact atoms; float
+    atoms need e to fit a float (else ValidationError).
+    """
+    exps = [int(e) for e in exps]
+    tr, ti = np.zeros(len(exps)), np.zeros(len(exps))
+    cache: dict = {}
+    exps_f = None
+    for p, w in m.atoms:
+        if p.is_exact:
+            lr, li = _exact_parts(p.angle.numerator, p.angle.denominator, exps, cache)
+        else:
+            if exps_f is None:
+                try:
+                    exps_f = np.array([float(e) for e in exps])
+                except OverflowError as exc:
+                    raise ValidationError(
+                        "exponent too large for a float-angle atom") from exc
+            lr, li = _float_parts(p.angle, exps_f)
+        tr = tr + (w.real * lr - w.imag * li)
+        ti = ti + (w.real * li + w.imag * lr)
+    out = np.empty(len(exps), dtype=complex)
+    out.real, out.imag = tr, ti
+    return out
 
 
 def taylor_coefficient(m: PoleMeasure, n: int) -> complex:
     """b_n = -sum weight * lambda^(-n-1), valid for any integer n."""
-    total = 0j
-    for p, w in m.atoms:
-        total += w * turn_to_complex(p.power(-n - 1).angle)
-    return -total
+    return -complex(moments(m, [-n - 1])[0])
 
 
 def taylor_inner(m: PoleMeasure, n_max: int) -> np.ndarray:
     """Inner coefficients b_0 .. b_{n_max}."""
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
-    return np.array([taylor_coefficient(m, n) for n in range(n_max + 1)])
+    return -moments(m, range(-1, -n_max - 2, -1))
 
 
 def taylor_outer(m: PoleMeasure, n_count: int) -> np.ndarray:
     """Outer coefficients b_{-1} .. b_{-n_count}."""
     if n_count < 0:
         raise ValidationError("n_count must be >= 0")
-    return np.array([taylor_coefficient(m, -k) for k in range(1, n_count + 1)])
+    return -moments(m, range(n_count))
 
 
 @dataclass(frozen=True)

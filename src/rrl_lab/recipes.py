@@ -64,18 +64,27 @@ def parse_angles(text: str) -> list[CirclePoint]:
 
 
 def parse_shift_spec(text: str, points: list[CirclePoint]) -> list[int]:
-    """'factorial:J' -> 1!..J! ('factorial:LO:HI' -> LO!..HI!);
-    'pigeonhole:J' -> pigeonhole shifts for j = 1..J."""
+    """'factorial:J' -> 1!..J! ('factorial:LO:HI' -> LO!..HI!, 1 <= LO <= HI);
+    'pigeonhole:J' -> pigeonhole shifts for j = 1..J (J >= 1).
+
+    Every accepted spec gives at least one shift."""
     kind, _, arg = text.partition(":")
-    if kind == "factorial":
-        lo, _, hi = arg.partition(":")
-        if hi:
-            return factorial_shifts(int(hi))[int(lo) - 1 :]
-        return factorial_shifts(int(lo) if lo else 6)
-    if kind == "pigeonhole":
-        j = int(arg) if arg else 6
-        ks = [pigeonhole_shift(points, jj) for jj in range(1, j + 1)]
-        return sorted(set(ks))
+    try:
+        if kind == "factorial":
+            lo, _, hi = arg.partition(":")
+            if not hi:
+                return factorial_shifts(int(lo) if lo else 6)
+            lo_j, hi_j = int(lo), int(hi)
+            if not 1 <= lo_j <= hi_j:
+                raise ValidationError(f"shift spec {text!r} needs 1 <= LO <= HI")
+            return factorial_shifts(hi_j)[lo_j - 1 :]
+        if kind == "pigeonhole":
+            j = int(arg) if arg else 6
+            if j < 1:
+                raise ValidationError(f"shift spec {text!r} needs J >= 1")
+            return sorted({pigeonhole_shift(points, jj) for jj in range(1, j + 1)})
+    except ValueError as exc:
+        raise ValidationError(f"bad shift spec {text!r}: {exc}") from exc
     raise ValidationError(f"unknown shift spec {text!r}")
 
 

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .psp import PoleMeasure, taylor_coefficient
+from .psp import PoleMeasure, moments
+from .psp import taylor_coefficient  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .streams import CoeffStream
 
 
@@ -180,20 +181,19 @@ def verify_rrl_on_psp(m: PoleMeasure, shifts: Sequence[int],
     exponents reduce to identical angles, so the sums agree bitwise.
     """
     ks = [int(k) for k in shifts]
+    if not ks:
+        raise ValidationError("shifts must be non-empty")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValidationError("shifts must be strictly increasing")
     w = int(half_width)
-    base = {n: taylor_coefficient(m, n) for n in range(-w, w + 1)}
-    rows = []
-    for k in ks:
-        res_pos = max(
-            abs(taylor_coefficient(m, n + k) - base[n]) for n in range(0, w + 1)
-        )
-        res_neg = max(
-            abs(taylor_coefficient(m, n + k) - base[n]) for n in range(-w, 0)
-        )
-        rows.append((k, float(res_pos), float(res_neg)))
-    return rows
+    if w < 1:
+        raise ValidationError("half_width must be >= 1")
+    # b_n = -moment(-n-1) for n in [-W, W], unshifted and then for each shift
+    exps = [-(n + k) - 1 for k in [0] + ks for n in range(-w, w + 1)]
+    b = -moments(m, exps).reshape(len(ks) + 1, 2 * w + 1)
+    diff = b[1:] - b[0]
+    dist = np.hypot(diff.real, diff.imag).tolist()
+    return [(k, max(row[w:]), max(row[:w])) for k, row in zip(ks, dist)]
 
 
 def report_to_csv(report: ShiftReport, cluster_tol: float | None = None) -> str:
@@ -209,12 +209,12 @@ def report_to_csv(report: ShiftReport, cluster_tol: float | None = None) -> str:
     writer.writerow(["shift", "residual_pos", "residual_neg_vs_cluster", "cluster_id"])
     if report.windows:
         clusters = window_cluster(report, tol)
+        by_shift = {w.shift: w for w in report.windows}
         assignment: dict[int, tuple[int, float]] = {}
         for cid, cl in enumerate(clusters):
             rep_neg = cl.representative.negative_side()
             for shift in cl.member_shifts:
-                w = next(x for x in report.windows if x.shift == shift)
-                d = float(np.max(np.abs(w.negative_side() - rep_neg)))
+                d = float(np.max(np.abs(by_shift[shift].negative_side() - rep_neg)))
                 assignment[shift] = (cid, d)
         for w in report.windows:
             cid, d = assignment[w.shift]

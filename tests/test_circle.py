@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rrl_lab.circle import CirclePoint, frac_part, roots_of_unity, turn_to_complex
+from rrl_lab.errors import ValidationError
 
 
 def test_quarter_turn_values_are_exact():
@@ -84,3 +85,9 @@ def test_frac_part_snap():
 def test_bad_angle_type_rejected():
     with pytest.raises(TypeError):
         CirclePoint("0.5")
+
+
+def test_non_finite_angle_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            CirclePoint.real(bad)

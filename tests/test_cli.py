@@ -1,7 +1,12 @@
 import json
 
+import pytest
+
+from rrl_lab.circle import CirclePoint
 from rrl_lab.cli import main
-from rrl_lab.psp import uniform_roots_measure
+from rrl_lab.errors import ValidationError
+from rrl_lab.psp import PoleMeasure, uniform_roots_measure
+from rrl_lab.recipes import parse_shift_spec
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +53,47 @@ def test_psp_rrl_recipe_exact_zero_residuals(tmp_path, capsys):
     assert by_shift[24]["residual_pos"] == 0.0
     assert by_shift[720]["residual_neg"] == 0.0
     assert by_shift[1]["residual_pos"] == 1.0
+
+
+def _psp_rrl_error(tmp_path, capsys, measure, spec):
+    path = tmp_path / "m.json"
+    path.write_text(measure.dumps())
+    code = main(["run", "--recipe", "psp-rrl", "--out", str(tmp_path / "out.json"),
+                 "--measure", str(path), "--shifts", spec])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    return code, json.loads(lines[0])
+
+
+def test_psp_rrl_float_atom_huge_shift_is_validation_error(tmp_path, capsys):
+    # 171! does not fit a float, so a float-angle atom cannot be shifted by it
+    m = PoleMeasure([(CirclePoint.exact(1, 4), 1.0), (CirclePoint.real(0.3), 0.5j)])
+    code, obj = _psp_rrl_error(tmp_path, capsys, m, "factorial:171:172")
+    assert code == 2
+    assert obj["error"]["type"] == "ValidationError"
+
+
+def test_psp_rrl_non_finite_angle_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('[{"angle": NaN, "re": 1.0, "im": 0.0}]')
+    code, obj = run_cli(capsys, "run", "--recipe", "psp-rrl", "--measure", str(path),
+                        "--out", str(tmp_path / "out.json"))
+    assert code == 2
+    assert obj["error"]["type"] == "ValidationError"
+
+
+def test_psp_rrl_rejects_specs_that_verify_nothing(tmp_path, capsys):
+    m = uniform_roots_measure(4)
+    for spec in ("factorial:0:3", "factorial:3:2", "factorial:0", "pigeonhole:0",
+                 "pigeonhole:-2", "factorial:x", "factorial:2:y"):
+        with pytest.raises(ValidationError):
+            parse_shift_spec(spec, m.points)
+        code, obj = _psp_rrl_error(tmp_path, capsys, m, spec)
+        assert code == 2, spec
+        assert obj["error"]["type"] == "ValidationError"
+    assert parse_shift_spec("factorial:1:1", m.points) == [1]
+    assert parse_shift_spec("factorial:3:4", m.points) == [6, 24]
+    assert parse_shift_spec("pigeonhole:1", m.points) == [1]
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -1,0 +1,265 @@
+"""Bitwise agreement of the vectorised moment and evaluation kernels with
+the scalar loops they replaced.
+
+The oracles below are the scalar per-atom sums, written out in plain Python
+on CirclePoint powers and turn_to_complex.  The kernels must agree with them
+in every bit, so results are compared through ``.view(np.uint64)``, which
+also tells 0.0 from -0.0.  The last tests pin the facts about this host's
+numpy that the kernels rely on.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rrl_lab.boundary import arc_l1_growth, radial_blowup
+from rrl_lab.circle import CirclePoint, turn_to_complex
+from rrl_lab.diophantine import moment_sequence
+from rrl_lab.errors import PoleCollision, ValidationError
+from rrl_lab.psp import (
+    PoleMeasure,
+    _smith_quot,
+    moments,
+    psp_eval,
+    taylor_coefficient,
+    taylor_inner,
+    taylor_outer,
+)
+from rrl_lab.right_limits import verify_rrl_on_psp
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+# -- scalar oracles ------------------------------------------------------------
+
+
+def moment_oracle(m: PoleMeasure, e: int) -> complex:
+    total = 0j
+    for p, w in m.atoms:
+        total += w * turn_to_complex(p.power(e).angle)
+    return total
+
+
+def eval_oracle(m: PoleMeasure, z: complex, exclusion: float = 1e-12) -> complex:
+    z = complex(z)
+    total = 0j
+    for p, w in m.atoms:
+        d = z - p.value()
+        if abs(d) <= exclusion:
+            raise PoleCollision(str(z))
+        total += w / d
+    return total
+
+
+def verify_oracle(m: PoleMeasure, shifts, w: int):
+    base = {n: -moment_oracle(m, -n - 1) for n in range(-w, w + 1)}
+    rows = []
+    for k in shifts:
+        diffs = {n: abs(-moment_oracle(m, -(n + k) - 1) - base[n]) for n in range(-w, w + 1)}
+        rows.append((k, max(diffs[n] for n in range(0, w + 1)),
+                     max(diffs[n] for n in range(-w, 0))))
+    return rows
+
+
+def bits(values) -> np.ndarray:
+    return np.ascontiguousarray(np.asarray(values, dtype=complex)).view(np.uint64)
+
+
+def same_bits(got, want) -> bool:
+    return np.array_equal(bits(got), bits(want))
+
+
+# -- strategies ----------------------------------------------------------------
+
+signed = st.floats(-2.0, 2.0, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+weights = st.builds(complex, signed, signed)
+exact_angles = st.builds(Fraction, st.integers(0, 59), st.integers(1, 60))
+float_angles = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(
+    [0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0 - 1e-14, 0.1 + 1e-15])
+
+
+@st.composite
+def measures(draw, max_atoms=8):
+    atoms = {}
+    for _ in range(draw(st.integers(0, max_atoms))):
+        angle = draw(exact_angles | float_angles)
+        pt = CirclePoint(angle) if isinstance(angle, Fraction) else CirclePoint.real(angle)
+        atoms[pt.angle] = (pt, draw(weights))
+    return PoleMeasure(list(atoms.values()))
+
+
+FACTORIALS = [math.factorial(j) for j in range(12, 31)]
+exponents = st.integers(-400, 400) | st.builds(
+    lambda k, n, sign: sign * k + n, st.sampled_from(FACTORIALS), st.integers(-3, 3),
+    st.sampled_from([1, -1]))
+points = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)) | st.sampled_from(
+    [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.5, -0.5j,
+     2.0, complex(0.0, 1.5), complex(-1.2, -0.9)])
+
+
+# -- moments and Taylor coefficients -------------------------------------------
+
+
+@SETTINGS
+@given(measures(), st.lists(exponents, max_size=30))
+def test_moments_bitwise_equal_to_scalar_loop(m, exps):
+    assert same_bits(moments(m, exps), [moment_oracle(m, e) for e in exps])
+
+
+@SETTINGS
+@given(measures(), exponents)
+def test_taylor_coefficient_is_length_one_kernel_call(m, n):
+    got = taylor_coefficient(m, n)
+    assert type(got) is complex
+    assert same_bits([got], [-moment_oracle(m, -n - 1)])
+
+
+@SETTINGS
+@given(measures(), st.integers(0, 60))
+def test_taylor_series_and_moment_sequence_bitwise(m, n):
+    assert same_bits(taylor_inner(m, n), [-moment_oracle(m, -k - 1) for k in range(n + 1)])
+    assert same_bits(taylor_outer(m, n), [-moment_oracle(m, k - 1) for k in range(1, n + 1)])
+    assert same_bits(moment_sequence(m, n), [moment_oracle(m, k) for k in range(n + 1)])
+
+
+@SETTINGS
+@given(measures(max_atoms=5), st.lists(exponents, min_size=1, max_size=4, unique=True),
+       st.integers(1, 6))
+def test_verify_rrl_bitwise(m, shifts, w):
+    shifts = sorted(shifts)
+    got = verify_rrl_on_psp(m, shifts, w)
+    want = verify_oracle(m, shifts, w)
+    assert [k for k, _, _ in got] == [k for k, _, _ in want]
+    assert same_bits([v for r in got for v in r[1:]], [v for r in want for v in r[1:]])
+
+
+def test_huge_denominator_and_shift_stay_exact():
+    # an order beyond int64 products and a shift beyond int64: Python ints throughout
+    m = PoleMeasure([(CirclePoint(Fraction(7, 10**12 + 39)), 1 - 2j),
+                     (CirclePoint(Fraction(3, 2**61 - 1)), 0.5j),
+                     (CirclePoint.exact(1, 5), -0.25)])
+    exps = [-1, 0, 3, math.factorial(30) + 1, -(10**40)]
+    assert same_bits(moments(m, exps), [moment_oracle(m, e) for e in exps])
+
+
+def test_float_atom_exponent_overflow_is_validation_error():
+    m = PoleMeasure([(CirclePoint.real(0.3), 1.0)])
+    with pytest.raises(ValidationError):
+        moments(m, [math.factorial(171)])
+    with pytest.raises(ValidationError):
+        verify_rrl_on_psp(m, [math.factorial(171)], 4)
+    # exact atoms take any exponent
+    assert moments(PoleMeasure([(CirclePoint.exact(1, 3), 1.0)]), [math.factorial(171)])[0] == 1
+
+
+# -- pole-series evaluation ------------------------------------------------------
+
+
+@SETTINGS
+@given(measures(), st.lists(points, min_size=1, max_size=20))
+def test_psp_eval_array_bitwise_equal_to_scalar(m, zs):
+    want = []
+    for z in zs:
+        try:
+            want.append(eval_oracle(m, z))
+        except PoleCollision:
+            with pytest.raises(PoleCollision):
+                psp_eval(m, zs)
+            return
+    got = psp_eval(m, np.array(zs, dtype=complex))
+    assert got.shape == (len(zs),)
+    assert same_bits(got, want)
+    scalars = [psp_eval(m, z) for z in zs]
+    assert all(type(v) is complex for v in scalars)
+    assert same_bits(scalars, want)
+
+
+def test_psp_eval_keeps_shape_and_collides_like_scalar():
+    m = PoleMeasure([(CirclePoint.exact(0, 1), 1.0), (CirclePoint.real(0.3), -0.5j)])
+    zs = np.array([[0.5, -0.0], [2.0, 0.25j]])
+    got = psp_eval(m, zs)
+    assert got.shape == (2, 2)
+    assert same_bits(got.ravel(), [eval_oracle(m, z) for z in zs.ravel()])
+    with pytest.raises(PoleCollision):
+        psp_eval(m, np.array([0.5, 1.0 + 1e-14]))
+    with pytest.raises(PoleCollision):
+        psp_eval(m, 1.01, exclusion_radius=0.1)
+    # a point on a pole collides whatever the radius
+    with pytest.raises(PoleCollision):
+        psp_eval(m, 1.0, exclusion_radius=-1.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(measures(max_atoms=6), st.floats(-4.0, 4.0), st.floats(0.05, 2.0))
+def test_boundary_probes_bitwise_equal_to_scalar_loops(m, omega1, span):
+    radii = [0.5, 0.9, 0.99]
+    omegas = np.linspace(omega1, omega1 + span, 65)
+    try:
+        want = [np.trapezoid(np.array([abs(eval_oracle(m, r * complex(np.cos(o), np.sin(o))))
+                                       for o in omegas]), omegas) for r in radii]
+    except PoleCollision:
+        return
+    got = arc_l1_growth(lambda z: psp_eval(m, z), omega1, omega1 + span, radii, 64)
+    assert np.array_equal(got.integrals.view(np.uint64), np.array(want).view(np.uint64))
+    pt = CirclePoint.real(omega1 % 1.0)
+    rs = np.array(radii)
+    want = np.array([abs(eval_oracle(m, r * pt.value())) for r in rs])
+    got = radial_blowup(lambda z: psp_eval(m, z), pt, radii)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_probe_evaluator_receives_points_of_scalar_product():
+    # one array of z per radius, each z bit-equal to r * complex(cos, sin),
+    # zero signs included (the last omega is -0.0, where sin gives -0.0)
+    seen = []
+
+    def g(z):
+        seen.append(np.array(z))
+        return 1.0
+
+    radii = np.array([0.5, 0.9])
+    arc_l1_growth(g, -1.0, -0.0, radii, quadrature_n=64)
+    omegas = np.linspace(-1.0, -0.0, 65)
+    for r, z in zip(radii, seen):
+        assert same_bits(z, [r * complex(np.cos(o), np.sin(o)) for o in omegas])
+    pt = CirclePoint.exact(1, 2)
+    seen.clear()
+    radial_blowup(g, pt, radii)
+    assert [z.shape for z in seen] == [(1,), (1,)]
+    assert same_bits(np.concatenate(seen), [r * pt.value() for r in radii])
+
+
+# -- host facts the kernels rely on -------------------------------------------
+
+
+def test_numpy_trig_equals_math_on_first_octant():
+    x = np.concatenate([np.linspace(0.0, math.pi / 4, 200_001),
+                        np.random.default_rng(0).random(200_000) * (math.pi / 4)])
+    for np_fn, math_fn in ((np.cos, math.cos), (np.sin, math.sin)):
+        want = np.array([math_fn(v) for v in x.tolist()])
+        assert np.array_equal(np_fn(x).view(np.uint64), want.view(np.uint64))
+
+
+def test_numpy_hypot_equals_complex_abs():
+    rng = np.random.default_rng(1)
+    re = rng.normal(size=100_000) * 10.0 ** rng.integers(-200, 200, 100_000)
+    im = rng.normal(size=100_000) * 10.0 ** rng.integers(-200, 200, 100_000)
+    want = np.array([abs(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())])
+    assert np.array_equal(np.hypot(re, im).view(np.uint64), want.view(np.uint64))
+
+
+def test_smith_division_equals_python_division():
+    rng = np.random.default_rng(2)
+    n = 100_000
+    br = rng.normal(size=n) * 10.0 ** rng.integers(-150, 150, n)
+    bi = rng.normal(size=n) * 10.0 ** rng.integers(-150, 150, n)
+    br[:100], bi[100:200] = 0.0, -0.0  # both branches at an exact zero part
+    for a in (complex(0.7, -1.3), complex(-0.0, 2.5), complex(1e200, 1e-200)):
+        qr, qi = _smith_quot(a.real, a.imag, br, bi)
+        want = [a / complex(x, y) for x, y in zip(br.tolist(), bi.tolist())]
+        assert np.array_equal(qr.view(np.uint64), np.array([v.real for v in want]).view(np.uint64))
+        assert np.array_equal(qi.view(np.uint64), np.array([v.imag for v in want]).view(np.uint64))

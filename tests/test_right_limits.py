@@ -178,6 +178,33 @@ def test_verify_rrl_requires_increasing_shifts():
         verify_rrl_on_psp(uniform_roots_measure(2), [5, 5], 3)
 
 
+def test_verify_rrl_rejects_empty_shifts_and_width():
+    m = uniform_roots_measure(2)
+    with pytest.raises(ValidationError):
+        verify_rrl_on_psp(m, [], 3)
+    with pytest.raises(ValidationError):
+        verify_rrl_on_psp(m, [2, 4], 0)
+
+
+def test_report_csv_bytes_unchanged_by_shift_lookup():
+    # rendering with the linear scan for each cluster member, as before the
+    # dict lookup, gives the same bytes on a two-cluster report
+    report = renascent_shift_search(hecke_stream(GOLDEN, gamma=GOLDEN), 10, 30_000, 5e-3)
+    clusters = window_cluster(report, report.tol)
+    assert len(clusters) == 2 and len(report) > 100
+    lines = ["shift,residual_pos,residual_neg_vs_cluster,cluster_id"]
+    assignment = {}
+    for cid, cl in enumerate(clusters):
+        rep_neg = cl.representative.negative_side()
+        for shift in cl.member_shifts:
+            w = next(x for x in report.windows if x.shift == shift)
+            assignment[shift] = (cid, float(np.max(np.abs(w.negative_side() - rep_neg))))
+    for w in report.windows:
+        cid, d = assignment[w.shift]
+        lines.append(f"{w.shift},{w.residual!r},{d!r},{cid}")
+    assert report_to_csv(report) == "\n".join(lines) + "\n"
+
+
 def test_report_csv_shape():
     report = renascent_shift_search(periodic([0.0, 1.0]), 3, 12, 0.0)
     text = report_to_csv(report)
