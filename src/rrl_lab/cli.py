@@ -207,8 +207,15 @@ def _cmd_thue_morse(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors follow the exit-2, one-JSON-line contract too."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rrl-lab",
         description="generalized analytic continuation experiments",
     )
@@ -263,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _threads_cap()
         return args.handler(args)
     except ValidationError as exc:

@@ -99,19 +99,21 @@ def to_complex(a: list[int]) -> complex:
     return z
 
 
+def mul_root(coeffs: list[list[int]], e: int) -> list[list[int]]:
+    """Multiply a polynomial (Z[zeta_L] coefficients, ascending) by (X - zeta_L^e)."""
+    zero = [0] * len(coeffs[0])
+    return [sub(a, shift_mul(b, e))
+            for a, b in zip([zero] + coeffs, coeffs + [zero])]
+
+
 def product_from_roots(exponents: list[int], L: int) -> list[list[int]]:
     """Coefficients (ascending) of prod_e (X - zeta_L^e), each a Z[zeta_L] element.
 
     Multiplication order follows the given exponent order.
     """
     coeffs = [zeta_power(L, 0)]
-    zero = [0] * L
     for e in exponents:
-        nxt = [zero[:] for _ in range(len(coeffs) + 1)]
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] = add(nxt[k + 1], c)
-            nxt[k] = sub(nxt[k], shift_mul(c, e))
-        coeffs = nxt
+        coeffs = mul_root(coeffs, e)
     return coeffs
 
 

@@ -11,6 +11,7 @@ the coefficient 1-norm of P_F(X) - (X^|F| - 1).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -18,14 +19,16 @@ from typing import Sequence
 import numpy as np
 
 from . import cyclotomic as cyc
-from .circle import CirclePoint, frac_part
-from .errors import CapExceeded, DuplicateRoot, NotARoot, ValidationError
+from .circle import CirclePoint, frac_part, turn_to_complex
+from .errors import CapExceeded, DuplicateRoot, NotARoot, RrlLabError, ValidationError
 from .psp import PoleMeasure, moments
 
 PIGEONHOLE_J_CAP = 8
 PIGEONHOLE_MAX_SCAN = 5_000_000
 BALANCE_M_CAP = 3
 BALANCE_N_CAP = 10**6
+# (N+1)*L integer slots the Z[zeta_L] builder may allocate (about 80 MB of list slots)
+EXACT_SLOTS_CAP = 10**7
 
 
 def factorial_shifts(j_max: int) -> list[int]:
@@ -174,21 +177,91 @@ def _sorted_distinct(points: Sequence[CirclePoint]) -> list[CirclePoint]:
     return pts
 
 
-def poly_from_roots(points: Sequence[CirclePoint]) -> CPoly:
-    """Monic P_F(X) = prod (X - mu) over the root set, multiplied in angle order.
+def _divide_root(coeffs: np.ndarray, root: complex) -> np.ndarray:
+    """Quotient of P(X) / (X - root) by synthetic division (remainder dropped)."""
+    d = len(coeffs) - 1
+    out = np.zeros(d, dtype=complex)
+    carry = coeffs[d]
+    for k in range(d - 1, -1, -1):
+        out[k] = carry
+        carry = coeffs[k] + root * carry
+    return out
 
-    When every root has an exact rational angle the product is carried out
-    in Z[zeta_L] (L = lcm of the orders), so coefficients that cancel are
-    exactly 0.0 and rational coefficients are exact.
+
+def _split_on_unit_roots(pts: list[CirclePoint]
+                         ) -> tuple[list[int], list[CirclePoint]] | None:
+    """(r of the N-th roots zeta_N^r missing from F, points of F off R_N), N = |F|,
+    when more than half of F lies on R_N; None otherwise.
+
+    A point lies on R_N only if it is exact and its order divides N.  Both
+    lists have the same length, because |F| = |R_N|.
+    """
+    n = len(pts)
+    on: set[int] = set()
+    off = []
+    for p in pts:
+        if p.is_exact and n % p.angle.denominator == 0:
+            on.add(p.angle.numerator * (n // p.angle.denominator))
+        else:
+            off.append(p)
+    if 2 * len(on) <= n:
+        return None
+    return [r for r in range(n) if r not in on], off
+
+
+def _exact_coeffs(pts: list[CirclePoint]) -> tuple[list[list[int]], int] | None:
+    """Z[zeta_L] coefficients of P_F and L, or None if some root is a float."""
+    exact = cyc.exact_exponents(pts)
+    if exact is None:
+        return None
+    exps, lcm = exact
+    n = len(pts)
+    if (n + 1) * lcm > EXACT_SLOTS_CAP:
+        raise CapExceeded(
+            f"exact product needs (N+1)*L = {(n + 1) * lcm} integer slots "
+            f"(N = {n}, L = {lcm}), cap {EXACT_SLOTS_CAP}")
+    split = _split_on_unit_roots(pts)
+    if split is None:
+        return cyc.product_from_roots(exps, lcm), lcm
+    # more than half of F is on R_N, so the orders on it have lcm N and N | L
+    missing, off = split
+    step = lcm // n
+    coeffs = [[0] * lcm for _ in range(n + 1)]
+    coeffs[0][0], coeffs[n][0] = -1, 1  # X^N - 1
+    for r in missing:
+        coeffs = cyc.synthetic_div_root(coeffs, r * step, lcm)
+    for p in off:
+        coeffs = cyc.mul_root(coeffs, p.angle.numerator * (lcm // p.angle.denominator))
+    return coeffs, lcm
+
+
+def poly_from_roots(points: Sequence[CirclePoint]) -> CPoly:
+    """Monic P_F(X) = prod (X - mu) over the root set F, |F| = N.
+
+    When more than half of F lies on the N-th roots of unity R_N, P_F is
+    built as (X^N - 1) / prod_{R_N - F} (X - zeta) * prod_{F - R_N} (X - mu):
+    m synthetic divisions and m multiplications, O(N*m), and each division
+    of X^N - 1 by a root gives unit-modulus coefficients, so nothing grows.
+    Any other set is multiplied out in angle order.  When every root has an
+    exact rational angle the arithmetic is carried out in Z[zeta_L] (L = lcm
+    of the orders), so coefficients that cancel are exactly 0.0, rational
+    coefficients are exact, and either route gives the same bits.
     """
     pts = _sorted_distinct(points)
-    exact = cyc.exact_exponents(pts)
+    exact = _exact_coeffs(pts)
     if exact is not None:
-        exps, lcm = exact
-        elements = cyc.product_from_roots(exps, lcm)
-        return CPoly(np.array([cyc.to_complex(e) for e in elements]))
-    coeffs = np.array([1.0 + 0j])
-    for p in pts:
+        return CPoly(np.array([cyc.to_complex(e) for e in exact[0]]))
+    split = _split_on_unit_roots(pts)
+    if split is None:
+        coeffs = np.array([1.0 + 0j])
+        off = pts
+    else:
+        missing, off = split
+        n = len(pts)
+        coeffs = balance_target(n)
+        for r in missing:
+            coeffs = _divide_root(coeffs, turn_to_complex(Fraction(r, n)))
+    for p in off:
         coeffs = np.convolve(coeffs, np.array([-p.value(), 1.0 + 0j]))
     return CPoly(coeffs)
 
@@ -202,22 +275,13 @@ def q_poly(point: CirclePoint, points: Sequence[CirclePoint]) -> CPoly:
     pts = _sorted_distinct(points)
     if all(point.angle != p.angle for p in pts):
         raise NotARoot(f"{point} is not in the root set")
-    exact = cyc.exact_exponents(pts)
+    exact = _exact_coeffs(pts)
     if exact is not None:
-        exps, lcm = exact
-        elements = cyc.product_from_roots(exps, lcm)
+        elements, lcm = exact
         e_lam = point.angle.numerator * (lcm // point.angle.denominator)
         quotient = cyc.synthetic_div_root(elements, e_lam, lcm)
         return CPoly(np.array([cyc.to_complex(e) for e in quotient]))
-    full = poly_from_roots(pts).coeffs
-    lam = point.value()
-    d = len(full) - 1
-    out = np.zeros(d, dtype=complex)
-    carry = full[d]
-    for k in range(d - 1, -1, -1):
-        out[k] = carry
-        carry = full[k] + lam * carry
-    return CPoly(out)
+    return CPoly(_divide_root(poly_from_roots(pts).coeffs, point.value()))
 
 
 def balance_target(m: int) -> np.ndarray:
@@ -233,13 +297,16 @@ def is_eps_balanced(points: Sequence[CirclePoint], eps: float
     """(defect <= eps, defect) with defect = ||P_F - (X^|F| - 1)||_1.
 
     For complete root-of-unity sets the exact path makes the defect
-    exactly 0.0.
+    exactly 0.0.  A defect that is not finite raises RrlLabError rather than
+    reading as "not balanced".
     """
     if not (0 < eps < 1):
         raise ValidationError("eps must be in (0, 1)")
     pts = _sorted_distinct(points)
     p = poly_from_roots(pts)
     defect = float(np.sum(np.abs(p.coeffs - balance_target(len(pts)))))
+    if not math.isfinite(defect):
+        raise RrlLabError(f"defect of a {len(pts)}-point root set is {defect!r}")
     return defect <= eps, defect
 
 
@@ -262,7 +329,8 @@ def balance_completion(points_g: Sequence[CirclePoint], eps: float = 0.5,
     a distinct N-th root of unity; those roots are swapped out for the
     points of G.  M grows geometrically until the is_eps_balanced
     certificate passes (the worst-case M from the existence proof is
-    astronomically larger than what the certificate needs).
+    astronomically larger than what the certificate needs).  A rung that
+    repeats an (N, replaced roots) pair already tried is skipped.
     """
     g = _sorted_distinct(points_g)
     if not g:
@@ -274,25 +342,27 @@ def balance_completion(points_g: Sequence[CirclePoint], eps: float = 0.5,
     m = len(g)
     thetas = [p.angle_float() for p in g]
     big_m = max(2**m + 1, 4)
+    tried: set[tuple[int, tuple[int, ...]]] = set()  # rungs that failed
     while big_m <= n_cap:
         n, ps = dirichlet_approx(thetas, big_m)
-        replaced = [p % n for p in ps]
-        if len(set(replaced)) == m:
-            keep = [
-                CirclePoint(Fraction(i, n)) for i in range(n) if i not in replaced
-            ]
-            angles_kept = {p.angle for p in keep}
-            if all(p.angle not in angles_kept for p in g):
-                f = g + keep
-                ok, defect = is_eps_balanced(f, eps)
-                if ok:
-                    return BalancedSet(
-                        points=sorted(f, key=lambda p: p.angle),
-                        epsilon=float(eps),
-                        defect=defect,
-                        n_roots=n,
-                    )
         big_m *= 2
+        replaced = tuple(p % n for p in ps)
+        if (n, replaced) in tried or len(set(replaced)) < m:
+            continue
+        tried.add((n, replaced))
+        keep = [CirclePoint(Fraction(i, n)) for i in range(n) if i not in replaced]
+        angles_kept = {p.angle for p in keep}
+        if any(p.angle in angles_kept for p in g):
+            continue
+        f = g + keep
+        ok, defect = is_eps_balanced(f, eps)
+        if ok:
+            return BalancedSet(
+                points=sorted(f, key=lambda p: p.angle),
+                epsilon=float(eps),
+                defect=defect,
+                n_roots=n,
+            )
     raise CapExceeded(f"no certified completion with N <= {n_cap}")
 
 

@@ -17,6 +17,7 @@ angle-sorted order).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -41,14 +42,17 @@ class PoleMeasure:
 
     def __init__(self, atoms: Sequence[tuple[CirclePoint, complex]],
                  tail_mass: float = 0.0):
-        if tail_mass < 0:
-            raise ValidationError("tail_mass must be nonnegative")
+        if not 0 <= tail_mass < math.inf:
+            raise ValidationError(f"tail_mass must be finite and nonnegative, got {tail_mass!r}")
         pts = [a[0] for a in atoms]
         if len(set(p.angle for p in pts)) != len(pts):
             raise DuplicatePole("atom points must be pairwise distinct")
         self.atoms: list[tuple[CirclePoint, complex]] = sorted(
             ((p, complex(w)) for p, w in atoms), key=lambda a: a[0].angle
         )
+        for p, w in self.atoms:
+            if not cmath.isfinite(w):
+                raise ValidationError(f"weight at {p} must be finite, got {w!r}")
         self.tail_mass = float(tail_mass)
 
     @property
@@ -91,17 +95,20 @@ class PoleMeasure:
     @classmethod
     def from_json_obj(cls, obj) -> "PoleMeasure":
         tail = 0.0
-        if isinstance(obj, dict):
-            tail = float(obj.get("tail_mass", 0.0))
-            obj = obj["atoms"]
-        atoms = []
-        for rec in obj:
-            ang = rec["angle"]
-            if isinstance(ang, dict):
-                pt = CirclePoint(Fraction(int(ang["p"]), int(ang["q"])))
-            else:
-                pt = CirclePoint.real(float(ang))
-            atoms.append((pt, complex(rec["re"], rec.get("im", 0.0))))
+        try:
+            if isinstance(obj, dict):
+                tail = float(obj.get("tail_mass", 0.0))
+                obj = obj["atoms"]
+            atoms = []
+            for rec in obj:
+                ang = rec["angle"]
+                if isinstance(ang, dict):
+                    pt = CirclePoint(Fraction(int(ang["p"]), int(ang["q"])))
+                else:
+                    pt = CirclePoint.real(float(ang))
+                atoms.append((pt, complex(rec["re"], rec.get("im", 0.0))))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"malformed measure: {type(exc).__name__}: {exc}") from exc
         return cls(atoms, tail_mass=tail)
 
     def dumps(self) -> str:
@@ -109,7 +116,11 @@ class PoleMeasure:
 
     @classmethod
     def loads(cls, text: str) -> "PoleMeasure":
-        return cls.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise ValidationError(f"measure is not JSON: {exc}") from exc
+        return cls.from_json_obj(obj)
 
 
 def uniform_roots_measure(q: int, weight: complex | None = None) -> PoleMeasure:

@@ -43,20 +43,30 @@ NAMED_THETAS = {
 
 
 def parse_theta(text: str) -> float:
+    """A named theta (golden, sqrt2, sqrt3) or a finite float."""
     if text in NAMED_THETAS:
         return NAMED_THETAS[text]
-    return float(text)
+    try:
+        theta = float(text)
+    except ValueError as exc:
+        raise ValidationError(f"bad theta {text!r}: {exc}") from exc
+    if not math.isfinite(theta):
+        raise ValidationError(f"theta must be finite, got {text!r}")
+    return theta
 
 
 def parse_angle(text: str) -> CirclePoint:
     """Angle in turns: 'p/q' gives an exact point, otherwise float."""
     text = text.strip()
-    if "/" in text:
-        p, q = text.split("/")
-        return CirclePoint(Fraction(int(p), int(q)))
-    if text in NAMED_THETAS:
-        return CirclePoint.real(NAMED_THETAS[text])
-    return CirclePoint.real(float(text))
+    try:
+        if "/" in text:
+            p, q = text.split("/")
+            return CirclePoint(Fraction(int(p), int(q)))
+        if text in NAMED_THETAS:
+            return CirclePoint.real(NAMED_THETAS[text])
+        return CirclePoint.real(float(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad angle {text!r}: {exc}") from exc
 
 
 def parse_angles(text: str) -> list[CirclePoint]:
@@ -117,11 +127,17 @@ def _write_rows_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _read_measure(path: str) -> PoleMeasure:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read measure file {path!r}: {exc}") from exc
+    return PoleMeasure.loads(text)
+
+
 def _load_measure(params: dict) -> PoleMeasure:
     path = params.get("measure")
-    if path:
-        return PoleMeasure.loads(Path(path).read_text())
-    return uniform_roots_measure(4)
+    return _read_measure(path) if path else uniform_roots_measure(4)
 
 
 def recipe_psp_rrl(cfg: RecipeConfig) -> dict:
@@ -289,7 +305,7 @@ def recipe_balance(cfg: RecipeConfig) -> dict:
 
 def recipe_probe_arc(cfg: RecipeConfig) -> dict:
     path = cfg.params.get("measure")
-    m = PoleMeasure.loads(Path(path).read_text()) if path else uniform_roots_measure(16)
+    m = _read_measure(path) if path else uniform_roots_measure(16)
     omega1 = float(cfg.params.get("omega1", 0.0))
     omega2 = float(cfg.params.get("omega2", math.pi / 4.0))
     qn = int(cfg.params.get("quadrature_n", 512))

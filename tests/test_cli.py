@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrl_lab.circle import CirclePoint
 from rrl_lab.cli import main
@@ -94,6 +99,90 @@ def test_psp_rrl_rejects_specs_that_verify_nothing(tmp_path, capsys):
     assert parse_shift_spec("factorial:1:1", m.points) == [1]
     assert parse_shift_spec("factorial:3:4", m.points) == [6, 24]
     assert parse_shift_spec("pigeonhole:1", m.points) == [1]
+
+
+def one_json_line(capsys, *argv):
+    code = main(list(argv))
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1, lines
+    return code, json.loads(lines[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["balance", "--angles", "1/0"],
+    ["balance", "--angles", "1/2/3"],
+    ["balance", "--angles", "0.1,abc"],
+    ["shifts", "--pigeonhole", "2", "--angles", "x/7"],
+    ["hecke", "--theta", "abc"],
+    ["hecke", "--theta", "nan"],
+    ["dirichlet", "--thetas", "sqrt2,abc", "-M", "10"],
+    ["balance", "--angles"],
+    ["hecke", "-n", "x"],
+    ["nope"],
+])
+def test_unparsable_arguments_exit_2(capsys, argv):
+    code, obj = one_json_line(capsys, *argv)
+    assert code == 2
+    assert obj["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("recipe", ["psp-rrl", "probe-arc"])
+@pytest.mark.parametrize("text", [
+    None,  # the file does not exist
+    "{not json",
+    '[{"angle": {"p": 1, "q": 0}, "re": 1.0}]',
+    '[{"angle": {"p": "x", "q": 3}, "re": 1.0}]',
+    '[{"angle": 0.25}]',
+    '{"tail_mass": 0.1}',
+    "[1, 2]",
+    '[{"angle": 0.25, "re": NaN}]',
+    '[{"angle": 0.25, "re": 1.0, "im": Infinity}]',
+    '[{"angle": {"p": 1, "q": 4}, "re": -Infinity}]',
+    '{"atoms": [{"angle": 0.25, "re": 1.0}], "tail_mass": NaN}',
+])
+def test_bad_measure_files_exit_2(tmp_path, capsys, recipe, text):
+    path = tmp_path / "m.json"
+    if text is not None:
+        path.write_text(text)
+    code, obj = one_json_line(capsys, "run", "--recipe", recipe, "--measure", str(path),
+                              "--out", str(tmp_path / "out.json"))
+    assert code == 2
+    assert obj["error"]["type"] == "ValidationError"
+    assert not (tmp_path / "out.json").exists()
+
+
+# Malformed angle text or float angles only, with at most one finite float, so
+# that no case starts a large exact completion, or a long ladder for two
+# nearly equal points.
+BAD_ANGLES = st.sampled_from(["1/0", "0/0", "1/2/3", "/", "1/", "/7", "a/b", "abc", "nan",
+                              "inf", "-inf", "1e999", "--1", "0x10", "1.5.2", "\u00bd"])
+FLOAT_ANGLE = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+NO_SLASH_TEXT = st.text(st.sampled_from("0123456789.-+eE naif_"), max_size=8)
+
+
+def finite_floats(parts) -> int:
+    count = 0
+    for part in parts:
+        try:
+            count += math.isfinite(float(part))
+        except ValueError:
+            pass
+    return count
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(BAD_ANGLES | NO_SLASH_TEXT | FLOAT_ANGLE, max_size=4)
+       .filter(lambda parts: finite_floats(parts) <= 1),
+       st.sampled_from([",", ", ", ",,"]))
+def test_fuzzed_balance_angles_exit_0_2_or_3_with_one_json_line(parts, sep):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["balance", "--angles=" + sep.join(parts)])
+    lines = buf.getvalue().strip().splitlines()
+    assert code in (0, 2, 3)
+    assert len(lines) == 1
+    obj = json.loads(lines[0])
+    assert ("error" in obj) == (code != 0)
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

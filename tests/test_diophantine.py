@@ -207,9 +207,8 @@ def test_cpoly_serialization_roundtrip():
 # ---------------------------------------------------------------- balance
 
 def test_full_root_sets_are_perfectly_balanced():
-    for m in (1, 2, 3, 8, 17, 64):
-        ok, defect = is_eps_balanced(roots_of_unity(m), 0.5)
-        assert ok and defect == 0.0
+    for m in range(1, 361):
+        assert is_eps_balanced(roots_of_unity(m), 0.5) == (True, 0.0)
 
 
 def test_perturbed_root_set_nearly_balanced():
