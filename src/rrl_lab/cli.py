@@ -11,23 +11,23 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 from pathlib import Path
 
-from .diophantine import balance_completion, dirichlet_approx, factorial_shifts, pigeonhole_shift
-from .dynamics import (
-    FEIGENBAUM_C,
-    UnimodalMap,
-    hecke_outer_eval,
-    hecke_outer_truncation_bound,
-    kneading_determinant,
-    kneading_sequence,
-    smallest_real_zero,
-    thue_morse,
-)
+from .diophantine import dirichlet_approx, factorial_shifts, pigeonhole_shift
+from .dynamics import hecke_gamma_outer, hecke_outer_eval, hecke_outer_truncation_bound, thue_morse
 from .errors import RrlLabError, ValidationError
-from .recipes import RecipeConfig, parse_angles, parse_theta, run_recipe
+from .recipes import (
+    RecipeConfig,
+    hecke_direct_sum,
+    kneading_coeffs,
+    parse_angles,
+    parse_number,
+    parse_theta,
+    recipe_balance,
+    recipe_kneading_entropy,
+    run_recipe,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -35,24 +35,9 @@ EXIT_COMPUTATION = 3
 
 # recipe parameters that may arrive from the config file or flags
 PARAM_KEYS = (
-    "theta", "gamma", "c", "n", "w", "k_max", "tol", "eps", "z", "map",
+    "theta", "n", "w", "k_max", "tol", "eps", "z", "map",
     "measure", "shifts", "angles", "omega1", "omega2", "quadrature_n", "radii",
 )
-
-
-def _threads_cap() -> int:
-    """Validated RRL_LAB_THREADS cap (all computation is sequential, so any
-    positive cap is honored)."""
-    raw = os.environ.get("RRL_LAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"RRL_LAB_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValidationError("RRL_LAB_THREADS must be >= 1")
-    return cap
 
 
 def _emit(obj) -> None:
@@ -110,17 +95,8 @@ def _cmd_shifts(args: argparse.Namespace) -> int:
 
 
 def _cmd_balance(args: argparse.Namespace) -> int:
-    points = parse_angles(args.angles)
-    bs = balance_completion(points, args.eps)
-    _emit(
-        {
-            "defect": bs.defect,
-            "epsilon": bs.epsilon,
-            "n_roots": bs.n_roots,
-            "set_size": len(bs.points),
-            "status": "certified",
-        }
-    )
+    summary, _ = recipe_balance({"angles": args.angles, "eps": args.eps})
+    _emit(summary)
     return EXIT_OK
 
 
@@ -142,60 +118,40 @@ def _cmd_dirichlet(args: argparse.Namespace) -> int:
 
 def _cmd_hecke(args: argparse.Namespace) -> int:
     theta = parse_theta(args.theta)
-    z = complex(args.z)
+    gamma = parse_number(float, args.gamma, "gamma")
+    z = parse_number(complex, args.z, "z")
     value = hecke_outer_eval(theta, z, args.n)
     bound = hecke_outer_truncation_bound(z, args.n)
-    status = "ok"
-    if args.check_identity:
-        direct = -sum(
-            ((theta * nn + args.gamma) % 1.0) * z**nn for nn in range(-args.n, 0)
-        )
-        if args.gamma != 0.0:
-            from .dynamics import hecke_gamma_outer
-
-            value = hecke_gamma_outer(theta, args.gamma, z, args.n)
-        residual = abs(value - direct)
-        status = "ok" if residual <= max(2.0 * bound, 1e-9) else "mismatch"
-        _emit(
-            {
-                "value": [value.real, value.imag],
-                "bound": bound,
-                "identity_residual": residual,
-                "status": status,
-            }
-        )
+    if not args.check_identity:
+        _emit({"value": [value.real, value.imag], "bound": bound, "status": "ok"})
         return EXIT_OK
-    _emit({"value": [value.real, value.imag], "bound": bound, "status": status})
+    if gamma != 0.0:
+        value = hecke_gamma_outer(theta, gamma, z, args.n)
+    residual = abs(value - hecke_direct_sum(theta, z, args.n, gamma))
+    _emit(
+        {
+            "value": [value.real, value.imag],
+            "bound": bound,
+            "identity_residual": residual,
+            "status": "ok" if residual <= max(2.0 * bound, 1e-9) else "mismatch",
+        }
+    )
     return EXIT_OK
 
 
 def _cmd_kneading(args: argparse.Namespace) -> int:
-    if args.map == "tent":
-        umap = UnimodalMap.tent()
-    elif args.map.startswith("quadratic"):
-        _, _, c_text = args.map.partition(":")
-        umap = UnimodalMap.quadratic(float(c_text) if c_text else FEIGENBAUM_C)
-    else:
-        raise ValidationError(f"unknown map {args.map!r} (tent | quadratic:c)")
-    eps = kneading_sequence(umap, args.n)
-    data = kneading_determinant(eps)
     if not args.entropy:
-        _emit(
-            {
-                "value": [int(x) for x in data.d_coeffs[: min(32, len(data.d_coeffs))]],
-                "bound": 1.0,
-                "status": "ok",
-            }
-        )
+        d = kneading_coeffs(args.map, args.n)
+        _emit({"value": [int(x) for x in d[:32]], "bound": 1.0, "status": "ok"})
         return EXIT_OK
-    res = smallest_real_zero(data.d_coeffs.astype(float), args.tol)
+    summary, _ = recipe_kneading_entropy({"map": args.map, "n": args.n, "tol": args.tol})
     _emit(
         {
-            "value": res.entropy,
+            "value": summary["entropy"],
             "bound": args.tol,
-            "status": res.status,
-            "root": res.root,
-            "r_max": res.r_max,
+            "status": summary["status"],
+            "root": summary["root"],
+            "r_max": summary["r_max"],
         }
     )
     return EXIT_OK
@@ -272,7 +228,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _threads_cap()
         return args.handler(args)
     except ValidationError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})

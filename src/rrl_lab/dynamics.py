@@ -21,22 +21,17 @@ from .streams import CoeffStream
 FEIGENBAUM_C = -1.401155189  # quadratic parameter at the period-doubling limit
 
 
-def hecke_stream(theta: float, gamma: float = 0.0,
-                 prefix_len: int | None = None) -> CoeffStream:
-    """Stream a_k = {gamma + k*theta}, bound 1."""
+def hecke_stream(theta: float, gamma: float = 0.0) -> CoeffStream:
+    """Stream a_k = {gamma + k*theta} (``np.mod``, unsnapped), bound 1."""
     th = float(theta)
     ga = float(gamma)
+    return CoeffStream(f"hecke(theta={th!r}, gamma={ga!r})",
+                       lambda ks: np.mod(ga + ks * th, 1.0).astype(complex), 1.0)
 
-    def fn(k: int) -> complex:
-        return complex(frac_part(ga + k * th))
 
-    def vec_fn(ks: np.ndarray) -> np.ndarray:
-        return np.mod(ga + ks * th, 1.0).astype(complex)
-
-    s = CoeffStream(f"hecke(theta={th!r}, gamma={ga!r})", fn, 1.0, vec_fn=vec_fn)
-    if prefix_len is not None:
-        s = s.materialize(prefix_len)
-    return s
+def _check_depth(n_terms: int) -> None:
+    if n_terms < 1:
+        raise ValidationError(f"Hecke depth must be >= 1, got {n_terms}")
 
 
 def hecke_outer_eval(theta: float, z: complex, n_terms: int) -> complex:
@@ -47,6 +42,7 @@ def hecke_outer_eval(theta: float, z: complex, n_terms: int) -> complex:
     (termwise: -{-x} = {x} - 1 off the integers).  Truncation bound:
     |z|^(-N) / (|z| - 1).
     """
+    _check_depth(n_terms)
     z = complex(z)
     if abs(z) < 1.0 + 1e-6:
         raise ValidationError("need |z| >= 1 + 1e-6")
@@ -71,6 +67,7 @@ def hecke_gamma_outer(theta: float, gamma: float, z: complex,
     Z + theta*Z; that precondition is checked to 1e-10 over |n| <= N and
     violated offsets raise ResonantGamma.
     """
+    _check_depth(n_terms)
     z = complex(z)
     if abs(z) < 1.0 + 1e-6:
         raise ValidationError("need |z| >= 1 + 1e-6")

@@ -1,12 +1,15 @@
 """Named batch experiments driven by the CLI.
 
-Every recipe is a pure function of its parameter dict and writes
-deterministic artifacts: fixed summation orders, no timestamps, sorted
-JSON keys, so reruns with one config are byte-identical.
+Every recipe is a function of its parameter dict that returns a summary
+dict and a zero-argument callable rendering its CSV table.  ``run_recipe``
+is the one writer: sorted-key JSON of the summary, or the table.  Fixed
+summation orders and no timestamps make reruns with one config
+byte-identical.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -98,6 +101,46 @@ def parse_shift_spec(text: str, points: list[CirclePoint]) -> list[int]:
     raise ValidationError(f"unknown shift spec {text!r}")
 
 
+def parse_number(kind: type, raw: Any, name: str):
+    """``raw`` as an int, float or complex; floats and complexes must be finite."""
+    try:
+        value = complex(str(raw)) if kind is complex else kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad {name} {raw!r}: {exc}") from exc
+    if kind is not int and not cmath.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {raw!r}")
+    return value
+
+
+def _param(params: dict, key: str, kind: type, default):
+    return parse_number(kind, params.get(key, default), key)
+
+
+def hecke_direct_sum(theta: float, z: complex, n: int, gamma: float = 0.0) -> complex:
+    """Direct partial sum -sum_{-N<=n<0} {gamma + n*theta} z^n, unsnapped mod 1."""
+    return -sum(((theta * nn + gamma) % 1.0) * z**nn for nn in range(-n, 0))
+
+
+def kneading_coeffs(map_spec: str, n: int) -> np.ndarray:
+    """Kneading determinant coefficients d_0 .. d_n of a map spec: 'tent',
+    'quadratic[:c]' (x^2 + c, -2 <= c <= 1/4) or 'feigenbaum-product'."""
+    if map_spec == "feigenbaum-product":
+        return feigenbaum_product(n)
+    name, _, c_text = map_spec.partition(":")
+    if map_spec == "tent":
+        umap = UnimodalMap.tent()
+    elif name == "quadratic":
+        c = parse_number(float, c_text, "quadratic c") if c_text else FEIGENBAUM_C
+        if not -2.0 <= c <= 0.25:
+            # outside this range x^2 + c maps no interval to itself
+            raise ValidationError(f"quadratic c must be in [-2, 1/4], got {c!r}")
+        umap = UnimodalMap.quadratic(c)
+    else:
+        raise ValidationError(
+            f"unknown map spec {map_spec!r} (tent | quadratic:c | feigenbaum-product)")
+    return kneading_determinant(kneading_sequence(umap, n)).d_coeffs
+
+
 @dataclass
 class RecipeConfig:
     """One experiment: a recipe name, its parameters, and an output target."""
@@ -116,15 +159,11 @@ class RecipeConfig:
             raise ValidationError("format must be json or csv")
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _write_rows_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _rows_csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _read_measure(path: str) -> PoleMeasure:
@@ -135,19 +174,20 @@ def _read_measure(path: str) -> PoleMeasure:
     return PoleMeasure.loads(text)
 
 
-def _load_measure(params: dict) -> PoleMeasure:
+def _load_measure(params: dict, default_order: int) -> PoleMeasure:
     path = params.get("measure")
-    return _read_measure(path) if path else uniform_roots_measure(4)
+    return _read_measure(path) if path else uniform_roots_measure(default_order)
 
 
-def recipe_psp_rrl(cfg: RecipeConfig) -> dict:
-    m = _load_measure(cfg.params)
-    w = int(cfg.params.get("w", 32))
-    spec = str(cfg.params.get("shifts", "factorial:6"))
-    shifts = parse_shift_spec(spec, m.points)
+Table = Callable[[], str]
+
+
+def recipe_psp_rrl(params: dict) -> tuple[dict, Table]:
+    m = _load_measure(params, 4)
+    w = _param(params, "w", int, 32)
+    shifts = parse_shift_spec(str(params.get("shifts", "factorial:6")), m.points)
     rows = verify_rrl_on_psp(m, shifts, w)
-    result = {
-        "recipe": cfg.recipe,
+    summary = {
         "half_width": w,
         "rows": [
             {"shift": k, "residual_pos": rp, "residual_neg": rn}
@@ -155,34 +195,22 @@ def recipe_psp_rrl(cfg: RecipeConfig) -> dict:
         ],
         "max_residual": max((max(rp, rn) for _, rp, rn in rows), default=0.0),
     }
-    if cfg.fmt == "csv":
-        _write_rows_csv(
-            cfg.out,
-            ["shift", "residual_pos", "residual_neg"],
-            [[k, rp, rn] for k, rp, rn in rows],
-        )
-    else:
-        _write_json(cfg.out, result)
-    return result
+    return summary, lambda: _rows_csv(["shift", "residual_pos", "residual_neg"], rows)
 
 
-def recipe_hecke_unique(cfg: RecipeConfig) -> dict:
-    theta = parse_theta(str(cfg.params.get("theta", "golden")))
-    n = int(cfg.params.get("n", 200))
-    w = int(cfg.params.get("w", 10))
-    k_max = int(cfg.params.get("k_max", 10_000))
-    tol = float(cfg.params.get("tol", 1e-2))
-    z = complex(str(cfg.params.get("z", "2+0j")))
-    report = renascent_shift_search(hecke_stream(theta), w, k_max, tol)
-    direct = -sum(
-        ((theta * nn) % 1.0) * z**nn for nn in range(-n, 0)
-    )
+def recipe_hecke_unique(params: dict) -> tuple[dict, Table]:
+    theta = parse_theta(str(params.get("theta", "golden")))
+    n = _param(params, "n", int, 200)
+    w = _param(params, "w", int, 10)
+    k_max = _param(params, "k_max", int, 10_000)
+    tol = _param(params, "tol", float, 1e-2)
+    z = _param(params, "z", complex, "2+0j")
     formula = hecke_outer_eval(theta, z, n)
-    residual = abs(formula - direct)
+    residual = abs(formula - hecke_direct_sum(theta, z, n))
     bound = 2.0 * hecke_outer_truncation_bound(z, n)
+    report = renascent_shift_search(hecke_stream(theta), w, k_max, tol)
     clusters = window_cluster(report, tol) if report.windows else []
-    result = {
-        "recipe": cfg.recipe,
+    summary = {
         "theta": theta,
         "n_terms": n,
         "shift_count": len(report),
@@ -192,18 +220,14 @@ def recipe_hecke_unique(cfg: RecipeConfig) -> dict:
         "identity_bound": bound,
         "status": "ok" if residual <= max(bound, 1e-10) else "mismatch",
     }
-    if cfg.fmt == "csv":
-        cfg.out.write_text(report_to_csv(report))
-    else:
-        _write_json(cfg.out, result)
-    return result
+    return summary, lambda: report_to_csv(report)
 
 
-def recipe_hecke_two(cfg: RecipeConfig) -> dict:
-    theta = parse_theta(str(cfg.params.get("theta", "golden")))
-    w = int(cfg.params.get("w", 10))
-    k_max = int(cfg.params.get("k_max", 100_000))
-    tol = float(cfg.params.get("tol", 5e-3))
+def recipe_hecke_two(params: dict) -> tuple[dict, Table]:
+    theta = parse_theta(str(params.get("theta", "golden")))
+    w = _param(params, "w", int, 10)
+    k_max = _param(params, "k_max", int, 100_000)
+    tol = _param(params, "tol", float, 5e-3)
     stream = hecke_stream(theta, gamma=theta)  # a_k = {(k+1) theta}
     report = renascent_shift_search(stream, w, k_max, tol)
     clusters = window_cluster(report, tol) if report.windows else []
@@ -211,8 +235,7 @@ def recipe_hecke_two(cfg: RecipeConfig) -> dict:
     if len(clusters) == 2:
         r0, r1 = clusters[0].representative, clusters[1].representative
         diff_at_minus_1 = abs(r0[-1] - r1[-1])
-    result = {
-        "recipe": cfg.recipe,
+    summary = {
         "theta": theta,
         "shift_count": len(report),
         "cluster_count": len(clusters),
@@ -220,34 +243,15 @@ def recipe_hecke_two(cfg: RecipeConfig) -> dict:
         "diff_at_minus_1": diff_at_minus_1,
         "status": "ok" if len(clusters) == 2 else "unexpected-cluster-count",
     }
-    if cfg.fmt == "csv":
-        cfg.out.write_text(report_to_csv(report))
-    else:
-        _write_json(cfg.out, result)
-    return result
+    return summary, lambda: report_to_csv(report)
 
 
-def recipe_kneading_entropy(cfg: RecipeConfig) -> dict:
-    map_spec = str(cfg.params.get("map", "tent"))
-    n = int(cfg.params.get("n", 2047))
-    tol = float(cfg.params.get("tol", 1e-6))
-    if map_spec == "tent":
-        umap = UnimodalMap.tent()
-        eps = kneading_sequence(umap, n)
-        d = kneading_determinant(eps).d_coeffs
-    elif map_spec.startswith("quadratic"):
-        _, _, c_text = map_spec.partition(":")
-        c = float(c_text) if c_text else FEIGENBAUM_C
-        umap = UnimodalMap.quadratic(c)
-        eps = kneading_sequence(umap, n)
-        d = kneading_determinant(eps).d_coeffs
-    elif map_spec == "feigenbaum-product":
-        d = feigenbaum_product(n)
-    else:
-        raise ValidationError(f"unknown map spec {map_spec!r}")
-    res = smallest_real_zero(d.astype(float), tol)
-    result = {
-        "recipe": cfg.recipe,
+def recipe_kneading_entropy(params: dict) -> tuple[dict, Table]:
+    map_spec = str(params.get("map", "tent"))
+    n = _param(params, "n", int, 2047)
+    tol = _param(params, "tol", float, 1e-6)
+    res = smallest_real_zero(kneading_coeffs(map_spec, n).astype(float), tol)
+    summary = {
         "map": map_spec,
         "depth": n,
         "status": res.status,
@@ -255,68 +259,43 @@ def recipe_kneading_entropy(cfg: RecipeConfig) -> dict:
         "entropy": res.entropy,
         "r_max": res.r_max,
     }
-    if cfg.fmt == "csv":
-        _write_rows_csv(
-            cfg.out,
-            ["map", "status", "root", "entropy", "r_max"],
-            [[map_spec, res.status, res.root if res.root is not None else "",
-              res.entropy, res.r_max]],
-        )
-    else:
-        _write_json(cfg.out, result)
-    return result
+    row = [map_spec, res.status, "" if res.root is None else res.root, res.entropy, res.r_max]
+    return summary, lambda: _rows_csv(["map", "status", "root", "entropy", "r_max"], [row])
 
 
-def recipe_thue_morse_product(cfg: RecipeConfig) -> dict:
-    n = int(cfg.params.get("n", 1023))
-    prod = feigenbaum_product(n)
-    tm = thue_morse(n)
-    match = bool(np.array_equal(prod, (-1) ** tm))
-    result = {"recipe": cfg.recipe, "n": n, "match": match}
-    if cfg.fmt == "csv":
-        _write_rows_csv(cfg.out, ["n", "match"], [[n, match]])
-    else:
-        _write_json(cfg.out, result)
-    return result
+def recipe_thue_morse_product(params: dict) -> tuple[dict, Table]:
+    n = _param(params, "n", int, 1023)
+    match = bool(np.array_equal(feigenbaum_product(n), (-1) ** thue_morse(n)))
+    return {"n": n, "match": match}, lambda: _rows_csv(["n", "match"], [[n, match]])
 
 
-def recipe_balance(cfg: RecipeConfig) -> dict:
-    angles = parse_angles(str(cfg.params.get("angles", "sqrt2")))
-    eps = float(cfg.params.get("eps", 0.5))
-    bs = balance_completion(angles, eps)
-    result = {
-        "recipe": cfg.recipe,
+def recipe_balance(params: dict) -> tuple[dict, Table]:
+    angles = parse_angles(str(params.get("angles", "sqrt2")))
+    bs = balance_completion(angles, _param(params, "eps", float, 0.5))
+    summary = {
         "epsilon": bs.epsilon,
         "defect": bs.defect,
         "n_roots": bs.n_roots,
         "set_size": len(bs.points),
         "status": "certified",
     }
-    if cfg.fmt == "csv":
-        _write_rows_csv(
-            cfg.out,
-            ["epsilon", "defect", "n_roots", "set_size"],
-            [[bs.epsilon, bs.defect, bs.n_roots, len(bs.points)]],
-        )
-    else:
-        _write_json(cfg.out, result)
-    return result
+    header = ["epsilon", "defect", "n_roots", "set_size"]
+    return summary, lambda: _rows_csv(header, [[summary[key] for key in header]])
 
 
-def recipe_probe_arc(cfg: RecipeConfig) -> dict:
-    path = cfg.params.get("measure")
-    m = _read_measure(path) if path else uniform_roots_measure(16)
-    omega1 = float(cfg.params.get("omega1", 0.0))
-    omega2 = float(cfg.params.get("omega2", math.pi / 4.0))
-    qn = int(cfg.params.get("quadrature_n", 512))
-    radii = cfg.params.get("radii")
-    rs = [float(x) for x in str(radii).split(",")] if radii else list(DEFAULT_RADII)
+def recipe_probe_arc(params: dict) -> tuple[dict, Table]:
+    m = _load_measure(params, 16)
+    omega1 = _param(params, "omega1", float, 0.0)
+    omega2 = _param(params, "omega2", float, math.pi / 4.0)
+    qn = _param(params, "quadrature_n", int, 512)
+    radii = params.get("radii")
+    rs = ([parse_number(float, x, "radii") for x in str(radii).split(",")] if radii
+          else list(DEFAULT_RADII))
 
-    from .psp import psp_eval
+    from .psp import psp_eval  # looked up per run, so a wrapper on rrl_lab.psp is seen
 
     probe = arc_l1_growth(lambda z: psp_eval(m, z), omega1, omega2, rs, qn)
-    result = {
-        "recipe": cfg.recipe,
+    summary = {
         "omega1": omega1,
         "omega2": omega2,
         "quadrature_n": qn,
@@ -324,14 +303,10 @@ def recipe_probe_arc(cfg: RecipeConfig) -> dict:
         "integrals": list(map(float, probe.integrals)),
         "ratio": probe.ratio,
     }
-    if cfg.fmt == "csv":
-        cfg.out.write_text(probe.to_csv())
-    else:
-        _write_json(cfg.out, result)
-    return result
+    return summary, probe.to_csv
 
 
-RECIPES: dict[str, Callable[[RecipeConfig], dict]] = {
+RECIPES: dict[str, Callable[[dict], tuple[dict, Table]]] = {
     "psp-rrl": recipe_psp_rrl,
     "hecke-unique": recipe_hecke_unique,
     "hecke-two": recipe_hecke_two,
@@ -343,6 +318,11 @@ RECIPES: dict[str, Callable[[RecipeConfig], dict]] = {
 
 
 def run_recipe(cfg: RecipeConfig) -> dict:
-    """Execute one recipe; returns the result summary it wrote."""
+    """Run one recipe and write ``cfg.out``: sorted-key JSON of its summary,
+    or its CSV table.  Returns the summary, with the recipe name."""
+    summary, table = RECIPES[cfg.recipe](cfg.params)
+    result = {"recipe": cfg.recipe, **summary}
+    text = table() if cfg.fmt == "csv" else json.dumps(result, sort_keys=True, indent=2) + "\n"
     cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    return RECIPES[cfg.recipe](cfg)
+    cfg.out.write_text(text)
+    return result

@@ -15,26 +15,25 @@ BOUND_SLACK = 1e-12
 class CoeffStream:
     """A bounded sequence {a_k}, k >= 0, with a named generating rule.
 
-    ``fn`` produces a_k for a single k; ``vec_fn`` (optional) produces a
-    whole prefix as an array and is used by bulk consumers.  A materialized
-    prefix may be attached; every materialized value is checked against the
-    declared bound.
+    ``rule`` maps an integer index array to the coefficients at those
+    indices, elementwise.  ``take`` and ``a`` both read through it, so a
+    single coefficient is bit-identical to the same entry of a prefix.  A
+    materialized prefix may be attached; every value read or stored is
+    checked against the declared bound.
     """
 
     def __init__(
         self,
         name: str,
-        fn: Callable[[int], complex],
+        rule: Callable[[np.ndarray], np.ndarray],
         bound: float,
-        vec_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         prefix: Optional[Sequence[complex]] = None,
     ):
         if bound < 0:
             raise ValidationError("bound must be nonnegative")
         self.name = name
-        self.fn = fn
+        self.rule = rule
         self.bound = float(bound)
-        self.vec_fn = vec_fn
         self.prefix: Optional[np.ndarray] = None
         if prefix is not None:
             self.prefix = self._checked(np.asarray(prefix, dtype=complex))
@@ -47,27 +46,26 @@ class CoeffStream:
             )
         return arr
 
+    def _read(self, ks: np.ndarray) -> np.ndarray:
+        return self._checked(np.asarray(self.rule(ks), dtype=complex))
+
     def a(self, k: int) -> complex:
         """Single coefficient a_k (k >= 0)."""
         if k < 0:
             raise ValidationError("stream index must be >= 0")
         if self.prefix is not None and k < len(self.prefix):
             return complex(self.prefix[k])
-        return complex(self.fn(k))
+        return complex(self._read(np.array([k]))[0])
 
     def take(self, n: int) -> np.ndarray:
         """Materialize a_0 .. a_{n-1} as a complex array."""
         if self.prefix is not None and len(self.prefix) >= n:
             return self.prefix[:n].copy()
-        if self.vec_fn is not None:
-            arr = np.asarray(self.vec_fn(np.arange(n)), dtype=complex)
-        else:
-            arr = np.array([self.fn(k) for k in range(n)], dtype=complex)
-        return self._checked(arr)
+        return self._read(np.arange(n))
 
     def materialize(self, n: int) -> "CoeffStream":
         """Copy of the stream with a_0 .. a_{n-1} stored as a prefix."""
-        return CoeffStream(self.name, self.fn, self.bound, self.vec_fn, self.take(n))
+        return CoeffStream(self.name, self.rule, self.bound, self.take(n))
 
     def __repr__(self) -> str:
         return f"CoeffStream({self.name!r}, bound={self.bound})"
@@ -78,10 +76,13 @@ def from_values(values: Sequence[complex], name: str = "values") -> CoeffStream:
     vals = np.asarray(values, dtype=complex)
     bound = float(np.max(np.abs(vals))) if vals.size else 0.0
 
-    def fn(k: int) -> complex:
-        return complex(vals[k]) if k < len(vals) else 0j
+    def rule(ks: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(ks), dtype=complex)
+        inside = ks < len(vals)
+        out[inside] = vals[ks[inside]]
+        return out
 
-    return CoeffStream(name, fn, bound, prefix=vals)
+    return CoeffStream(name, rule, bound)
 
 
 def periodic(cycle: Sequence[complex], name: str = "periodic") -> CoeffStream:
@@ -89,12 +90,7 @@ def periodic(cycle: Sequence[complex], name: str = "periodic") -> CoeffStream:
     if cyc.size == 0:
         raise ValidationError("cycle must be nonempty")
     bound = float(np.max(np.abs(cyc)))
-    return CoeffStream(
-        name,
-        lambda k: complex(cyc[k % len(cyc)]),
-        bound,
-        vec_fn=lambda ks: cyc[np.mod(ks, len(cyc))],
-    )
+    return CoeffStream(name, lambda ks: cyc[np.mod(ks, len(cyc))], bound)
 
 
 def preperiodic(head: Sequence[complex], cycle: Sequence[complex],
@@ -105,18 +101,13 @@ def preperiodic(head: Sequence[complex], cycle: Sequence[complex],
         raise ValidationError("cycle must be nonempty")
     bound = float(max(np.max(np.abs(h)) if h.size else 0.0, np.max(np.abs(cyc))))
 
-    def fn(k: int) -> complex:
-        if k < len(h):
-            return complex(h[k])
-        return complex(cyc[(k - len(h)) % len(cyc)])
-
-    def vec_fn(ks: np.ndarray) -> np.ndarray:
+    def rule(ks: np.ndarray) -> np.ndarray:
         out = cyc[np.mod(ks - len(h), len(cyc))]
         small = ks < len(h)
         out[small] = h[ks[small]]
         return out
 
-    return CoeffStream(name, fn, bound, vec_fn=vec_fn)
+    return CoeffStream(name, rule, bound)
 
 
 def partial_sum(stream: CoeffStream, z: complex, n_terms: int) -> tuple[complex, float]:

@@ -119,11 +119,57 @@ def one_json_line(capsys, *argv):
     ["balance", "--angles"],
     ["hecke", "-n", "x"],
     ["nope"],
+    ["hecke", "-z", "x"],
+    ["hecke", "--gamma", "nan", "--check-identity"],
+    ["run", "--recipe", "hecke-unique", "--n", "x"],
+    ["run", "--recipe", "hecke-unique", "--w", "x"],
+    ["run", "--recipe", "hecke-unique", "--k-max", "x"],
+    ["run", "--recipe", "hecke-unique", "--tol", "x"],
+    ["run", "--recipe", "hecke-unique", "--tol", "nan"],
+    ["run", "--recipe", "hecke-unique", "--z", "x"],
+    ["run", "--recipe", "hecke-unique", "--z", "inf"],
+    ["run", "--recipe", "probe-arc", "--quadrature-n", "x"],
+    ["run", "--recipe", "probe-arc", "--radii", "0.5,x"],
+    ["run", "--recipe", "probe-arc", "--omega2", "1e999"],
+    ["run", "--recipe", "balance", "--eps", "x"],
+    ["run", "--recipe", "kneading-entropy", "--map", "quadratic:x"],
+    ["run", "--recipe", "thue-morse-product", "--n", "1.5"],
+    ["run", "--recipe", "psp-rrl", "--w", "x"],
+    ["run", "--recipe", "thue-morse-product", "--gamma", "0.3"],
+    # parsable but out of range: a Hecke depth below 1, a quadratic map
+    # x^2 + c with c outside [-2, 1/4]
+    ["hecke", "-n", "-5"],
+    ["hecke", "-n", "0", "--check-identity"],
+    ["hecke", "-n", "-5", "--gamma", "0.3", "--check-identity"],
+    ["run", "--recipe", "hecke-unique", "--n", "-5"],
+    ["kneading", "--map", "quadratic:2.5", "--entropy"],
+    ["kneading", "--map", "quadratic:-2.01"],
+    ["run", "--recipe", "kneading-entropy", "--map", "quadratic:2.5"],
 ])
-def test_unparsable_arguments_exit_2(capsys, argv):
+def test_unparsable_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "run":
+        argv = [*argv, "--out", "out.json"]
     code, obj = one_json_line(capsys, *argv)
     assert code == 2
     assert obj["error"]["type"] == "ValidationError"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_quadratic_range_ends_accepted(capsys):
+    for c in ("-2", "0.25"):
+        code, obj = run_cli(capsys, "kneading", "--map", f"quadratic:{c}", "-n", "40")
+        assert code == 0 and obj["status"] == "ok"
+
+
+def test_kneading_tool_takes_feigenbaum_product(capsys):
+    code, obj = run_cli(capsys, "kneading", "--map", "feigenbaum-product", "-n", "7")
+    assert code == 0
+    assert obj["value"] == [1, -1, -1, 1, -1, 1, 1, -1]
+    code, obj = run_cli(capsys, "kneading", "--map", "feigenbaum-product", "--entropy",
+                        "-n", "2047")
+    assert code == 0
+    assert obj["status"] == "no-zero" and obj["value"] == 0.0
 
 
 @pytest.mark.parametrize("recipe", ["psp-rrl", "probe-arc"])
@@ -355,12 +401,3 @@ def test_thue_morse_tool(capsys):
     code, obj = run_cli(capsys, "thue-morse", "-n", "7")
     assert code == 0
     assert obj["value"] == [0, 1, 1, 0, 1, 0, 0, 1]
-
-
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("RRL_LAB_THREADS", "zero")
-    code, obj = run_cli(capsys, "thue-morse", "-n", "3")
-    assert code == 2
-    monkeypatch.setenv("RRL_LAB_THREADS", "4")
-    code, obj = run_cli(capsys, "thue-morse", "-n", "3")
-    assert code == 0

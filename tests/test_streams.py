@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rrl_lab.dynamics import hecke_stream
 from rrl_lab.errors import ValidationError
 from rrl_lab.streams import CoeffStream, from_values, partial_sum, periodic, preperiodic
 
@@ -18,7 +21,7 @@ def test_preperiodic_values():
 
 
 def test_bound_violation_rejected():
-    s = CoeffStream("bad", lambda k: complex(k), bound=1.0)
+    s = CoeffStream("bad", lambda ks: ks.astype(complex), bound=1.0)
     with pytest.raises(ValidationError):
         s.take(5)
 
@@ -42,9 +45,39 @@ def test_from_values_pads_with_zeros():
 
 
 def test_partial_sum_geometric():
-    s = CoeffStream("ones", lambda k: 1.0, 1.0)
+    s = CoeffStream("ones", lambda ks: np.ones(len(ks)), 1.0)
     val, tail = partial_sum(s, 0.5, 30)
     # sum_{k<30} 0.5^k = 2 - 2*0.5^30; tail bound 0.5^30 / 0.5
     assert abs(val - (2.0 - 2.0 * 0.5**30)) < 1e-15
     assert abs(tail - 0.5**30 / 0.5) < 1e-18
     assert abs(val - 2.0) <= tail
+
+
+VALUES = st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False), min_size=1,
+                  max_size=6)
+STREAMS = st.one_of(
+    VALUES.map(from_values),
+    VALUES.map(periodic),
+    st.tuples(VALUES, VALUES).map(lambda hc: preperiodic(*hc)),
+    st.floats(-10.0, 10.0, allow_nan=False).map(hecke_stream),
+    st.just(hecke_stream(0.7)),
+)
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(STREAMS, st.integers(1, 2000), st.data())
+def test_single_read_matches_prefix_bitwise(stream, n, data):
+    prefix = stream.take(n)
+    k = data.draw(st.integers(0, n - 1))
+    assert np.array_equal(bits([stream.a(k)]), bits(prefix[k : k + 1]))
+
+
+def test_hecke_stream_single_reads_are_unsnapped():
+    s = hecke_stream(0.7)
+    prefix = s.take(2000)
+    assert s.a(90) == prefix[90] == np.mod(90 * 0.7, 1.0)
+    assert np.array_equal(bits([s.a(k) for k in range(2000)]), bits(prefix))
