@@ -86,6 +86,8 @@ def _cmd_shifts(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.pigeonhole is None:
         raise ValidationError("need --factorial J or --pigeonhole J")
+    if args.pigeonhole < 1:
+        raise ValidationError(f"--pigeonhole needs J >= 1, got {args.pigeonhole}")
     if not args.angles:
         raise ValidationError("--pigeonhole needs --angles")
     points = parse_angles(args.angles)

@@ -141,12 +141,18 @@ class UnimodalMap:
 
 
 def itinerary(umap: UnimodalMap, x0: float, n_max: int) -> np.ndarray:
-    """Signs (phi(T^k(x0)))_{0<=k<=n_max} as a +-1 integer array."""
+    """Signs (phi(T^k(x0)))_{0<=k<=n_max} as a +-1 integer array.
+
+    An orbit point that is not finite (the map does not keep the orbit in
+    its interval) is a ``ValidationError``: its sign means nothing.
+    """
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
     out = np.empty(n_max + 1, dtype=np.int64)
     x = float(x0)
     for k in range(n_max + 1):
+        if not math.isfinite(x):
+            raise ValidationError(f"{umap.name}: orbit of {x0!r} is not finite at step {k}")
         out[k] = umap.observable(x)
         x = umap.fn(x)
     return out
@@ -290,8 +296,9 @@ def thue_morse(n_max: int) -> np.ndarray:
     """Bits tau_0 .. tau_N: parity of the binary popcount of n."""
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
-    return np.array([int(n).bit_count() & 1 for n in range(n_max + 1)],
-                    dtype=np.int64)
+    tau = np.arange(n_max + 1)
+    # in place: one int64 array, no uint8 temporaries
+    return np.bitwise_and(np.bitwise_count(tau, out=tau), 1, out=tau)
 
 
 def feigenbaum_product(n_max: int) -> np.ndarray:

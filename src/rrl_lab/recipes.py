@@ -123,7 +123,10 @@ def hecke_direct_sum(theta: float, z: complex, n: int, gamma: float = 0.0) -> co
 
 def kneading_coeffs(map_spec: str, n: int) -> np.ndarray:
     """Kneading determinant coefficients d_0 .. d_n of a map spec: 'tent',
-    'quadratic[:c]' (x^2 + c, -2 <= c <= 1/4) or 'feigenbaum-product'."""
+    'quadratic[:c]' (x^2 + c, -2 <= c <= 1/4) or 'feigenbaum-product'; n >= 1."""
+    if n < 1:
+        # d_0 = 1 alone carries no entropy information
+        raise ValidationError(f"kneading depth must be >= 1, got {n}")
     if map_spec == "feigenbaum-product":
         return feigenbaum_product(n)
     name, _, c_text = map_spec.partition(":")

@@ -76,57 +76,58 @@ def renascent_shift_search(a: CoeffStream, half_width: int, k_max: int,
     if tol < 0:
         raise ValidationError("tol must be >= 0")
     arr = a.take(k_max + w + 1)
-    head = arr[: w + 1]
-    # residual[k] = max_{0<=n<=W} |a_{n+k} - a_n| for k = 0 .. k_max
-    sliding = np.lib.stride_tricks.sliding_window_view(arr, w + 1)
-    residuals = np.max(np.abs(sliding - head), axis=1)
-    windows = []
-    for k in range(w + 1, k_max + 1):
-        if residuals[k] <= tol:
-            windows.append(
-                Window(
-                    half_width=w,
-                    values=arr[k - w : k + w + 1].copy(),
-                    shift=int(k),
-                    residual=float(residuals[k]),
-                )
-            )
+    # residual[k] = max_{0<=n<=W} |a_{n+k} - a_n| for k = 0 .. k_max, one pass per n
+    residuals = np.zeros(k_max + 1)
+    for n in range(w + 1):
+        np.maximum(residuals, np.abs(arr[n : n + k_max + 1] - arr[n]), out=residuals)
+    windows = [
+        Window(half_width=w, values=arr[k - w : k + w + 1].copy(), shift=int(k),
+               residual=float(residuals[k]))
+        for k in np.flatnonzero(residuals[w + 1 :] <= tol) + w + 1
+    ]
     return ShiftReport(half_width=w, k_max=int(k_max), tol=float(tol),
                        windows=windows)
 
 
 @dataclass(frozen=True)
 class WindowCluster:
+    """Windows grouped under a representative; ``distances[i]`` is the
+    negative-side sup-distance of ``member_shifts[i]`` to the representative."""
+
     representative: Window
     count: int
     member_shifts: list[int]
+    distances: list[float]
 
 
 def window_cluster(report: ShiftReport, tol: float) -> list[WindowCluster]:
     """Group windows by sup-distance <= tol on the negative side only.
 
     The nonnegative side is pinned to the stream by the search, so
-    multiplicity of completions shows up purely in b_{-W..-1}.  The
-    representative of each cluster is the first window seen (ascending
-    shift); clusters are returned in first-seen order.
+    multiplicity of completions shows up purely in b_{-W..-1}.  Leader
+    clustering: the first unassigned window (ascending shift) represents a
+    new cluster of itself and every unassigned window within tol of it;
+    clusters are returned in first-seen order.
     """
+    if not tol >= 0:
+        raise ValidationError("tol must be >= 0")
     if not report.windows:
         raise ValidationError("report is empty")
-    reps: list[Window] = []
-    members: list[list[int]] = []
-    for w in report.windows:
-        neg = w.negative_side()
-        for i, rep in enumerate(reps):
-            if np.max(np.abs(neg - rep.negative_side())) <= tol:
-                members[i].append(w.shift)
-                break
-        else:
-            reps.append(w)
-            members.append([w.shift])
-    return [
-        WindowCluster(representative=r, count=len(ms), member_shifts=ms)
-        for r, ms in zip(reps, members)
-    ]
+    neg = np.stack([w.negative_side() for w in report.windows])
+    unassigned = np.ones(len(neg), dtype=bool)
+    clusters = []
+    while (idx := np.flatnonzero(unassigned)).size:
+        dist = np.max(np.abs(neg[idx] - neg[idx[0]]), axis=1)
+        # the representative joins even when its own distance is NaN
+        joins = dist <= tol
+        joins[0] = True
+        members = idx[joins]
+        unassigned[members] = False
+        clusters.append(WindowCluster(
+            representative=report.windows[idx[0]], count=len(members),
+            member_shifts=[report.windows[i].shift for i in members],
+            distances=dist[joins].tolist()))
+    return clusters
 
 
 @dataclass(frozen=True)
@@ -208,14 +209,11 @@ def report_to_csv(report: ShiftReport, cluster_tol: float | None = None) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["shift", "residual_pos", "residual_neg_vs_cluster", "cluster_id"])
     if report.windows:
-        clusters = window_cluster(report, tol)
-        by_shift = {w.shift: w for w in report.windows}
-        assignment: dict[int, tuple[int, float]] = {}
-        for cid, cl in enumerate(clusters):
-            rep_neg = cl.representative.negative_side()
-            for shift in cl.member_shifts:
-                d = float(np.max(np.abs(by_shift[shift].negative_side() - rep_neg)))
-                assignment[shift] = (cid, d)
+        assignment = {
+            shift: (cid, d)
+            for cid, cl in enumerate(window_cluster(report, tol))
+            for shift, d in zip(cl.member_shifts, cl.distances)
+        }
         for w in report.windows:
             cid, d = assignment[w.shift]
             writer.writerow([w.shift, repr(w.residual), repr(d), cid])

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 
-# slack allowed when checking |a_k| <= bound on materialized values
+# slack allowed when checking |a_k| <= bound on values read
 BOUND_SLACK = 1e-12
 
 
@@ -17,28 +17,20 @@ class CoeffStream:
 
     ``rule`` maps an integer index array to the coefficients at those
     indices, elementwise.  ``take`` and ``a`` both read through it, so a
-    single coefficient is bit-identical to the same entry of a prefix.  A
-    materialized prefix may be attached; every value read or stored is
-    checked against the declared bound.
+    single coefficient is bit-identical to the same entry of a prefix.
+    Every value read is checked against the declared bound.
     """
 
-    def __init__(
-        self,
-        name: str,
-        rule: Callable[[np.ndarray], np.ndarray],
-        bound: float,
-        prefix: Optional[Sequence[complex]] = None,
-    ):
+    def __init__(self, name: str, rule: Callable[[np.ndarray], np.ndarray],
+                 bound: float):
         if bound < 0:
             raise ValidationError("bound must be nonnegative")
         self.name = name
         self.rule = rule
         self.bound = float(bound)
-        self.prefix: Optional[np.ndarray] = None
-        if prefix is not None:
-            self.prefix = self._checked(np.asarray(prefix, dtype=complex))
 
-    def _checked(self, arr: np.ndarray) -> np.ndarray:
+    def _read(self, ks: np.ndarray) -> np.ndarray:
+        arr = np.asarray(self.rule(ks), dtype=complex)
         worst = float(np.max(np.abs(arr))) if arr.size else 0.0
         if worst > self.bound + BOUND_SLACK:
             raise ValidationError(
@@ -46,26 +38,15 @@ class CoeffStream:
             )
         return arr
 
-    def _read(self, ks: np.ndarray) -> np.ndarray:
-        return self._checked(np.asarray(self.rule(ks), dtype=complex))
-
     def a(self, k: int) -> complex:
         """Single coefficient a_k (k >= 0)."""
         if k < 0:
             raise ValidationError("stream index must be >= 0")
-        if self.prefix is not None and k < len(self.prefix):
-            return complex(self.prefix[k])
         return complex(self._read(np.array([k]))[0])
 
     def take(self, n: int) -> np.ndarray:
         """Materialize a_0 .. a_{n-1} as a complex array."""
-        if self.prefix is not None and len(self.prefix) >= n:
-            return self.prefix[:n].copy()
         return self._read(np.arange(n))
-
-    def materialize(self, n: int) -> "CoeffStream":
-        """Copy of the stream with a_0 .. a_{n-1} stored as a prefix."""
-        return CoeffStream(self.name, self.rule, self.bound, self.take(n))
 
     def __repr__(self) -> str:
         return f"CoeffStream({self.name!r}, bound={self.bound})"

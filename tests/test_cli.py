@@ -145,6 +145,13 @@ def one_json_line(capsys, *argv):
     ["kneading", "--map", "quadratic:2.5", "--entropy"],
     ["kneading", "--map", "quadratic:-2.01"],
     ["run", "--recipe", "kneading-entropy", "--map", "quadratic:2.5"],
+    # a pigeonhole count or a kneading depth below 1
+    ["shifts", "--pigeonhole", "0", "--angles", "sqrt2"],
+    ["shifts", "--pigeonhole", "-3", "--angles", "sqrt2"],
+    ["kneading", "-n", "0"],
+    ["kneading", "-n", "0", "--entropy"],
+    ["run", "--recipe", "kneading-entropy", "--n", "0"],
+    ["run", "--recipe", "kneading-entropy", "--map", "feigenbaum-product", "--n", "-1"],
 ])
 def test_unparsable_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -154,6 +154,16 @@ def test_itinerary_tent_critical_orbit():
     assert list(signs) == [1, -1, 1, 1, 1, 1]
 
 
+def test_itinerary_rejects_escaping_orbit():
+    # x^2 + 2.5 sends the critical orbit to inf in a few steps
+    with pytest.raises(ValidationError):
+        kneading_sequence(UnimodalMap.quadratic(2.5), 200)
+    nan_map = UnimodalMap(fn=lambda x: math.nan, critical=0.0, increasing_side="left")
+    with pytest.raises(ValidationError):
+        itinerary(nan_map, 0.0, 3)
+    assert itinerary(nan_map, 0.0, 0).tolist() == [1]
+
+
 def test_itinerary_values_are_signs():
     rng = np.random.default_rng(71)
     for x0 in rng.random(5):
@@ -280,7 +290,8 @@ def test_thue_morse_recurrence():
 
 def test_thue_morse_matches_substitution_oracle():
     word = substitution_thue_morse(10)  # length 1024
-    assert list(thue_morse(1023)) == word
+    tm = thue_morse(1023)
+    assert tm.dtype == np.int64 and list(tm) == word
 
 
 def test_feigenbaum_product_small():

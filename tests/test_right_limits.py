@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN
 from rrl_lab.circle import CirclePoint
@@ -15,7 +18,7 @@ from rrl_lab.right_limits import (
     verify_rrl_on_psp,
     window_cluster,
 )
-from rrl_lab.streams import periodic, preperiodic
+from rrl_lab.streams import from_values, periodic, preperiodic
 
 
 def test_periodic_search_finds_exact_multiples():
@@ -219,3 +222,107 @@ def test_report_csv_empty_report():
     report = renascent_shift_search(preperiodic([5.0], [0.0]), 2, 40, 1e-9)
     text = report_to_csv(report)
     assert text.strip() == "shift,residual_pos,residual_neg_vs_cluster,cluster_id"
+
+
+def test_cluster_rejects_bad_tol():
+    report = renascent_shift_search(periodic([1.0]), 3, 30, 0.0)
+    for tol in (-1.0, -1e-300, math.nan):
+        with pytest.raises(ValidationError):
+            window_cluster(report, tol)
+        with pytest.raises(ValidationError):
+            report_to_csv(report, tol)
+
+
+def test_cluster_nan_window_forms_its_own_cluster():
+    from rrl_lab.right_limits import ShiftReport, Window
+
+    def window(shift, neg):
+        return Window(half_width=2, values=np.array([*neg, 0, 0, 0], dtype=complex),
+                      shift=shift, residual=0.0)
+
+    windows = [window(3, [0, 0]), window(4, [math.nan, 0]), window(5, [0, 0])]
+    report = ShiftReport(half_width=2, k_max=5, tol=0.0, windows=windows)
+    clusters = window_cluster(report, 0.1)
+    assert [c.member_shifts for c in clusters] == [[3, 5], [4]]
+    assert clusters[1].representative.shift == 4 and math.isnan(clusters[1].distances[0])
+
+
+@pytest.mark.parametrize("w", [10, 40])
+def test_search_memory_is_linear_in_k_max_only(w):
+    # one stream prefix, the residual array and one pass's temporaries:
+    # about 3 x 16 k_max bytes whatever W is (a (k_max+1) x (W+1) complex
+    # difference matrix would be 16 (W+1) k_max bytes)
+    k_max = 200_000
+    stream = hecke_stream(GOLDEN)
+    tracemalloc.start()
+    try:
+        renascent_shift_search(stream, w, k_max, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 16 * k_max
+
+
+# -- oracle: the difference-matrix search and the first-match leader loop ----
+
+
+def oracle_search(stream, w, k_max, tol):
+    arr = stream.take(k_max + w + 1)
+    sliding = np.lib.stride_tricks.sliding_window_view(arr, w + 1)
+    residuals = np.max(np.abs(sliding - arr[: w + 1]), axis=1)
+    return [(k, float(residuals[k]), arr[k - w : k + w + 1])
+            for k in range(w + 1, k_max + 1) if residuals[k] <= tol]
+
+
+def oracle_clusters(hits, w, tol):
+    """(representative shift, member shifts, member distances) per cluster."""
+    reps, members = [], []
+    for k, _, values in hits:
+        neg = values[:w]
+        for i, rep in enumerate(reps):
+            if np.max(np.abs(neg - rep[:w])) <= tol:
+                members[i].append((k, values))
+                break
+        else:
+            reps.append(values)
+            members.append([(k, values)])
+    return [(ms[0][0], [k for k, _ in ms],
+             [float(np.max(np.abs(v[:w] - rep[:w]))) for _, v in ms])
+            for rep, ms in zip(reps, members)]
+
+
+SMALL_VALUES = st.lists(st.sampled_from([0.0, 1.0, -1.0, 1j, 0.5 + 0.5j, 0.25]),
+                        min_size=1, max_size=5)
+SEARCH_STREAMS = st.one_of(
+    SMALL_VALUES.map(from_values),
+    SMALL_VALUES.map(periodic),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)).map(lambda tg: hecke_stream(*tg)),
+    st.just(hecke_stream(GOLDEN, gamma=GOLDEN)),
+)
+TOLS = st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.just(math.inf))
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEARCH_STREAMS, st.integers(1, 6), st.integers(1, 400), TOLS, TOLS)
+def test_search_and_clusters_match_matrix_oracle(stream, w, extra, tol, cluster_tol):
+    k_max = w + extra
+    report = renascent_shift_search(stream, w, k_max, tol)
+    hits = oracle_search(stream, w, k_max, tol)
+    assert report.shifts == [k for k, _, _ in hits]
+    assert np.array_equal(bits([x.residual for x in report.windows]),
+                          bits([r for _, r, _ in hits]))
+    for x, (_, _, values) in zip(report.windows, hits):
+        assert np.array_equal(bits(x.values), bits(values))
+    if not hits:
+        return
+    clusters = window_cluster(report, cluster_tol)
+    expected = oracle_clusters(hits, w, cluster_tol)
+    assert [(c.representative.shift, c.member_shifts) for c in clusters] == \
+        [(rep, ks) for rep, ks, _ in expected]
+    assert [c.count for c in clusters] == [len(ks) for _, ks, _ in expected]
+    for c, (_, _, dists) in zip(clusters, expected):
+        assert np.array_equal(bits(c.distances), bits(dists))

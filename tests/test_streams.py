@@ -32,12 +32,6 @@ def test_negative_index_rejected():
         s.a(-1)
 
 
-def test_materialize_keeps_values():
-    s = periodic([1.0, 2.0]).materialize(10)
-    assert s.prefix is not None and len(s.prefix) == 10
-    assert s.a(3) == 2.0
-
-
 def test_from_values_pads_with_zeros():
     s = from_values([3.0, 4.0])
     assert s.a(1) == 4.0 and s.a(10) == 0.0
