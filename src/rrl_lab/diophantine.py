@@ -67,9 +67,7 @@ def _one_sided_ok(points: Sequence[CirclePoint], k: int, j: int) -> bool:
     return True
 
 
-def pigeonhole_shift(lambdas: Sequence[CirclePoint], j: int,
-                     j_cap: int = PIGEONHOLE_J_CAP,
-                     max_scan: int = PIGEONHOLE_MAX_SCAN) -> int:
+def pigeonhole_shift(lambdas: Sequence[CirclePoint], j: int) -> int:
     """Shift k >= 1 with {k * omega_r} in [0, 1/j) for the first min(j, len) points.
 
     Scans m = 0, 1, 2, ... hashing the cell multi-index
@@ -81,13 +79,13 @@ def pigeonhole_shift(lambdas: Sequence[CirclePoint], j: int,
     """
     if j < 1:
         raise ValidationError("j must be >= 1")
-    if j > j_cap:
-        raise CapExceeded(f"j = {j} exceeds cap {j_cap}")
+    if j > PIGEONHOLE_J_CAP:
+        raise CapExceeded(f"j = {j} exceeds cap {PIGEONHOLE_J_CAP}")
     if not lambdas:
         raise ValidationError("need at least one point")
     pts = list(lambdas)[: min(j, len(lambdas))]
     seen: dict[tuple[int, ...], int] = {}
-    for m in range(max_scan):
+    for m in range(PIGEONHOLE_MAX_SCAN):
         key = tuple(_cell_index(p, m, j) for p in pts)
         if key in seen:
             k = m - seen[key]
@@ -95,7 +93,7 @@ def pigeonhole_shift(lambdas: Sequence[CirclePoint], j: int,
                 return k
         else:
             seen[key] = m
-    raise CapExceeded(f"no one-sided shift found within {max_scan} scan steps")
+    raise CapExceeded(f"no one-sided shift found within {PIGEONHOLE_MAX_SCAN} scan steps")
 
 
 def dirichlet_approx(thetas: Sequence[float], big_m: int
@@ -105,13 +103,17 @@ def dirichlet_approx(thetas: Sequence[float], big_m: int
     Pigeonhole on the points ({N'theta_1}, ..., {N'theta_m}), N' = 0..M,
     over cells of side M^(-1/m); a same-cell pair differences to a
     candidate N that is verified against the bound.  The short exhaustive
-    fallback scan never fails: a qualifying N always exists.
+    fallback scan never fails: a qualifying N always exists.  The scan keeps
+    up to M cells, so M is capped at BALANCE_N_CAP, the largest M the
+    balance ladder asks for.
     """
     ths = [float(t) for t in thetas]
     if not ths:
         raise ValidationError("need at least one theta")
     if big_m < 1:
         raise ValidationError("big_m must be >= 1")
+    if big_m > BALANCE_N_CAP:
+        raise CapExceeded(f"M = {big_m} exceeds cap {BALANCE_N_CAP}")
     m = len(ths)
     side = big_m ** (-1.0 / m)
 
@@ -320,9 +322,7 @@ class BalancedSet:
     n_roots: int  # the N of the R_N the completion was carved from
 
 
-def balance_completion(points_g: Sequence[CirclePoint], eps: float = 0.5,
-                       m_cap: int = BALANCE_M_CAP,
-                       n_cap: int = BALANCE_N_CAP) -> BalancedSet:
+def balance_completion(points_g: Sequence[CirclePoint], eps: float = 0.5) -> BalancedSet:
     """Complete G to a certified eps-balanced F = G + (R_N minus replaced roots).
 
     For each scale M, Dirichlet approximation aligns every point of G with
@@ -335,15 +335,15 @@ def balance_completion(points_g: Sequence[CirclePoint], eps: float = 0.5,
     g = _sorted_distinct(points_g)
     if not g:
         raise ValidationError("G must be nonempty")
-    if len(g) > m_cap:
-        raise CapExceeded(f"|G| = {len(g)} exceeds cap {m_cap}")
+    if len(g) > BALANCE_M_CAP:
+        raise CapExceeded(f"|G| = {len(g)} exceeds cap {BALANCE_M_CAP}")
     if not (0 < eps < 1):
         raise ValidationError("eps must be in (0, 1)")
     m = len(g)
     thetas = [p.angle_float() for p in g]
     big_m = max(2**m + 1, 4)
     tried: set[tuple[int, tuple[int, ...]]] = set()  # rungs that failed
-    while big_m <= n_cap:
+    while big_m <= BALANCE_N_CAP:
         n, ps = dirichlet_approx(thetas, big_m)
         big_m *= 2
         replaced = tuple(p % n for p in ps)
@@ -363,7 +363,7 @@ def balance_completion(points_g: Sequence[CirclePoint], eps: float = 0.5,
                 defect=defect,
                 n_roots=n,
             )
-    raise CapExceeded(f"no certified completion with N <= {n_cap}")
+    raise CapExceeded(f"no certified completion with N <= {BALANCE_N_CAP}")
 
 
 def moment_sequence(measure: PoleMeasure, n_max: int) -> np.ndarray:

@@ -187,7 +187,10 @@ def kneading_determinant(eps: Sequence[int], n_max: int | None = None
 
 @dataclass(frozen=True)
 class RealZeroResult:
-    """Outcome of the certified smallest-real-zero search on [0, r_max]."""
+    """Outcome of the certified smallest-real-zero search on [0, r_max].
+
+    For a bracket (a, b), ``entropy_interval`` is [-log b, -log a], with
+    None for the unbounded upper end when a = 0."""
 
     status: str  # "zero" | "no-zero"
     root: float | None
@@ -195,43 +198,56 @@ class RealZeroResult:
     bracket: tuple[float, float] | None
     r_max: float
     tail_at_root: float | None
+    entropy_interval: tuple[float, float | None] | None = None
 
 
-def _tail_bound(r: float, n: int, bound: float = 1.0) -> float:
-    return bound * r ** (n + 1) / (1.0 - r)
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def smallest_real_zero(coeffs: Sequence[float], tol: float,
-                       grid_n: int = 512) -> RealZeroResult:
+def _tail_bound(r: float, n: int) -> float:
+    return r ** (n + 1) / (1.0 - r)
+
+
+def _certified_signs(vals: np.ndarray, rs: np.ndarray, n: int,
+                     tail: np.ndarray | float) -> np.ndarray:
+    """Signs of the Horner values vals = p_n(rs), 0 where |vals| is within the bound.
+
+    ``np.polyval`` is Horner's rule, so for |c_k| <= 1 its roundoff is at
+    most gamma_2n / (1 - r) (Higham, Accuracy and Stability of Numerical
+    Algorithms, eq. 5.3); ``tail / (1 - r)`` bounds the terms left out of
+    the series, so with tail = r^(n+1) the sign holds for the full series.
+    """
+    nu = 2 * n * _UNIT_ROUNDOFF
+    return np.where(np.abs(vals) > (nu / (1.0 - nu) + tail) / (1.0 - rs), np.sign(vals), 0.0)
+
+
+def _first_flip(signs: np.ndarray) -> tuple[int, int] | None:
+    """Indices of the first adjacent pair of nonzero signs that differ."""
+    idx = np.flatnonzero(signs)
+    flips = np.flatnonzero(signs[idx[1:]] != signs[idx[:-1]])
+    return (int(idx[flips[0]]), int(idx[flips[0] + 1])) if flips.size else None
+
+
+def smallest_real_zero(coeffs: Sequence[float], tol: float) -> RealZeroResult:
     """Smallest zero of sum c_n z^n on (0, r_max], coefficients bounded by 1.
 
     r_max is the largest radius where the truncation tail r^(N+1)/(1-r)
-    stays below tol/2, so a sign change of the truncated series inside
-    [0, r_max] certifies a zero of the full series within the bracket.
-    With no certified sign change the result is NoZero (entropy 0); a sign
-    change beyond r_max, where the tail bound explodes, raises
-    InsufficientDepth.
+    stays below tol/2.  One Horner pass covers 513 points on [0, r_max],
+    where the first sign change certified for the full series brackets its
+    zero, and 257 on [r_max, 1 - 1e-9].  Without such a bracket, a sign
+    change certified against roundoff alone within either grid raises
+    InsufficientDepth; with neither, the result is NoZero (entropy 0).  The
+    bracket (a, b) is narrowed by
+    rescanning 65 points inside it until it stops shrinking, on the prefix
+    c_0 .. c_m with b^(m+1) <= u, the unit roundoff: the tail term bounds
+    the dropped coefficients.
     """
     c = np.asarray(coeffs, dtype=float)
-    if np.max(np.abs(c)) > 1.0 + 1e-12:
-        raise ValidationError("coefficients must be bounded by 1")
-    if tol <= 0:
+    if not (c.size and np.all(np.abs(c) <= 1.0 + 1e-12)):
+        raise ValidationError("coefficients must be finite and bounded by 1")
+    if not tol > 0:
         raise ValidationError("tol must be positive")
     n = len(c) - 1
-    # Horner roundoff ceiling: computed values within +-noise of the true
-    # truncated polynomial, so smaller magnitudes carry no sign information
-    noise = 16.0 * n * np.finfo(float).eps * float(np.sum(np.abs(c)))
-
-    def trunc(r: float) -> float:
-        return float(np.polyval(c[::-1], r))
-
-    def first_determined_flip(vals: np.ndarray):
-        """First adjacent pair of sign-determined values with opposite signs."""
-        idx = np.nonzero(np.abs(vals) > noise)[0]
-        for i, j in zip(idx, idx[1:]):
-            if (vals[i] < 0) != (vals[j] < 0):
-                return int(i), int(j)
-        return None
 
     # largest r with tail(r) < tol/2, by bisection on the monotone tail
     lo, hi = 0.0, 1.0 - 1e-9
@@ -246,50 +262,30 @@ def smallest_real_zero(coeffs: Sequence[float], tol: float,
                 hi = mid
         r_max = lo
 
-    rs = np.linspace(0.0, r_max, grid_n + 1)
+    inner = np.linspace(0.0, r_max, 513)
+    rs = np.concatenate((inner, np.linspace(r_max, 1.0 - 1e-9, 257)))
     vals = np.polyval(c[::-1], rs)
-    flip = first_determined_flip(vals)
-    if flip is not None:
-        i, j = flip
-        a, b = float(rs[i]), float(rs[j])
-        fa = vals[i]
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = trunc(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fm < 0) == (fa < 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-            if b - a < 1e-15:
-                break
-        root = 0.5 * (a + b)
-        tail = _tail_bound(root, n)
-        return RealZeroResult(
-            status="zero",
-            root=root,
-            entropy=-math.log(root),
-            bracket=(a, b),
-            r_max=r_max,
-            tail_at_root=tail,
-        )
-    # no certified zero; look for trouble in the uncertified zone
-    rs_hi = np.linspace(r_max, 1.0 - 1e-9, 257)
-    vals_hi = np.polyval(c[::-1], rs_hi)
-    if first_determined_flip(vals_hi) is not None:
-        raise InsufficientDepth(
-            f"sign change beyond r_max = {r_max}; deepen the truncation"
-        )
-    return RealZeroResult(
-        status="no-zero",
-        root=None,
-        entropy=0.0,
-        bracket=None,
-        r_max=r_max,
-        tail_at_root=None,
-    )
+    flip = _first_flip(_certified_signs(vals[: inner.size], inner, n, inner ** (n + 1)))
+    if flip is None:
+        # a sign change of the truncated series alone, on [0, r_max] where the
+        # tail hides it or beyond r_max, is a zero this depth cannot place
+        bare = _certified_signs(vals, rs, n, 0.0)
+        if any(_first_flip(part) is not None for part in (bare[: inner.size], bare[inner.size :])):
+            raise InsufficientDepth(
+                f"uncertified sign change (r_max = {r_max}); deepen the truncation")
+        return RealZeroResult("no-zero", None, 0.0, None, r_max, None)
+    a, b = float(inner[flip[0]]), float(inner[flip[1]])
+    m = min(n, math.ceil(math.log(_UNIT_ROUNDOFF) / math.log(b)))
+    while True:
+        rs = np.linspace(a, b, 65)
+        vals = np.polyval(c[: m + 1][::-1], rs)
+        flip = _first_flip(_certified_signs(vals, rs, m, rs ** (m + 1)))
+        if flip is None or (rs[flip[0]], rs[flip[1]]) == (a, b):
+            break
+        a, b = float(rs[flip[0]]), float(rs[flip[1]])
+    root = 0.5 * (a + b)
+    return RealZeroResult("zero", root, -math.log(root), (a, b), r_max, _tail_bound(root, n),
+                          (-math.log(b), -math.log(a) if a > 0 else None))
 
 
 def thue_morse(n_max: int) -> np.ndarray:

@@ -260,10 +260,13 @@ def recipe_kneading_entropy(params: dict) -> tuple[dict, Table]:
         "status": res.status,
         "root": res.root,
         "entropy": res.entropy,
+        "entropy_interval": res.entropy_interval,
         "r_max": res.r_max,
     }
-    row = [map_spec, res.status, "" if res.root is None else res.root, res.entropy, res.r_max]
-    return summary, lambda: _rows_csv(["map", "status", "root", "entropy", "r_max"], [row])
+    row = [map_spec, res.status, "" if res.root is None else res.root, res.entropy,
+           *("" if v is None else v for v in res.entropy_interval or (None, None)), res.r_max]
+    return summary, lambda: _rows_csv(
+        ["map", "status", "root", "entropy", "entropy_lo", "entropy_hi", "r_max"], [row])
 
 
 def recipe_thue_morse_product(params: dict) -> tuple[dict, Table]:

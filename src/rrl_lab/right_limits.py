@@ -73,7 +73,7 @@ def renascent_shift_search(a: CoeffStream, half_width: int, k_max: int,
         raise ValidationError("half_width must be >= 1")
     if k_max <= w:
         raise ValidationError("k_max must exceed half_width")
-    if tol < 0:
+    if not tol >= 0:
         raise ValidationError("tol must be >= 0")
     arr = a.take(k_max + w + 1)
     # residual[k] = max_{0<=n<=W} |a_{n+k} - a_n| for k = 0 .. k_max, one pass per n

@@ -163,6 +163,16 @@ def test_unparsable_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    # M + 1 scan steps and up to M cells: refused before the scan starts
+    ["dirichlet", "--thetas", "sqrt2", "-M", "1000000000"],
+])
+def test_caps_exit_3(capsys, argv):
+    code, obj = one_json_line(capsys, *argv)
+    assert code == 3
+    assert obj["error"]["type"] == "CapExceeded"
+
+
 def test_quadratic_range_ends_accepted(capsys):
     for c in ("-2", "0.25"):
         code, obj = run_cli(capsys, "kneading", "--map", f"quadratic:{c}", "-n", "40")

@@ -277,7 +277,7 @@ def test_balance_completion_bounds_from_certificate():
 def test_balance_completion_caps():
     pts = [CirclePoint.real(t) for t in (0.11, 0.23, 0.37, 0.41)]
     with pytest.raises(CapExceeded):
-        balance_completion(pts)  # |G| = 4 > default cap 3
+        balance_completion(pts)  # |G| = 4 > BALANCE_M_CAP = 3
     with pytest.raises(ValidationError):
         balance_completion([])
     with pytest.raises(ValidationError):

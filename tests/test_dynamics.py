@@ -1,7 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN, SQRT2_M1, substitution_thue_morse
 from rrl_lab.dynamics import (
@@ -257,6 +260,80 @@ def test_zero_bracket_monotone_under_depth():
         prev = (res.bracket, res.tail_at_root)
 
 
+def _kneading_zero(umap, n, tol):
+    eps = kneading_sequence(umap, n)
+    return smallest_real_zero(kneading_determinant(eps).d_coeffs.astype(float), tol)
+
+
+with localcontext() as ctx:
+    ctx.prec = 50
+    INV_PHI = (Decimal(5).sqrt() - 1) / 2
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-6])
+@pytest.mark.parametrize("umap,zero", [(UnimodalMap.tent(), Decimal("0.5")),
+                                       (UnimodalMap.quadratic(-1.75), INV_PHI)],
+                         ids=["tent", "quadratic:-1.75"])
+def test_bracket_contains_full_series_zero(umap, zero, tol):
+    # closed forms: (1 - 2z)/(1 - z) and (1 - z - z^2)/(1 - z^3), zeros 1/2
+    # and 1/phi; compared exactly, on the decimal expansions of the floats
+    zeros = 0
+    for n in range(8, 65):
+        try:
+            res = _kneading_zero(umap, n, tol)
+        except InsufficientDepth:
+            continue
+        # both maps have positive entropy: only a bracket or too little depth
+        assert res.status != "no-zero", n
+        if res.status == "zero":
+            zeros += 1
+            a, b = res.bracket
+            assert Decimal(a) <= zero <= Decimal(b), (n, res.bracket)
+            lo, hi = res.entropy_interval
+            assert lo <= res.entropy <= hi
+    assert zeros >= 30
+
+
+def test_shallow_brackets_that_excluded_the_zero():
+    # the truncated polynomials' zeros, 0.500061 and 0.618286, are not the
+    # full series' zeros 1/2 and 1/phi
+    tent = _kneading_zero(UnimodalMap.tent(), 12, 1e-2)
+    assert tent.status == "zero" and tent.bracket[0] <= 0.5 <= tent.bracket[1]
+    quad = _kneading_zero(UnimodalMap.quadratic(-1.75), 15, 1e-2)
+    assert quad.status == "zero"
+    assert Decimal(quad.bracket[0]) <= INV_PHI <= Decimal(quad.bracket[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-2.0, -1.4), st.integers(8, 64))
+# shallow no-zero results that a deep zero below their r_max contradicted
+@example(-1.4323005452484807, 38)
+@example(-1.423045351502617, 55)
+def test_shallow_and_deep_results_agree(c, n):
+    umap = UnimodalMap.quadratic(c)
+    try:
+        shallow = _kneading_zero(umap, n, 1e-2)
+        deep = _kneading_zero(umap, 4 * n, 1e-6)
+    except InsufficientDepth:
+        assume(False)
+    assume(deep.status == "zero")
+    if shallow.status == "no-zero":
+        # no zero of the full series on (0, shallow r_max]
+        assert deep.bracket[0] > shallow.r_max
+    else:
+        # both brackets hold a zero of the same full series
+        (a1, b1), (a2, b2) = shallow.bracket, deep.bracket
+        assert a1 <= b2 and a2 <= b1
+
+
+def test_zero_hidden_by_tail_is_insufficient_depth():
+    # 0.064 - r is certified + below about 0.06 and - beyond r_max = 0.0683;
+    # between them |p| is under the tail bound, so the sign change is found
+    # but cannot be certified for the full series
+    with pytest.raises(InsufficientDepth):
+        smallest_real_zero(np.array([0.064, -1.0]), tol=1e-2)
+
+
 def test_insufficient_depth_detected():
     # 1 - z^20 - ... - z^40 crosses zero near 0.97, beyond the certified zone
     c = np.zeros(41)
@@ -271,6 +348,12 @@ def test_real_zero_validates_inputs():
         smallest_real_zero(np.array([2.0, 0.0]), tol=1e-6)
     with pytest.raises(ValidationError):
         smallest_real_zero(np.ones(4), tol=0.0)
+    with pytest.raises(ValidationError):
+        smallest_real_zero(np.array([1.0, math.nan, -1.0]), tol=1e-6)
+    with pytest.raises(ValidationError):
+        smallest_real_zero(np.ones(4), tol=math.nan)
+    with pytest.raises(ValidationError):
+        smallest_real_zero(np.array([]), tol=1e-6)
 
 
 # ---------------------------------------------------------------- thue-morse

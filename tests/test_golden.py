@@ -3,6 +3,8 @@
 The pins were taken before the recipes moved onto one output pipeline, so
 they prove that no artifact byte moved.  They pin last bits of floats, so
 they hold on the reference platform (CPython 3.11, numpy 2.x, x86-64 libm).
+The two kneading-entropy pins were retaken when the zero search became
+certified for the full series and the artifact gained the entropy interval.
 """
 
 import contextlib
@@ -30,8 +32,8 @@ ARTIFACT_SHA256 = {
     ("hecke-unique", "csv"): "9c0aded90a1cfe9d2d311d94827d98c28c4b7cb21836df9db513c518537aeb13",
     ("hecke-two", "json"): "21cd0aea06c2f4ebd89f7d4bc14c6ba1552fb75d8dfd457f0a473a68d43defc0",
     ("hecke-two", "csv"): "94e722e4fc1711268ab24b659e191735257991b5de37ac9371818935c8283759",
-    ("kneading-entropy", "json"): "9de268894d12293a8540f20eb62b30b9db4a02d8e9b9156b05171e1a02ffd75c",
-    ("kneading-entropy", "csv"): "1c8c0c62cce22d4cb407e89cb88efb0438325ff9797270c8f7ecd3ba7c9f1073",
+    ("kneading-entropy", "json"): "8ac546497799d7c66da1dd27746103923be5604fa3cff9c2981b798e20276f07",
+    ("kneading-entropy", "csv"): "c4cf001238acb0b31eafcd6b66aba1dfefa8fa8090ac101a6e06562e535a65ef",
     ("thue-morse-product", "json"): "f01cdf48c6047c68decd7ffbd0c754002fc3f713c00d64abd95c16d6e1176ac3",
     ("thue-morse-product", "csv"): "b28dbb322ee6d1320cb7f10993cb3335efdf9b42655c14901c49e5986367c86d",
     ("balance", "json"): "9ccea13b47c59c4a7603447693e6d50c242a99794017a98a5cd37bc83a401c86",

@@ -58,6 +58,8 @@ def test_search_validates_inputs():
         renascent_shift_search(s, 5, 5, 0.1)
     with pytest.raises(ValidationError):
         renascent_shift_search(s, 5, 10, -0.1)
+    with pytest.raises(ValidationError):  # not an empty report
+        renascent_shift_search(s, 3, 30, math.nan)
 
 
 def test_monotonicity_in_tol_and_width():
