@@ -22,11 +22,11 @@ FEIGENBAUM_C = -1.401155189  # quadratic parameter at the period-doubling limit
 
 
 def hecke_stream(theta: float, gamma: float = 0.0) -> CoeffStream:
-    """Stream a_k = {gamma + k*theta} (``np.mod``, unsnapped), bound 1."""
+    """Real stream a_k = {gamma + k*theta} (``np.mod``, unsnapped), bound 1."""
     th = float(theta)
     ga = float(gamma)
     return CoeffStream(f"hecke(theta={th!r}, gamma={ga!r})",
-                       lambda ks: np.mod(ga + ks * th, 1.0).astype(complex), 1.0)
+                       lambda ks: np.mod(ga + ks * th, 1.0), 1.0)
 
 
 def _check_depth(n_terms: int) -> None:

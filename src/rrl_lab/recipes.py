@@ -212,7 +212,7 @@ def recipe_hecke_unique(params: dict) -> tuple[dict, Table]:
     residual = abs(formula - hecke_direct_sum(theta, z, n))
     bound = 2.0 * hecke_outer_truncation_bound(z, n)
     report = renascent_shift_search(hecke_stream(theta), w, k_max, tol)
-    clusters = window_cluster(report, tol) if report.windows else []
+    clusters = window_cluster(report, tol) if len(report) else []
     summary = {
         "theta": theta,
         "n_terms": n,
@@ -233,7 +233,7 @@ def recipe_hecke_two(params: dict) -> tuple[dict, Table]:
     tol = _param(params, "tol", float, 5e-3)
     stream = hecke_stream(theta, gamma=theta)  # a_k = {(k+1) theta}
     report = renascent_shift_search(stream, w, k_max, tol)
-    clusters = window_cluster(report, tol) if report.windows else []
+    clusters = window_cluster(report, tol) if len(report) else []
     diff_at_minus_1 = None
     if len(clusters) == 2:
         r0, r1 = clusters[0].representative, clusters[1].representative

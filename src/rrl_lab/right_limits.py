@@ -36,6 +36,9 @@ class Window:
     residual: float
 
     def __getitem__(self, n: int) -> complex:
+        if abs(n) > self.half_width:
+            raise ValidationError(f"window index {n} outside [-{self.half_width}, "
+                                  f"{self.half_width}]")
         return complex(self.values[n + self.half_width])
 
     def negative_side(self) -> np.ndarray:
@@ -45,19 +48,29 @@ class Window:
 
 @dataclass(frozen=True)
 class ShiftReport:
-    """All shifts in (W, K_max] whose nonnegative side reproduces the stream."""
+    """All shifts in (W, K_max] whose nonnegative side reproduces the stream.
+
+    Row i of ``values`` is the window b_{-W..W} of ``shifts[i]``, and
+    ``residuals[i]`` its residual; ``window(i)`` views row i as a ``Window``.
+    """
 
     half_width: int
     k_max: int
     tol: float
-    windows: list[Window]
+    shifts: list[int]
+    residuals: np.ndarray
+    values: np.ndarray
+
+    def window(self, i: int) -> Window:
+        return Window(half_width=self.half_width, values=self.values[i],
+                      shift=self.shifts[i], residual=float(self.residuals[i]))
 
     @property
-    def shifts(self) -> list[int]:
-        return [w.shift for w in self.windows]
+    def windows(self) -> list[Window]:
+        return [self.window(i) for i in range(len(self))]
 
     def __len__(self) -> int:
-        return len(self.windows)
+        return len(self.shifts)
 
 
 def renascent_shift_search(a: CoeffStream, half_width: int, k_max: int,
@@ -76,17 +89,18 @@ def renascent_shift_search(a: CoeffStream, half_width: int, k_max: int,
     if not tol >= 0:
         raise ValidationError("tol must be >= 0")
     arr = a.take(k_max + w + 1)
-    # residual[k] = max_{0<=n<=W} |a_{n+k} - a_n| for k = 0 .. k_max, one pass per n
-    residuals = np.zeros(k_max + 1)
-    for n in range(w + 1):
-        np.maximum(residuals, np.abs(arr[n : n + k_max + 1] - arr[n]), out=residuals)
-    windows = [
-        Window(half_width=w, values=arr[k - w : k + w + 1].copy(), shift=int(k),
-               residual=float(residuals[k]))
-        for k in np.flatnonzero(residuals[w + 1 :] <= tol) + w + 1
-    ]
+    # n = 0 over every shift, then n = 1 .. W over the survivors only: the
+    # residual max_n |a_{n+k} - a_n| is the same in any order
+    residuals = np.abs(arr[w + 1 : k_max + 1] - arr[0])
+    cand = np.flatnonzero(residuals <= tol) + (w + 1)
+    residuals = residuals[cand - (w + 1)]
+    for n in range(1, w + 1):
+        d = np.abs(arr[cand + n] - arr[n])
+        keep = d <= tol
+        cand, residuals = cand[keep], np.maximum(residuals[keep], d[keep])
+    values = np.lib.stride_tricks.sliding_window_view(arr, 2 * w + 1)[cand - w]
     return ShiftReport(half_width=w, k_max=int(k_max), tol=float(tol),
-                       windows=windows)
+                       shifts=cand.tolist(), residuals=residuals, values=values)
 
 
 @dataclass(frozen=True)
@@ -111,9 +125,9 @@ def window_cluster(report: ShiftReport, tol: float) -> list[WindowCluster]:
     """
     if not tol >= 0:
         raise ValidationError("tol must be >= 0")
-    if not report.windows:
+    if not len(report):
         raise ValidationError("report is empty")
-    neg = np.stack([w.negative_side() for w in report.windows])
+    neg = report.values[:, : report.half_width]
     unassigned = np.ones(len(neg), dtype=bool)
     clusters = []
     while (idx := np.flatnonzero(unassigned)).size:
@@ -124,8 +138,8 @@ def window_cluster(report: ShiftReport, tol: float) -> list[WindowCluster]:
         members = idx[joins]
         unassigned[members] = False
         clusters.append(WindowCluster(
-            representative=report.windows[idx[0]], count=len(members),
-            member_shifts=[report.windows[i].shift for i in members],
+            representative=report.window(idx[0]), count=len(members),
+            member_shifts=[report.shifts[i] for i in members],
             distances=dist[joins].tolist()))
     return clusters
 
@@ -208,13 +222,13 @@ def report_to_csv(report: ShiftReport, cluster_tol: float | None = None) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["shift", "residual_pos", "residual_neg_vs_cluster", "cluster_id"])
-    if report.windows:
+    if len(report):
         assignment = {
             shift: (cid, d)
             for cid, cl in enumerate(window_cluster(report, tol))
             for shift, d in zip(cl.member_shifts, cl.distances)
         }
-        for w in report.windows:
-            cid, d = assignment[w.shift]
-            writer.writerow([w.shift, repr(w.residual), repr(d), cid])
+        for shift, residual in zip(report.shifts, report.residuals.tolist()):
+            cid, d = assignment[shift]
+            writer.writerow([shift, repr(residual), repr(d), cid])
     return out.getvalue()

@@ -18,7 +18,9 @@ class CoeffStream:
     ``rule`` maps an integer index array to the coefficients at those
     indices, elementwise.  ``take`` and ``a`` both read through it, so a
     single coefficient is bit-identical to the same entry of a prefix.
-    Every value read is checked against the declared bound.
+    A real rule's output is read as float64 (ints and bools cast), a
+    complex one as complex128.  Every value read is checked against the
+    declared bound; a NaN fails the check.
     """
 
     def __init__(self, name: str, rule: Callable[[np.ndarray], np.ndarray],
@@ -30,9 +32,10 @@ class CoeffStream:
         self.bound = float(bound)
 
     def _read(self, ks: np.ndarray) -> np.ndarray:
-        arr = np.asarray(self.rule(ks), dtype=complex)
+        arr = np.asarray(self.rule(ks))
+        arr = arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
         worst = float(np.max(np.abs(arr))) if arr.size else 0.0
-        if worst > self.bound + BOUND_SLACK:
+        if not worst <= self.bound + BOUND_SLACK:
             raise ValidationError(
                 f"stream {self.name!r}: |a_k| = {worst} exceeds bound {self.bound}"
             )
@@ -45,7 +48,7 @@ class CoeffStream:
         return complex(self._read(np.array([k]))[0])
 
     def take(self, n: int) -> np.ndarray:
-        """Materialize a_0 .. a_{n-1} as a complex array."""
+        """Materialize a_0 .. a_{n-1} (float64 for a real rule, else complex)."""
         return self._read(np.arange(n))
 
     def __repr__(self) -> str:

@@ -152,6 +152,9 @@ def one_json_line(capsys, *argv):
     ["kneading", "-n", "0", "--entropy"],
     ["run", "--recipe", "kneading-entropy", "--n", "0"],
     ["run", "--recipe", "kneading-entropy", "--map", "feigenbaum-product", "--n", "-1"],
+    # k * theta overflows to inf, so the stream reads NaN past a_1
+    ["run", "--recipe", "hecke-unique", "--theta", "1e308"],
+    ["run", "--recipe", "hecke-two", "--theta", "1e308"],
 ])
 def test_unparsable_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -18,7 +18,7 @@ from rrl_lab.right_limits import (
     verify_rrl_on_psp,
     window_cluster,
 )
-from rrl_lab.streams import from_values, periodic, preperiodic
+from rrl_lab.streams import CoeffStream, from_values, partial_sum, periodic, preperiodic
 
 
 def test_periodic_search_finds_exact_multiples():
@@ -236,33 +236,41 @@ def test_cluster_rejects_bad_tol():
 
 
 def test_cluster_nan_window_forms_its_own_cluster():
-    from rrl_lab.right_limits import ShiftReport, Window
+    from rrl_lab.right_limits import ShiftReport
 
-    def window(shift, neg):
-        return Window(half_width=2, values=np.array([*neg, 0, 0, 0], dtype=complex),
-                      shift=shift, residual=0.0)
-
-    windows = [window(3, [0, 0]), window(4, [math.nan, 0]), window(5, [0, 0])]
-    report = ShiftReport(half_width=2, k_max=5, tol=0.0, windows=windows)
+    negs = [[0, 0], [math.nan, 0], [0, 0]]
+    report = ShiftReport(half_width=2, k_max=5, tol=0.0, shifts=[3, 4, 5],
+                         residuals=np.zeros(3),
+                         values=np.array([[*neg, 0, 0, 0] for neg in negs], dtype=complex))
     clusters = window_cluster(report, 0.1)
     assert [c.member_shifts for c in clusters] == [[3, 5], [4]]
     assert clusters[1].representative.shift == 4 and math.isnan(clusters[1].distances[0])
 
 
-@pytest.mark.parametrize("w", [10, 40])
-def test_search_memory_is_linear_in_k_max_only(w):
-    # one stream prefix, the residual array and one pass's temporaries:
-    # about 3 x 16 k_max bytes whatever W is (a (k_max+1) x (W+1) complex
-    # difference matrix would be 16 (W+1) k_max bytes)
-    k_max = 200_000
-    stream = hecke_stream(GOLDEN)
+def as_complex(stream):
+    """The same rule with its output cast to complex."""
+    return CoeffStream(stream.name, lambda ks: stream.rule(ks).astype(complex),
+                       stream.bound)
+
+
+def search_peak(stream, w, k_max):
     tracemalloc.start()
     try:
         renascent_shift_search(stream, w, k_max, 1e-2)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 16 * k_max
+
+
+@pytest.mark.parametrize("w", [10, 40])
+def test_search_memory_is_linear_in_k_max_only(w):
+    # the full n = 0 pass holds the stream prefix and its difference with
+    # a_0 before the abs: about 3 x 8 k_max bytes for a real stream whatever
+    # W is (a (k_max+1) x (W+1) difference matrix would be 8 (W+1) k_max)
+    k_max = 200_000
+    assert search_peak(hecke_stream(GOLDEN), w, k_max) <= 4 * 8 * k_max
+    # the same rule cast to complex: 16-byte prefix and difference
+    assert search_peak(as_complex(hecke_stream(GOLDEN)), w, k_max) <= 5 * 16 * k_max
 
 
 # -- oracle: the difference-matrix search and the first-match leader loop ----
@@ -295,11 +303,14 @@ def oracle_clusters(hits, w, tol):
 
 SMALL_VALUES = st.lists(st.sampled_from([0.0, 1.0, -1.0, 1j, 0.5 + 0.5j, 0.25]),
                         min_size=1, max_size=5)
+REAL_SEARCH_STREAMS = st.one_of(
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)).map(lambda tg: hecke_stream(*tg)),
+    st.just(hecke_stream(GOLDEN, gamma=GOLDEN)),
+)
 SEARCH_STREAMS = st.one_of(
     SMALL_VALUES.map(from_values),
     SMALL_VALUES.map(periodic),
-    st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)).map(lambda tg: hecke_stream(*tg)),
-    st.just(hecke_stream(GOLDEN, gamma=GOLDEN)),
+    REAL_SEARCH_STREAMS,
 )
 TOLS = st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.just(math.inf))
 
@@ -328,3 +339,40 @@ def test_search_and_clusters_match_matrix_oracle(stream, w, extra, tol, cluster_
     assert [c.count for c in clusters] == [len(ks) for _, ks, _ in expected]
     for c, (_, _, dists) in zip(clusters, expected):
         assert np.array_equal(bits(c.distances), bits(dists))
+
+
+@settings(max_examples=200, deadline=None)
+@given(REAL_SEARCH_STREAMS, st.integers(1, 6), st.integers(1, 400), TOLS, TOLS,
+       st.complex_numbers(max_magnitude=0.99, allow_nan=False))
+def test_real_stream_matches_its_complex_cast_bitwise(stream, w, extra, tol, cluster_tol, z):
+    # |x + 0i| = |x| and max is exact, so keeping a real stream in float64
+    # moves no bit of any residual, distance, CSV row or partial sum
+    twin = as_complex(stream)
+    k_max = w + extra
+    real, cplx = (renascent_shift_search(s, w, k_max, tol) for s in (stream, twin))
+    assert real.values.dtype == np.float64 and cplx.values.dtype == np.complex128
+    assert real.shifts == cplx.shifts
+    assert np.array_equal(bits(real.residuals), bits(cplx.residuals))
+    assert np.array_equal(bits(real.values.astype(complex)), bits(cplx.values))
+    assert report_to_csv(real, cluster_tol) == report_to_csv(cplx, cluster_tol)
+    if len(real):
+        for a, b in zip(window_cluster(real, cluster_tol), window_cluster(cplx, cluster_tol)):
+            assert a.member_shifts == b.member_shifts
+            assert np.array_equal(bits(a.distances), bits(b.distances))
+    (v_real, tail_real), (v_cplx, tail_cplx) = (partial_sum(s, z, k_max)
+                                                for s in (stream, twin))
+    assert np.array_equal(bits([v_real]), bits([v_cplx])) and tail_real == tail_cplx
+
+
+def test_hecke_stream_is_float64():
+    assert hecke_stream(GOLDEN).take(50).dtype == np.float64
+    assert hecke_stream(0.3, gamma=0.1).take(1).dtype == np.float64
+
+
+def test_window_index_outside_half_width_rejected():
+    report = renascent_shift_search(periodic([0.0, 1.0, 2.0, 3.0, 4.0]), 2, 20, 0.0)
+    w = report.window(0)
+    assert [w[n] for n in range(-2, 3)] == [3, 4, 0, 1, 2]
+    for n in (-3, 3, -100):
+        with pytest.raises(ValidationError):
+            w[n]

@@ -26,6 +26,20 @@ def test_bound_violation_rejected():
         s.take(5)
 
 
+def test_nan_fails_bound_check():
+    s = CoeffStream("nan", lambda ks: np.where(ks == 2, np.nan, 0.0), bound=1.0)
+    with pytest.raises(ValidationError):
+        s.take(5)
+    with pytest.raises(ValidationError):
+        s.a(2)
+
+
+def test_real_rules_read_as_float64():
+    assert CoeffStream("ints", lambda ks: ks % 2, 1.0).take(4).dtype == np.float64
+    assert CoeffStream("bools", lambda ks: ks % 2 == 0, 1.0).take(4).dtype == np.float64
+    assert CoeffStream("units", lambda ks: 1j**ks, 1.0).take(4).dtype == np.complex128
+
+
 def test_negative_index_rejected():
     s = periodic([1.0])
     with pytest.raises(ValidationError):
