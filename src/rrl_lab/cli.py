@@ -122,13 +122,14 @@ def _cmd_hecke(args: argparse.Namespace) -> int:
     theta = parse_theta(args.theta)
     gamma = parse_number(float, args.gamma, "gamma")
     z = parse_number(complex, args.z, "z")
-    value = hecke_outer_eval(theta, z, args.n)
+    if gamma != 0.0:
+        value = hecke_gamma_outer(theta, gamma, z, args.n)
+    else:
+        value = hecke_outer_eval(theta, z, args.n)
     bound = hecke_outer_truncation_bound(z, args.n)
     if not args.check_identity:
         _emit({"value": [value.real, value.imag], "bound": bound, "status": "ok"})
         return EXIT_OK
-    if gamma != 0.0:
-        value = hecke_gamma_outer(theta, gamma, z, args.n)
     residual = abs(value - hecke_direct_sum(theta, z, args.n, gamma))
     _emit(
         {

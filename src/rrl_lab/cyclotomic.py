@@ -1,12 +1,14 @@
 """Exact integer arithmetic in Z[zeta_L], zeta_L = e^{2*pi*i/L}.
 
-An element is a length-L list of Python ints c with value sum(c[e] * zeta^e).
-The representation is redundant (1 + zeta_2 = 0 does not vanish entrywise),
-so zero testing reduces the polynomial sum(c[e] x^e) modulo the L-th
-cyclotomic polynomial, under which the representation of 0 is canonical.
-
-Used for building polynomials from root-of-unity root sets with exact
-coefficients; everything here is plain-int and overflow-free.
+An element is a sparse dict {e mod L: nonzero int} with value sum(c * zeta^e).
+Termwise it is redundant (1 + zeta_2 = 0), so zero tests and rounding first
+reduce it to a canonical form, one prime power p^k || L at a time: a term
+whose CRT digit j_p = e * (L/p^k)^-1 mod p^k has top base-p digit p - 1 is
+rewritten by sum_{s<p} zeta^{e + s*L/p} = 0, which lowers that digit and
+leaves the other primes' digits alone.  The reduced exponents index the
+tensor product of the power bases of the Z[zeta_{p^k}], an integral basis,
+so equal elements reduce to equal dicts; for prime-power L this is the
+remainder modulo Phi_L.  Everything here is plain-int and overflow-free.
 """
 
 from __future__ import annotations
@@ -15,120 +17,118 @@ import math
 from functools import lru_cache
 
 from .circle import CirclePoint, Fraction, turn_to_complex
+from .errors import CapExceeded
+
+# terms one build step may hold in its input and output polynomials together;
+# at about 80 B per dict term a refused build peaks near 330 MB of address space
+EXACT_TERMS_CAP = 2 * 10**6
 
 
-def zeta_power(L: int, e: int) -> list[int]:
-    c = [0] * L
-    c[e % L] = 1
-    return c
+@lru_cache(maxsize=64)
+def _prime_powers(L: int) -> tuple[tuple[int, int, int], ...]:
+    """(p, p^k, (L/p^k)^-1 mod p^k) for each prime power p^k || L."""
+    out, rest, p = [], L, 2
+    while rest > 1:
+        p = p if p * p <= rest else rest
+        pk = math.gcd(rest, p ** rest.bit_length())  # the p-part of L
+        if pk > 1:
+            out.append((p, pk, pow(L // pk, -1, pk)))
+            rest //= pk
+        p += 1
+    return tuple(out)
 
 
-def add(a: list[int], b: list[int]) -> list[int]:
-    return [x + y for x, y in zip(a, b)]
+def reduce_element(a: dict[int, int], L: int) -> dict[int, int]:
+    """Canonical form of a: its coordinates in the prime-by-prime basis."""
+    for p, pk, inv in _prime_powers(L):
+        top, step = pk - pk // p, L // p
+        out: dict[int, int] = {}
+        for e, c in a.items():
+            if e * inv % pk >= top:  # top base-p digit of j_p is p - 1
+                for s in range(1, p):
+                    f = (e - s * step) % L
+                    out[f] = out.get(f, 0) - c
+            else:
+                out[e] = out.get(e, 0) + c
+        a = {e: c for e, c in out.items() if c}
+    return a
 
 
-def sub(a: list[int], b: list[int]) -> list[int]:
-    return [x - y for x, y in zip(a, b)]
+def is_zero(a: dict[int, int], L: int) -> bool:
+    return not reduce_element(a, L)
 
 
-def shift_mul(a: list[int], e: int) -> list[int]:
-    """Multiply by zeta^e: cyclic shift of the exponent vector."""
-    L = len(a)
-    e %= L
-    return a[-e:] + a[:-e] if e else list(a)
+def to_complex(a: dict[int, int], L: int) -> complex:
+    """Float value of the element; exact 0.0 / exact ints survive exactly.
 
-
-@lru_cache(maxsize=None)
-def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients (ascending) of the n-th cyclotomic polynomial.
-
-    Computed as (x^n - 1) / prod_{d | n, d < n} Phi_d via exact division.
+    The reduced terms are summed in ascending exponent order.
     """
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _exact_div(poly, list(cyclotomic_coeffs(d)))
-    return tuple(poly)
-
-
-def _exact_div(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + dd] // den[dd]
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("division was not exact")
-    return out
-
-
-def reduce_element(a: list[int]) -> list[int]:
-    """Canonical form: remainder of sum(a[e] x^e) modulo Phi_L."""
-    L = len(a)
-    phi = cyclotomic_coeffs(L)
-    d = len(phi) - 1
-    rem = list(a)
-    for i in range(L - 1, d - 1, -1):
-        c = rem[i]
-        if c:
-            rem[i] = 0
-            for j in range(d):
-                rem[i - d + j] -= c * phi[j]
-    return rem
-
-
-def is_zero(a: list[int]) -> bool:
-    return not any(reduce_element(a))
-
-
-def to_complex(a: list[int]) -> complex:
-    """Float value of the element; exact 0.0 / exact ints survive exactly."""
-    red = reduce_element(a)
-    L = len(a)
-    if not any(red[1:]):
-        return complex(red[0])
+    red = reduce_element(a, L)
+    if red.keys() <= {0}:
+        return complex(red.get(0, 0))
     z = 0j
-    for e, c in enumerate(red):
-        if c:
-            z += c * turn_to_complex(Fraction(e, L))
+    for e in sorted(red):
+        z += red[e] * turn_to_complex(Fraction(e, L))
     return z
 
 
-def mul_root(coeffs: list[list[int]], e: int) -> list[list[int]]:
+def _add_shifted(acc: dict[int, int], a: dict[int, int], e: int, L: int,
+                 sign: int) -> dict[int, int]:
+    """acc += sign * zeta^e * a, in place, dropping terms that cancel."""
+    for f, c in a.items():
+        g = (f + e) % L
+        s = acc.get(g, 0) + sign * c
+        if s:
+            acc[g] = s
+        else:
+            del acc[g]
+    return acc
+
+
+def _counted(terms: int, L: int) -> int:
+    if terms > EXACT_TERMS_CAP:
+        raise CapExceeded(f"exact Z[zeta_{L}] product needs more than "
+                          f"{EXACT_TERMS_CAP} stored terms")
+    return terms
+
+
+def mul_root(coeffs: list[dict[int, int]], e: int, L: int) -> list[dict[int, int]]:
     """Multiply a polynomial (Z[zeta_L] coefficients, ascending) by (X - zeta_L^e)."""
-    zero = [0] * len(coeffs[0])
-    return [sub(a, shift_mul(b, e))
-            for a, b in zip([zero] + coeffs, coeffs + [zero])]
+    out: list[dict[int, int]] = []
+    terms = sum(map(len, coeffs))
+    for lo, hi in zip([{}] + coeffs, coeffs + [{}]):
+        out.append(_add_shifted(dict(lo), hi, e, L, -1))
+        terms = _counted(terms + len(out[-1]), L)
+    return out
 
 
-def product_from_roots(exponents: list[int], L: int) -> list[list[int]]:
+def product_from_roots(exponents: list[int], L: int) -> list[dict[int, int]]:
     """Coefficients (ascending) of prod_e (X - zeta_L^e), each a Z[zeta_L] element.
 
     Multiplication order follows the given exponent order.
     """
-    coeffs = [zeta_power(L, 0)]
+    coeffs: list[dict[int, int]] = [{0: 1}]
     for e in exponents:
-        coeffs = mul_root(coeffs, e)
+        coeffs = mul_root(coeffs, e, L)
     return coeffs
 
 
-def synthetic_div_root(coeffs: list[list[int]], e: int, L: int) -> list[list[int]]:
+def synthetic_div_root(coeffs: list[dict[int, int]], e: int, L: int
+                       ) -> list[dict[int, int]]:
     """Divide a monic polynomial (Z[zeta_L] coefficients) by (X - zeta_L^e).
 
-    Requires zeta_L^e to be a root; raises if the remainder is nonzero.
+    Requires zeta_L^e to be a root; raises if the remainder is nonzero.  The
+    quotient's terms are counted as they are stored, because one division
+    can multiply the number of terms by the degree.
     """
     d = len(coeffs) - 1
-    out: list[list[int]] = [None] * d  # type: ignore[list-item]
-    carry = coeffs[d]
+    out: list[dict[int, int]] = [{}] * d
+    carry, terms = coeffs[d], sum(map(len, coeffs))
     for k in range(d - 1, -1, -1):
         out[k] = carry
-        carry = add(coeffs[k], shift_mul(carry, e))
-    if not is_zero(carry):
+        terms = _counted(terms + len(carry), L)
+        carry = _add_shifted(dict(coeffs[k]), carry, e, L, 1)
+    if not is_zero(carry, L):
         raise ArithmeticError("point is not a root of the polynomial")
     return out
 

@@ -24,11 +24,11 @@ from .errors import CapExceeded, DuplicateRoot, NotARoot, RrlLabError, Validatio
 from .psp import PoleMeasure, moments
 
 PIGEONHOLE_J_CAP = 8
+# 1000! has 2568 digits, inside CPython's 4300-digit int -> str limit
+FACTORIAL_J_CAP = 1000
 PIGEONHOLE_MAX_SCAN = 5_000_000
 BALANCE_M_CAP = 3
 BALANCE_N_CAP = 10**6
-# (N+1)*L integer slots the Z[zeta_L] builder may allocate (about 80 MB of list slots)
-EXACT_SLOTS_CAP = 10**7
 
 
 def factorial_shifts(j_max: int) -> list[int]:
@@ -40,6 +40,8 @@ def factorial_shifts(j_max: int) -> list[int]:
     """
     if j_max < 1:
         raise ValidationError("j_max must be >= 1")
+    if j_max > FACTORIAL_J_CAP:
+        raise CapExceeded(f"j_max = {j_max} exceeds cap {FACTORIAL_J_CAP}")
     out = [1]
     for j in range(2, j_max + 1):
         out.append(out[-1] * j)
@@ -211,29 +213,24 @@ def _split_on_unit_roots(pts: list[CirclePoint]
     return [r for r in range(n) if r not in on], off
 
 
-def _exact_coeffs(pts: list[CirclePoint]) -> tuple[list[list[int]], int] | None:
+def _exact_coeffs(pts: list[CirclePoint]) -> tuple[list[dict[int, int]], int] | None:
     """Z[zeta_L] coefficients of P_F and L, or None if some root is a float."""
     exact = cyc.exact_exponents(pts)
     if exact is None:
         return None
     exps, lcm = exact
-    n = len(pts)
-    if (n + 1) * lcm > EXACT_SLOTS_CAP:
-        raise CapExceeded(
-            f"exact product needs (N+1)*L = {(n + 1) * lcm} integer slots "
-            f"(N = {n}, L = {lcm}), cap {EXACT_SLOTS_CAP}")
     split = _split_on_unit_roots(pts)
     if split is None:
         return cyc.product_from_roots(exps, lcm), lcm
     # more than half of F is on R_N, so the orders on it have lcm N and N | L
     missing, off = split
+    n = len(pts)
     step = lcm // n
-    coeffs = [[0] * lcm for _ in range(n + 1)]
-    coeffs[0][0], coeffs[n][0] = -1, 1  # X^N - 1
+    coeffs = [{0: -1}] + [{} for _ in range(n - 1)] + [{0: 1}]  # X^N - 1
     for r in missing:
         coeffs = cyc.synthetic_div_root(coeffs, r * step, lcm)
     for p in off:
-        coeffs = cyc.mul_root(coeffs, p.angle.numerator * (lcm // p.angle.denominator))
+        coeffs = cyc.mul_root(coeffs, p.angle.numerator * (lcm // p.angle.denominator), lcm)
     return coeffs, lcm
 
 
@@ -252,7 +249,8 @@ def poly_from_roots(points: Sequence[CirclePoint]) -> CPoly:
     pts = _sorted_distinct(points)
     exact = _exact_coeffs(pts)
     if exact is not None:
-        return CPoly(np.array([cyc.to_complex(e) for e in exact[0]]))
+        elements, lcm = exact
+        return CPoly(np.array([cyc.to_complex(e, lcm) for e in elements]))
     split = _split_on_unit_roots(pts)
     if split is None:
         coeffs = np.array([1.0 + 0j])
@@ -282,7 +280,7 @@ def q_poly(point: CirclePoint, points: Sequence[CirclePoint]) -> CPoly:
         elements, lcm = exact
         e_lam = point.angle.numerator * (lcm // point.angle.denominator)
         quotient = cyc.synthetic_div_root(elements, e_lam, lcm)
-        return CPoly(np.array([cyc.to_complex(e) for e in quotient]))
+        return CPoly(np.array([cyc.to_complex(e, lcm) for e in quotient]))
     return CPoly(_divide_root(poly_from_roots(pts).coeffs, point.value()))
 
 

@@ -22,11 +22,18 @@ FEIGENBAUM_C = -1.401155189  # quadratic parameter at the period-doubling limit
 
 
 def hecke_stream(theta: float, gamma: float = 0.0) -> CoeffStream:
-    """Real stream a_k = {gamma + k*theta} (``np.mod``, unsnapped), bound 1."""
+    """Real stream a_k = {gamma + k*theta} (``np.mod``, unsnapped), bound 1.
+
+    An overflowing k*theta reads as NaN, quietly: the bound check rejects it.
+    """
     th = float(theta)
     ga = float(gamma)
-    return CoeffStream(f"hecke(theta={th!r}, gamma={ga!r})",
-                       lambda ks: np.mod(ga + ks * th, 1.0), 1.0)
+
+    def rule(ks: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.mod(ga + ks * th, 1.0)
+
+    return CoeffStream(f"hecke(theta={th!r}, gamma={ga!r})", rule, 1.0)
 
 
 def _check_depth(n_terms: int) -> None:

@@ -55,13 +55,19 @@ class CoeffStream:
         return f"CoeffStream({self.name!r}, bound={self.bound})"
 
 
+def _table(values: Sequence[complex]) -> np.ndarray:
+    """values as float64 when all are real (ints and bools cast), else complex128."""
+    arr = np.asarray(values)
+    return arr.astype(complex if np.iscomplexobj(arr) else float)
+
+
 def from_values(values: Sequence[complex], name: str = "values") -> CoeffStream:
     """Finite sequence, implicitly zero past the end."""
-    vals = np.asarray(values, dtype=complex)
+    vals = _table(values)
     bound = float(np.max(np.abs(vals))) if vals.size else 0.0
 
     def rule(ks: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(ks), dtype=complex)
+        out = np.zeros(len(ks), dtype=vals.dtype)
         inside = ks < len(vals)
         out[inside] = vals[ks[inside]]
         return out
@@ -70,7 +76,7 @@ def from_values(values: Sequence[complex], name: str = "values") -> CoeffStream:
 
 
 def periodic(cycle: Sequence[complex], name: str = "periodic") -> CoeffStream:
-    cyc = np.asarray(cycle, dtype=complex)
+    cyc = _table(cycle)
     if cyc.size == 0:
         raise ValidationError("cycle must be nonempty")
     bound = float(np.max(np.abs(cyc)))
@@ -79,8 +85,8 @@ def periodic(cycle: Sequence[complex], name: str = "periodic") -> CoeffStream:
 
 def preperiodic(head: Sequence[complex], cycle: Sequence[complex],
                 name: str = "preperiodic") -> CoeffStream:
-    h = np.asarray(head, dtype=complex)
-    cyc = np.asarray(cycle, dtype=complex)
+    both = _table([*head, *cycle])  # one dtype: complex if any value is
+    h, cyc = both[:len(head)], both[len(head):]
     if cyc.size == 0:
         raise ValidationError("cycle must be nonempty")
     bound = float(max(np.max(np.abs(h)) if h.size else 0.0, np.max(np.abs(cyc))))

@@ -169,11 +169,18 @@ def test_unparsable_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
 @pytest.mark.parametrize("argv", [
     # M + 1 scan steps and up to M cells: refused before the scan starts
     ["dirichlet", "--thetas", "sqrt2", "-M", "1000000000"],
+    # 1700! has more digits than CPython converts to str (4300)
+    ["shifts", "--factorial", "1700"],
+    ["run", "--recipe", "psp-rrl", "--shifts", "factorial:1700"],
 ])
-def test_caps_exit_3(capsys, argv):
+def test_caps_exit_3(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "run":
+        argv = [*argv, "--out", "out.json"]
     code, obj = one_json_line(capsys, *argv)
     assert code == 3
     assert obj["error"]["type"] == "CapExceeded"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_quadratic_range_ends_accepted(capsys):
@@ -369,6 +376,15 @@ def test_shifts_pigeonhole(capsys):
 def test_shifts_needs_mode(capsys):
     code, obj = run_cli(capsys, "shifts")
     assert code == 2
+
+
+def test_hecke_tool_uses_gamma_without_the_identity_check(capsys):
+    argv = ["hecke", "--theta", "golden", "--gamma", "0.3", "-n", "60"]
+    code, plain = run_cli(capsys, *argv)
+    assert code == 0
+    code, checked = run_cli(capsys, *argv, "--check-identity")
+    assert code == 0
+    assert plain["value"] == checked["value"] == [-0.49135236562285434, 0.0]
 
 
 def test_balance_tool(capsys):

@@ -7,6 +7,7 @@ import pytest
 from conftest import SQRT2_M1, SQRT3_M1
 from rrl_lab.circle import CirclePoint, roots_of_unity
 from rrl_lab.diophantine import (
+    FACTORIAL_J_CAP,
     CPoly,
     balance_completion,
     balance_target,
@@ -29,6 +30,9 @@ def test_factorial_shifts_values():
     assert factorial_shifts(1) == [1]
     with pytest.raises(ValidationError):
         factorial_shifts(0)
+    assert len(str(factorial_shifts(FACTORIAL_J_CAP)[-1])) == 2568
+    with pytest.raises(CapExceeded):
+        factorial_shifts(FACTORIAL_J_CAP + 1)
 
 
 def test_factorial_shift_kills_roots_of_unity():

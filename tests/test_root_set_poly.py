@@ -49,7 +49,7 @@ def in_angle_order(points):
 
 def exact_oracle(points) -> np.ndarray:
     exps, lcm = cyc.exact_exponents(in_angle_order(points))
-    return np.array([cyc.to_complex(e) for e in cyc.product_from_roots(exps, lcm)])
+    return np.array([cyc.to_complex(e, lcm) for e in cyc.product_from_roots(exps, lcm)])
 
 
 def convolve_oracle(points) -> np.ndarray:
@@ -122,11 +122,6 @@ def test_generic_float_sets_keep_the_angle_order_product(angles):
                           bits(convolve_oracle(points)))
 
 
-def test_exact_completion_keeps_its_defect():
-    bs = balance_completion([CirclePoint.exact(2, 11), CirclePoint.exact(5, 13)])
-    assert (bs.n_roots, bs.defect) == (44, 0.48331951678431234)
-
-
 def test_q_poly_exact_division_path_is_bitwise_the_generic_quotient():
     points = [p for p in roots_of_unity(12) if p.angle != Fraction(1, 4)]
     points.append(CirclePoint.exact(1, 5))
@@ -134,7 +129,7 @@ def test_q_poly_exact_division_path_is_bitwise_the_generic_quotient():
     exps, lcm = cyc.exact_exponents(in_angle_order(points))
     quotient = cyc.synthetic_div_root(cyc.product_from_roots(exps, lcm),
                                       lcm // 5, lcm)
-    want = np.array([cyc.to_complex(e) for e in quotient])
+    want = np.array([cyc.to_complex(e, lcm) for e in quotient])
     assert np.array_equal(bits(q_poly(lam, points).coeffs), bits(want))
 
 
@@ -153,6 +148,26 @@ def test_three_irrational_points_certify_at_n_123():
     assert bs.n_roots == 123 and len(bs.points) == 123
     assert bs.defect <= 0.5
     assert abs(bs.defect - mp_completion_defect(bs.points, 123)) <= 1e-12
+
+
+def test_exact_completion_keeps_its_defect():
+    # 2/11, 5/13 completes at N = 44, L = 572: within one rounding of the
+    # 50-digit defect (the Phi_572 remainder basis was off by 3.4e-15)
+    g = [CirclePoint.exact(2, 11), CirclePoint.exact(5, 13)]
+    bs = balance_completion(g)
+    assert (bs.n_roots, bs.defect) == (44, 0.48331951678431584)
+    assert abs(bs.defect - mp_completion_defect(bs.points, 44)) <= 1e-15
+
+
+def test_a_full_root_set_with_a_large_composite_order_certifies_exactly():
+    bs = balance_completion([CirclePoint.exact(1, 97), CirclePoint.exact(1, 89)])
+    assert (bs.n_roots, bs.defect) == (8633, 0.0)
+
+
+def test_two_roots_of_large_coprime_orders_multiply_out():
+    points = [CirclePoint.exact(1, 997), CirclePoint.exact(1, 991)]  # L = 988027
+    got = poly_from_roots(points).coeffs
+    assert np.max(np.abs(got - convolve_oracle(points))) <= 1e-15
 
 
 def test_ladder_certifies_each_rung_once(monkeypatch):
@@ -177,15 +192,16 @@ def test_non_finite_defect_is_an_error(monkeypatch):
 
 
 def test_huge_exact_completion_exits_3_under_a_memory_limit():
-    # without the slot cap this completion would allocate ~2.7e13 list slots;
-    # the address-space limit turns a regression into a MemoryError, not a
-    # machine-wide out-of-memory
+    # the rung N = 54836 (L = 54179448572) has two points off R_N, and its
+    # second division would store about N^2/2 = 1.5e9 terms without the terms
+    # cap; the address-space limit turns a regression into a MemoryError, not
+    # a machine-wide out-of-memory
     script = textwrap.dedent("""
         import resource, sys
         limit = 1 << 29  # 512 MB
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         from rrl_lab.cli import main
-        sys.exit(main(["balance", "--angles", "1/997,2/991"]))
+        sys.exit(main(["balance", "--angles", "1/997,3/991"]))
     """)
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")

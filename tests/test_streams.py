@@ -40,6 +40,16 @@ def test_real_rules_read_as_float64():
     assert CoeffStream("units", lambda ks: 1j**ks, 1.0).take(4).dtype == np.complex128
 
 
+def test_real_tables_stay_real_and_complex_ones_complex():
+    assert periodic([0.0, 1.0]).take(4).dtype == np.float64
+    assert from_values([3, 4]).take(4).dtype == np.float64
+    assert preperiodic([5], [0.0, 1.0]).take(4).dtype == np.float64
+    assert periodic([0.0, 1j]).take(4).dtype == np.complex128
+    assert from_values([3.0, 4j]).take(4).dtype == np.complex128
+    s = preperiodic([2j], [0.0, 1.0])  # a complex head makes the whole table complex
+    assert s.take(3).tolist() == [2j, 0.0, 1.0]
+
+
 def test_negative_index_rejected():
     s = periodic([1.0])
     with pytest.raises(ValidationError):
