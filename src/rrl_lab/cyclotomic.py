@@ -19,38 +19,60 @@ from functools import lru_cache
 from .circle import CirclePoint, Fraction, turn_to_complex
 from .errors import CapExceeded
 
-# terms one build step may hold in its input and output polynomials together;
-# at about 80 B per dict term a refused build peaks near 330 MB of address space
+# terms one build step (or one pass of a reduction) may hold in its input
+# and output together; a dict term costs about 80 B
 EXACT_TERMS_CAP = 2 * 10**6
+# L is factored by trial division up to this bound; an L whose rest still has
+# two or more prime factors above it (or one above its square) is refused
+FACTOR_TRIAL_CAP = 10**5
 
 
 @lru_cache(maxsize=64)
 def _prime_powers(L: int) -> tuple[tuple[int, int, int], ...]:
     """(p, p^k, (L/p^k)^-1 mod p^k) for each prime power p^k || L."""
     out, rest, p = [], L, 2
-    while rest > 1:
-        p = p if p * p <= rest else rest
-        pk = math.gcd(rest, p ** rest.bit_length())  # the p-part of L
-        if pk > 1:
+    while p * p <= rest:
+        if p > FACTOR_TRIAL_CAP:
+            raise CapExceeded(f"L = {L} has a factor {rest} with no prime "
+                              f"factor up to {FACTOR_TRIAL_CAP}")
+        if rest % p == 0:
+            pk = 1
+            while rest % p == 0:
+                rest, pk = rest // p, pk * p
             out.append((p, pk, pow(L // pk, -1, pk)))
-            rest //= pk
         p += 1
+    if rest > 1:
+        out.append((rest, rest, pow(L // rest, -1, rest)))
     return tuple(out)
 
 
+def _counted(terms: int, L: int) -> int:
+    if terms > EXACT_TERMS_CAP:
+        raise CapExceeded(f"exact Z[zeta_{L}] arithmetic needs more than "
+                          f"{EXACT_TERMS_CAP} stored terms")
+    return terms
+
+
 def reduce_element(a: dict[int, int], L: int) -> dict[int, int]:
-    """Canonical form of a: its coordinates in the prime-by-prime basis."""
+    """Canonical form of a: its coordinates in the prime-by-prime basis.
+
+    A rewritten term can leave p - 1 in its place, so each rewrite is counted
+    against EXACT_TERMS_CAP before it is stored.
+    """
     for p, pk, inv in _prime_powers(L):
         top, step = pk - pk // p, L // p
         out: dict[int, int] = {}
         for e, c in a.items():
             if e * inv % pk >= top:  # top base-p digit of j_p is p - 1
+                _counted(len(a) + len(out) + p - 1, L)
                 for s in range(1, p):
                     f = (e - s * step) % L
                     out[f] = out.get(f, 0) - c
             else:
                 out[e] = out.get(e, 0) + c
-        a = {e: c for e, c in out.items() if c}
+        for e in [e for e, c in out.items() if not c]:
+            del out[e]
+        a = out
     return a
 
 
@@ -83,13 +105,6 @@ def _add_shifted(acc: dict[int, int], a: dict[int, int], e: int, L: int,
         else:
             del acc[g]
     return acc
-
-
-def _counted(terms: int, L: int) -> int:
-    if terms > EXACT_TERMS_CAP:
-        raise CapExceeded(f"exact Z[zeta_{L}] product needs more than "
-                          f"{EXACT_TERMS_CAP} stored terms")
-    return terms
 
 
 def mul_root(coeffs: list[dict[int, int]], e: int, L: int) -> list[dict[int, int]]:
@@ -143,5 +158,6 @@ def exact_exponents(points: list[CirclePoint]) -> tuple[list[int], int] | None:
         if not p.is_exact:
             return None
         L = math.lcm(L, p.angle.denominator)
+    _prime_powers(L)  # an L too large to factor is refused before any build
     exps = [p.angle.numerator * (L // p.angle.denominator) for p in points]
     return exps, L

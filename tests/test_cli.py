@@ -172,6 +172,8 @@ def test_unparsable_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     # 1700! has more digits than CPython converts to str (4300)
     ["shifts", "--factorial", "1700"],
     ["run", "--recipe", "psp-rrl", "--shifts", "factorial:1700"],
+    # L is a product of two primes near 1e9: trial division stops at 1e5
+    ["balance", "--angles", "1/1000000007,499122177/998244353"],
 ])
 def test_caps_exit_3(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

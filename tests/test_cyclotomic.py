@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -112,6 +113,30 @@ def test_builds_over_the_terms_cap_are_refused(monkeypatch):
     x8_minus_1 = [{0: -1}] + [{} for _ in range(7)] + [{0: 1}]
     with pytest.raises(CapExceeded, match="stored terms"):
         cyc.synthetic_div_root(x8_minus_1, 1, 8)  # 2 + 8 terms
+
+
+def test_reductions_over_the_terms_cap_are_refused(monkeypatch):
+    # zeta^e with top digits for 7, 11 and 13 rewrites into 6 * 10 * 12 terms
+    e = next(e for e in range(1001) if all(
+        e * pow(1001 // p, -1, p) % p == p - 1 for p in (7, 11, 13)))
+    assert len(cyc.reduce_element({e: 1}, 1001)) == 720
+    monkeypatch.setattr(cyc, "EXACT_TERMS_CAP", 100)
+    with pytest.raises(CapExceeded, match="stored terms"):
+        cyc.reduce_element({e: 1}, 1001)
+
+
+def test_prime_powers_factor_l_and_refuse_what_trial_division_cannot_split():
+    for L in (1, 2, 12, 360, 572, 997 * 991, 2**5 * 3**4 * 1000000007):
+        pps = cyc._prime_powers(L)
+        assert math.prod(pk for _, pk, _ in pps) == L
+        assert [p for p, _, _ in pps] == sorted(p for p, _, _ in pps)
+        for p, pk, inv in pps:
+            assert pk % p == 0 and (L // pk) * inv % pk == 1
+    with pytest.raises(CapExceeded, match="no prime factor up to"):
+        cyc._prime_powers(1000000007 * 998244353)
+    with pytest.raises(CapExceeded):
+        cyc.exact_exponents([CirclePoint(Fraction(1, 1000000007)),
+                             CirclePoint(Fraction(1, 998244353))])
 
 
 def test_exact_exponents():

@@ -191,22 +191,39 @@ def test_non_finite_defect_is_an_error(monkeypatch):
         is_eps_balanced(roots_of_unity(3), 0.5)
 
 
-def test_huge_exact_completion_exits_3_under_a_memory_limit():
-    # the rung N = 54836 (L = 54179448572) has two points off R_N, and its
-    # second division would store about N^2/2 = 1.5e9 terms without the terms
-    # cap; the address-space limit turns a regression into a MemoryError, not
-    # a machine-wide out-of-memory
-    script = textwrap.dedent("""
+def balance_under_512_mb(angles: str) -> subprocess.CompletedProcess:
+    """`rrl-lab balance --angles ...` in a subprocess capped at 512 MB of
+    address space, so a regression is a MemoryError, not a machine-wide
+    out-of-memory."""
+    script = textwrap.dedent(f"""
         import resource, sys
         limit = 1 << 29  # 512 MB
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         from rrl_lab.cli import main
-        sys.exit(main(["balance", "--angles", "1/997,3/991"]))
+        sys.exit(main(["balance", "--angles", "{angles}"]))
     """)
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
+
+
+def test_huge_exact_completion_exits_3_under_a_memory_limit():
+    # the rung N = 54836 (L = 54179448572) has two points off R_N, and its
+    # second division would store about N^2/2 = 1.5e9 terms without the terms
+    # cap
+    proc = balance_under_512_mb("1/997,3/991")
     lines = proc.stdout.strip().splitlines()
     assert proc.returncode == 3, proc.stderr
     assert len(lines) == 1 and '"CapExceeded"' in lines[0]
+
+
+def test_huge_reduction_exits_3_under_a_memory_limit():
+    # L = 997 * 991 * 983 and the numerator makes every CRT digit of the
+    # point's exponent top (p - 1), so the canonical form of a single term
+    # would hold 996 * 990 * 982 = 9.7e8 terms without the terms cap
+    proc = balance_under_512_mb("968288310/971230541")
+    lines = proc.stdout.strip().splitlines()
+    assert proc.returncode == 3, proc.stderr
+    assert len(lines) == 1 and '"CapExceeded"' in lines[0]
+    assert "stored terms" in lines[0]
