@@ -44,9 +44,10 @@ def turn_to_complex(t: Angle) -> complex:
     results.  Angles that are multiples of 1/4 are exact.
     """
     if isinstance(t, Fraction):
-        q, r = divmod(4 * t, 1)
-        quadrant = int(q) % 4
-        r_f = float(r) / 4.0
+        # int true division rounds correctly, as float(Fraction) does
+        q, r = divmod(4 * t.numerator, t.denominator)
+        quadrant = q % 4
+        r_f = r / t.denominator / 4.0
     else:
         u = t % 1.0
         quadrant = int(4.0 * u) % 4

@@ -215,16 +215,44 @@ def _tail_bound(r: float, n: int) -> float:
     return r ** (n + 1) / (1.0 - r)
 
 
-def _certified_signs(vals: np.ndarray, rs: np.ndarray, n: int,
-                     tail: np.ndarray | float) -> np.ndarray:
-    """Signs of the Horner values vals = p_n(rs), 0 where |vals| is within the bound.
+def _series_values(c: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Values p(rs) = sum c_k rs^k, and K, the most roundings any term goes through.
 
-    ``np.polyval`` is Horner's rule, so for |c_k| <= 1 its roundoff is at
-    most gamma_2n / (1 - r) (Higham, Accuracy and Stability of Numerical
-    Algorithms, eq. 5.3); ``tail / (1 - r)`` bounds the terms left out of
-    the series, so with tail = r^(n+1) the sign holds for the full series.
+    Blocked Horner (Paterson & Stockmeyer, SIAM J. Comput. 1973): c is cut
+    into J blocks of B = ceil(sqrt(n+1)) terms, every block polynomial
+    P_j(r) = sum_i c_{jB+i} r^i comes from one matrix product with the
+    Vandermonde columns r^0 .. r^(B-1), and the blocks are summed by Horner
+    in R = r^B.  A term meets at most B - 2 roundings in its power, B in the
+    dot product (any summation order, with or without FMA), B - 1 in R and 2
+    per outer step, so K = 2B - 2 + (J - 1)(B + 1) and, for rs >= 0,
+    |error| <= gamma_K * sum |c_k| rs^k.  The dot products run in BLAS, whose
+    last bits may differ between builds; only the bound is relied on.
     """
-    nu = 2 * n * _UNIT_ROUNDOFF
+    n = len(c) - 1
+    B = math.isqrt(n) + 1  # ceil(sqrt(n + 1))
+    J = -(-(n + 1) // B)
+    blocks = np.zeros(J * B)
+    blocks[: n + 1] = c
+    powers = np.vander(rs, B, increasing=True)
+    parts = blocks.reshape(J, B) @ powers.T
+    big_r = powers[:, -1] * rs
+    vals = parts[-1]
+    for j in range(J - 2, -1, -1):
+        vals = vals * big_r + parts[j]
+    return vals, 2 * B - 2 + (J - 1) * (B + 1)
+
+
+def _certified_signs(vals: np.ndarray, rs: np.ndarray, roundings: int,
+                     tail: np.ndarray | float) -> np.ndarray:
+    """Signs of the computed values vals = p_n(rs), 0 where |vals| is within the bound.
+
+    A value whose terms each meet at most ``roundings`` roundings is off by
+    at most gamma_roundings / (1 - r) for |c_k| <= 1 (Higham, Accuracy and
+    Stability of Numerical Algorithms, eq. 5.3, for Horner's 2n);
+    ``tail / (1 - r)`` bounds the terms left out of the series, so with
+    tail = r^(n+1) the sign holds for the full series.
+    """
+    nu = roundings * _UNIT_ROUNDOFF
     return np.where(np.abs(vals) > (nu / (1.0 - nu) + tail) / (1.0 - rs), np.sign(vals), 0.0)
 
 
@@ -239,15 +267,16 @@ def smallest_real_zero(coeffs: Sequence[float], tol: float) -> RealZeroResult:
     """Smallest zero of sum c_n z^n on (0, r_max], coefficients bounded by 1.
 
     r_max is the largest radius where the truncation tail r^(N+1)/(1-r)
-    stays below tol/2.  One Horner pass covers 513 points on [0, r_max],
-    where the first sign change certified for the full series brackets its
-    zero, and 257 on [r_max, 1 - 1e-9].  Without such a bracket, a sign
-    change certified against roundoff alone within either grid raises
-    InsufficientDepth; with neither, the result is NoZero (entropy 0).  The
-    bracket (a, b) is narrowed by
-    rescanning 65 points inside it until it stops shrinking, on the prefix
-    c_0 .. c_m with b^(m+1) <= u, the unit roundoff: the tail term bounds
-    the dropped coefficients.
+    stays below tol/2.  One blocked pass (``_series_values``) covers 513
+    points on [0, r_max], where the first sign change certified for the
+    full series brackets its zero, and 257 on [r_max, 1 - 1e-9].  Without
+    such a bracket, a sign change certified against roundoff alone within
+    either grid raises InsufficientDepth; with neither, the result is
+    NoZero (entropy 0).  The bracket (a, b) is narrowed by rescanning 65
+    points inside it until it stops shrinking, on the prefix c_0 .. c_m
+    with b^(m+1) <= u, the unit roundoff: the tail term bounds the dropped
+    coefficients.  These short rescans use Horner's rule (``np.polyval``,
+    2m roundings), whose bits set the reported bracket.
     """
     c = np.asarray(coeffs, dtype=float)
     if not (c.size and np.all(np.abs(c) <= 1.0 + 1e-12)):
@@ -271,12 +300,12 @@ def smallest_real_zero(coeffs: Sequence[float], tol: float) -> RealZeroResult:
 
     inner = np.linspace(0.0, r_max, 513)
     rs = np.concatenate((inner, np.linspace(r_max, 1.0 - 1e-9, 257)))
-    vals = np.polyval(c[::-1], rs)
-    flip = _first_flip(_certified_signs(vals[: inner.size], inner, n, inner ** (n + 1)))
+    vals, roundings = _series_values(c, rs)
+    flip = _first_flip(_certified_signs(vals[: inner.size], inner, roundings, inner ** (n + 1)))
     if flip is None:
         # a sign change of the truncated series alone, on [0, r_max] where the
         # tail hides it or beyond r_max, is a zero this depth cannot place
-        bare = _certified_signs(vals, rs, n, 0.0)
+        bare = _certified_signs(vals, rs, roundings, 0.0)
         if any(_first_flip(part) is not None for part in (bare[: inner.size], bare[inner.size :])):
             raise InsufficientDepth(
                 f"uncertified sign change (r_max = {r_max}); deepen the truncation")
@@ -286,7 +315,7 @@ def smallest_real_zero(coeffs: Sequence[float], tol: float) -> RealZeroResult:
     while True:
         rs = np.linspace(a, b, 65)
         vals = np.polyval(c[: m + 1][::-1], rs)
-        flip = _first_flip(_certified_signs(vals, rs, m, rs ** (m + 1)))
+        flip = _first_flip(_certified_signs(vals, rs, 2 * m, rs ** (m + 1)))
         if flip is None or (rs[flip[0]], rs[flip[1]]) == (a, b):
             break
         a, b = float(rs[flip[0]]), float(rs[flip[1]])
@@ -316,8 +345,7 @@ def feigenbaum_product(n_max: int) -> np.ndarray:
     coeffs[0] = 1
     step = 1
     while step <= n_max:
-        nxt = coeffs.copy()
-        nxt[step:] -= coeffs[:-step]
-        coeffs = nxt
+        # the product so far has degree step - 1: (1 - z^step) appends its negative
+        np.negative(coeffs[: min(step, n_max + 1 - step)], out=coeffs[step : 2 * step])
         step *= 2
     return coeffs

@@ -271,7 +271,11 @@ def recipe_kneading_entropy(params: dict) -> tuple[dict, Table]:
 
 def recipe_thue_morse_product(params: dict) -> tuple[dict, Table]:
     n = _param(params, "n", int, 1023)
-    match = bool(np.array_equal(feigenbaum_product(n), (-1) ** thue_morse(n)))
+    product = feigenbaum_product(n)
+    signs = thue_morse(n)
+    signs *= -2  # (-1)^tau = 1 - 2 tau, built in place
+    signs += 1
+    match = bool(np.array_equal(product, signs))
     return {"n": n, "match": match}, lambda: _rows_csv(["n", "match"], [[n, match]])
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rrl_lab.circle import CirclePoint, frac_part, roots_of_unity, turn_to_complex
 from rrl_lab.errors import ValidationError
@@ -31,6 +33,33 @@ def test_identical_angles_identical_bits():
         a = turn_to_complex(t)
         b = turn_to_complex(t)
         assert a.real == b.real and a.imag == b.imag
+
+
+def _fraction_turn_reference(t: Fraction) -> complex:
+    """turn_to_complex with its quadrant reduction done in Fraction arithmetic."""
+    q, r = divmod(4 * t, 1)
+    quadrant = int(q) % 4
+    r_f = float(r) / 4.0
+    if r_f <= 0.125:
+        x = math.cos(2.0 * math.pi * r_f)
+        y = math.sin(2.0 * math.pi * r_f)
+    else:
+        s = 0.25 - r_f
+        x = math.sin(2.0 * math.pi * s)
+        y = math.cos(2.0 * math.pi * s)
+    return (complex(x, y), complex(-y, x), complex(-x, -y), complex(y, -x))[quadrant]
+
+
+@given(st.integers(-3 * 10**18, 3 * 10**18), st.integers(1, 10**18))
+@example(1, 4)
+@example(3, 8)
+@example(-1, 997)
+@example(163, 164506)
+def test_fraction_turn_matches_fraction_reduction_bitwise(p, q):
+    t = Fraction(p, q)
+    got, ref = turn_to_complex(t), _fraction_turn_reference(t)
+    # hex tells the signed zeros apart
+    assert (got.real.hex(), got.imag.hex()) == (ref.real.hex(), ref.imag.hex())
 
 
 def test_exact_power_is_modular():

@@ -1,6 +1,7 @@
 import math
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,6 +11,7 @@ from conftest import GOLDEN, SQRT2_M1, substitution_thue_morse
 from rrl_lab.dynamics import (
     FEIGENBAUM_C,
     UnimodalMap,
+    _series_values,
     feigenbaum_product,
     hecke_gamma_outer,
     hecke_outer_eval,
@@ -23,6 +25,7 @@ from rrl_lab.dynamics import (
     thue_morse,
 )
 from rrl_lab.errors import InsufficientDepth, ResonantGamma, ValidationError
+from rrl_lab.recipes import kneading_coeffs
 
 
 # ---------------------------------------------------------------- streams
@@ -326,6 +329,43 @@ def test_shallow_and_deep_results_agree(c, n):
         assert a1 <= b2 and a2 <= b1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3000), st.booleans(), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(0.0, 1.0 - 1e-9), min_size=1, max_size=4))
+@example(0, False, 0, [0.0, 0.5, 1.0 - 1e-9])  # K = 0: the value must be c_0 exactly
+@example(3000, True, 1, [0.999, 1.0 - 1e-9])
+@example(2, False, 2, [0.7])
+def test_series_values_within_gamma_k(n, unimodular, seed, rs):
+    # against 60-digit mpmath: |p_hat(r) - p(r)| <= gamma_K / (1 - r) for |c_k| <= 1
+    rng = np.random.default_rng(seed)
+    c = rng.choice([-1.0, 1.0], n + 1) if unimodular else rng.uniform(-1.0, 1.0, n + 1)
+    vals, k = _series_values(c, np.array(rs))
+    b = math.isqrt(n) + 1
+    assert k == 2 * b - 2 + (-(-(n + 1) // b) - 1) * (b + 1)
+    with mpmath.workdps(60):
+        u = mpmath.mpf(2) ** -53
+        gamma = k * u / (1 - k * u)
+        for r, v in zip(rs, vals):
+            exact = mpmath.polyval([mpmath.mpf(x) for x in c[::-1]], mpmath.mpf(r))
+            assert abs(mpmath.mpf(v) - exact) <= gamma / (1 - mpmath.mpf(r)), (n, r)
+
+
+# status and bracket as a plain Horner scan (np.polyval on all n + 1 terms) gives them, tol 1e-6
+@pytest.mark.parametrize("spec,n,status,bracket", [
+    ("tent", 2000, "zero", (0.49999999999999384, 0.5000000000000062)),
+    ("tent", 20000, "zero", (0.4999999999999939, 0.5000000000000061)),
+    ("quadratic:-1.75", 2000, "zero", (0.6180339887498792, 0.6180339887499104)),
+    ("quadratic:-1.75", 20000, "zero", (0.6180339887498794, 0.6180339887499103)),
+    ("quadratic", 2000, "no-zero", None),
+    ("quadratic", 20000, "no-zero", None),
+    ("feigenbaum-product", 2000, "no-zero", None),
+    ("feigenbaum-product", 20000, "no-zero", None),
+])
+def test_deep_scan_keeps_horner_results(spec, n, status, bracket):
+    res = smallest_real_zero(kneading_coeffs(spec, n).astype(float), 1e-6)
+    assert (res.status, res.bracket) == (status, bracket)
+
+
 def test_zero_hidden_by_tail_is_insufficient_depth():
     # 0.064 - r is certified + below about 0.06 and - beyond r_max = 0.0683;
     # between them |p| is under the tail bound, so the sign change is found
@@ -385,16 +425,16 @@ def test_feigenbaum_product_small():
 
 
 def test_feigenbaum_product_matches_convolution_oracle():
-    n = 31
-    poly = np.array([1.0])
-    step = 1
-    while step <= n:
-        factor = np.zeros(step + 1)
-        factor[0] = 1.0
-        factor[step] = -1.0
-        poly = np.convolve(poly, factor)
-        step *= 2
-    assert np.array_equal(feigenbaum_product(n), poly[: n + 1].astype(np.int64))
+    for n in range(1101):
+        poly = np.array([1], dtype=np.int64)
+        step = 1
+        while step <= n:
+            factor = np.zeros(step + 1, dtype=np.int64)
+            factor[0] = 1
+            factor[step] = -1
+            poly = np.convolve(poly, factor)
+            step *= 2
+        assert np.array_equal(feigenbaum_product(n), poly[: n + 1]), n
 
 
 def test_feigenbaum_product_equals_thue_morse_signs():
