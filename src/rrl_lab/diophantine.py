@@ -2,10 +2,10 @@
 and the polynomial balancedness machinery behind uniqueness of completion.
 
 Two constructions produce shifts k with lambda^k ~ 1 for all points of a
-finite set: factorials (roots of unity, exact) and a pigeonhole search on
-cell indices of the torus (general points).  The polynomial side measures
-how close a finite root set F is to a full set of roots of unity through
-the coefficient 1-norm of P_F(X) - (X^|F| - 1).
+finite set: factorials (roots of unity, exact) and the first shift into
+the pigeonhole corner cell of the torus (general points).  The polynomial
+side measures how close a finite root set F is to a full set of roots of
+unity through the coefficient 1-norm of P_F(X) - (X^|F| - 1).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cyclotomic as cyc
-from .circle import CirclePoint, frac_part, turn_to_complex
+from .circle import CirclePoint, frac_part
 from .errors import CapExceeded, DuplicateRoot, NotARoot, RrlLabError, ValidationError
 from .psp import PoleMeasure, moments
 
@@ -48,14 +48,6 @@ def factorial_shifts(j_max: int) -> list[int]:
     return out
 
 
-def _cell_index(point: CirclePoint, m: int, j: int) -> int:
-    """floor(j * {m * omega}) computed exactly for rational angles."""
-    if point.is_exact:
-        p, q = point.angle.numerator, point.angle.denominator
-        return (j * ((m * p) % q)) // q
-    return int(j * frac_part(point.angle * m))
-
-
 def _one_sided_ok(points: Sequence[CirclePoint], k: int, j: int) -> bool:
     """Check {k * omega_r} in [0, 1/j) for every point."""
     for p in points:
@@ -70,14 +62,14 @@ def _one_sided_ok(points: Sequence[CirclePoint], k: int, j: int) -> bool:
 
 
 def pigeonhole_shift(lambdas: Sequence[CirclePoint], j: int) -> int:
-    """Shift k >= 1 with {k * omega_r} in [0, 1/j) for the first min(j, len) points.
+    """Smallest shift k >= 1 with {k * omega_r} in [0, 1/j) for the first min(j, len) points.
 
-    Scans m = 0, 1, 2, ... hashing the cell multi-index
-    (floor(j*{m*omega_r}))_r; every collision m' > m proposes k = m' - m,
-    which is returned once the one-sided cell condition verifies.  A raw
-    collision only guarantees the two-sided |{k*omega}| < 1/j, so the scan
-    keeps going past failing pairs; any valid k eventually collides with
-    m = 0 in the corner cell, which passes by construction.
+    This is the k a pigeonhole scan over the cells (floor(j*{m*omega_r}))_r
+    returns when it verifies each same-cell pair m < m' as k = m' - m: every
+    k it returns passes the one-sided check, and the smallest passing k lies
+    in the corner cell of m = 0, so it is found there first.  For float
+    angles that rests on int(j * f) = 0 for every f < 1.0 / j, which holds
+    for j <= PIGEONHOLE_J_CAP.
     """
     if j < 1:
         raise ValidationError("j must be >= 1")
@@ -86,15 +78,9 @@ def pigeonhole_shift(lambdas: Sequence[CirclePoint], j: int) -> int:
     if not lambdas:
         raise ValidationError("need at least one point")
     pts = list(lambdas)[: min(j, len(lambdas))]
-    seen: dict[tuple[int, ...], int] = {}
-    for m in range(PIGEONHOLE_MAX_SCAN):
-        key = tuple(_cell_index(p, m, j) for p in pts)
-        if key in seen:
-            k = m - seen[key]
-            if _one_sided_ok(pts, k, j):
-                return k
-        else:
-            seen[key] = m
+    for k in range(1, PIGEONHOLE_MAX_SCAN):
+        if _one_sided_ok(pts, k, j):
+            return k
     raise CapExceeded(f"no one-sided shift found within {PIGEONHOLE_MAX_SCAN} scan steps")
 
 
@@ -192,46 +178,51 @@ def _divide_root(coeffs: np.ndarray, root: complex) -> np.ndarray:
     return out
 
 
-def _split_on_unit_roots(pts: list[CirclePoint]
-                         ) -> tuple[list[int], list[CirclePoint]] | None:
-    """(r of the N-th roots zeta_N^r missing from F, points of F off R_N), N = |F|,
-    when more than half of F lies on R_N; None otherwise.
+def _coeffs(pts: list[CirclePoint], divisor: CirclePoint | None = None) -> np.ndarray:
+    """Coefficients of P_F, or of P_F / (X - divisor), for sorted distinct F.
 
-    A point lies on R_N only if it is exact and its order divides N.  Both
-    lists have the same length, because |F| = |R_N|.
+    A point lies on R_N (N = |F|) only if it is exact and its order divides
+    N.  When more than half of F does, the plan is X^N - 1 divided by
+    (X - zeta) for each root of R_N missing from F, in ascending order, then
+    multiplied by (X - mu) for each point of F off R_N (as many), in angle
+    order; any other set is multiplied out in angle order.  The plan runs in
+    Z[zeta_L] when every angle is exact, in complex floats otherwise.
     """
     n = len(pts)
-    on: set[int] = set()
+    on = bytearray(n)  # on[r] = 1 when zeta_N^r is in F
     off = []
     for p in pts:
         if p.is_exact and n % p.angle.denominator == 0:
-            on.add(p.angle.numerator * (n // p.angle.denominator))
+            on[p.angle.numerator * (n // p.angle.denominator)] = 1
         else:
             off.append(p)
-    if 2 * len(on) <= n:
-        return None
-    return [r for r in range(n) if r not in on], off
-
-
-def _exact_coeffs(pts: list[CirclePoint]) -> tuple[list[dict[int, int]], int] | None:
-    """Z[zeta_L] coefficients of P_F and L, or None if some root is a float."""
+    split = 2 * len(off) < n
+    missing = [CirclePoint(Fraction(r, n)) for r in range(n) if not on[r]] if split else []
     exact = cyc.exact_exponents(pts)
     if exact is None:
-        return None
-    exps, lcm = exact
-    split = _split_on_unit_roots(pts)
-    if split is None:
-        return cyc.product_from_roots(exps, lcm), lcm
-    # more than half of F is on R_N, so the orders on it have lcm N and N | L
-    missing, off = split
-    n = len(pts)
-    step = lcm // n
-    coeffs = [{0: -1}] + [{} for _ in range(n - 1)] + [{0: 1}]  # X^N - 1
-    for r in missing:
-        coeffs = cyc.synthetic_div_root(coeffs, r * step, lcm)
+        def div(c, p): return _divide_root(c, p.value())
+        def mul(c, p): return np.convolve(c, np.array([-p.value(), 1.0 + 0j]))
+        def values(c): return c
+        coeffs = balance_target(n) if split else np.array([1.0 + 0j])
+        off = off if split else pts
+    else:
+        exps, lcm = exact
+        def e(p): return p.angle.numerator * (lcm // p.angle.denominator)
+        def div(c, p): return cyc.synthetic_div_root(c, e(p), lcm)
+        def mul(c, p): return cyc.mul_root(c, e(p), lcm)
+        def values(c): return np.array([cyc.to_complex(x, lcm) for x in c])
+        if split:  # the orders on R_N have lcm N, so N | L
+            coeffs = [{0: -1}] + [{} for _ in range(n - 1)] + [{0: 1}]  # X^N - 1
+        else:
+            coeffs, off = cyc.product_from_roots(exps, lcm), []
+        del exact, exps  # N ints that no later step reads
+    for p in missing:
+        coeffs = div(coeffs, p)
     for p in off:
-        coeffs = cyc.mul_root(coeffs, p.angle.numerator * (lcm // p.angle.denominator), lcm)
-    return coeffs, lcm
+        coeffs = mul(coeffs, p)
+    if divisor is not None:
+        coeffs = div(coeffs, divisor)
+    return values(coeffs)
 
 
 def poly_from_roots(points: Sequence[CirclePoint]) -> CPoly:
@@ -246,24 +237,7 @@ def poly_from_roots(points: Sequence[CirclePoint]) -> CPoly:
     of the orders), so coefficients that cancel are exactly 0.0, rational
     coefficients are exact, and either route gives the same bits.
     """
-    pts = _sorted_distinct(points)
-    exact = _exact_coeffs(pts)
-    if exact is not None:
-        elements, lcm = exact
-        return CPoly(np.array([cyc.to_complex(e, lcm) for e in elements]))
-    split = _split_on_unit_roots(pts)
-    if split is None:
-        coeffs = np.array([1.0 + 0j])
-        off = pts
-    else:
-        missing, off = split
-        n = len(pts)
-        coeffs = balance_target(n)
-        for r in missing:
-            coeffs = _divide_root(coeffs, turn_to_complex(Fraction(r, n)))
-    for p in off:
-        coeffs = np.convolve(coeffs, np.array([-p.value(), 1.0 + 0j]))
-    return CPoly(coeffs)
+    return CPoly(_coeffs(_sorted_distinct(points)))
 
 
 def q_poly(point: CirclePoint, points: Sequence[CirclePoint]) -> CPoly:
@@ -275,13 +249,7 @@ def q_poly(point: CirclePoint, points: Sequence[CirclePoint]) -> CPoly:
     pts = _sorted_distinct(points)
     if all(point.angle != p.angle for p in pts):
         raise NotARoot(f"{point} is not in the root set")
-    exact = _exact_coeffs(pts)
-    if exact is not None:
-        elements, lcm = exact
-        e_lam = point.angle.numerator * (lcm // point.angle.denominator)
-        quotient = cyc.synthetic_div_root(elements, e_lam, lcm)
-        return CPoly(np.array([cyc.to_complex(e, lcm) for e in quotient]))
-    return CPoly(_divide_root(poly_from_roots(pts).coeffs, point.value()))
+    return CPoly(_coeffs(pts, point))
 
 
 def balance_target(m: int) -> np.ndarray:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import SQRT2_M1, SQRT3_M1
 from rrl_lab.circle import CirclePoint, roots_of_unity
@@ -84,6 +86,31 @@ def test_pigeonhole_caps():
         pigeonhole_shift([CirclePoint.real(0.3)], 9)
     with pytest.raises(ValidationError):
         pigeonhole_shift([], 2)
+
+
+def _one_sided(angle, k: int, j: int) -> bool:
+    """{k * angle} < 1/j: Fraction arithmetic for exact angles, the float
+    fractional part with its 1e-13 snap to 0 otherwise."""
+    if isinstance(angle, Fraction):
+        return (k * angle) % 1 < Fraction(1, j)
+    f = (angle * k) % 1.0
+    return (0.0 if f > 1.0 - 1e-13 else f) < 1.0 / j
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(
+           st.builds(Fraction, st.integers(0, 11), st.integers(1, 12)).map(CirclePoint),
+           st.floats(0.0, 1.0, exclude_max=True).map(CirclePoint.real)),
+       min_size=1, max_size=4),
+       st.integers(1, 5))
+def test_pigeonhole_returns_the_smallest_one_sided_shift(points, j):
+    angles = [p.angle for p in points[:j]]
+    # a float angle near a rational can push the first shift past any scan
+    # this oracle can afford; such draws are skipped, not truncated
+    k = next((k for k in range(1, 20_000)
+              if all(_one_sided(a, k, j) for a in angles)), None)
+    assume(k is not None)
+    assert pigeonhole_shift(points, j) == k
 
 
 # ---------------------------------------------------------------- dirichlet

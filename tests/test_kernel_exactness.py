@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from rrl_lab.boundary import arc_l1_growth, radial_blowup
 from rrl_lab.circle import CirclePoint, turn_to_complex
-from rrl_lab.diophantine import moment_sequence
+from rrl_lab.diophantine import PIGEONHOLE_J_CAP, moment_sequence
 from rrl_lab.errors import PoleCollision, ValidationError
 from rrl_lab.psp import (
     PoleMeasure,
@@ -242,6 +242,15 @@ def test_numpy_trig_equals_math_on_first_octant():
     for np_fn, math_fn in ((np.cos, math.cos), (np.sin, math.sin)):
         want = np.array([math_fn(v) for v in x.tolist()])
         assert np.array_equal(np_fn(x).view(np.uint64), want.view(np.uint64))
+
+
+def test_float_below_one_over_j_stays_in_cell_zero():
+    # pigeonhole_shift scans {k * omega} < 1.0 / j, which equals the cell
+    # scan's corner cell floor(j * {k * omega}) = 0 only if j * f rounds
+    # below 1 for every float f < 1.0 / j; rounded products are monotone in
+    # f, so the largest such f decides
+    for j in range(1, PIGEONHOLE_J_CAP + 1):
+        assert int(j * math.nextafter(1.0 / j, 0.0)) == 0
 
 
 def test_numpy_hypot_equals_complex_abs():

@@ -6,7 +6,8 @@ R_N.  The oracles here expand prod (X - mu) over all of F in angle order:
 in Z[zeta_L] for exact sets (compared bit for bit) and in mpmath for float
 and mixed sets.  The float angle-order np.convolve expansion is no oracle
 past N ~ 20: on R_40 its coefficients are off by 7e-8, because its partial
-products reach 5e4.
+products reach 5e4.  Float and mixed sets are also compared bit for bit
+with the float plan restated here, on both routes and for q_poly.
 """
 
 import math
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from rrl_lab import cyclotomic as cyc
 from rrl_lab import diophantine
-from rrl_lab.circle import CirclePoint, roots_of_unity
+from rrl_lab.circle import CirclePoint, roots_of_unity, turn_to_complex
 from rrl_lab.diophantine import (
     balance_completion,
     is_eps_balanced,
@@ -109,6 +110,60 @@ def test_float_and_mixed_division_path_matches_the_expansion(points):
     got = poly_from_roots(points).coeffs
     want = mp_oracle(points, 30)
     assert max(abs(complex(g) - w) for g, w in zip(got, want)) <= 1e-12
+
+
+def divide_root(coeffs, root) -> np.ndarray:
+    """Quotient of P(X) / (X - root), remainder dropped."""
+    out = np.zeros(len(coeffs) - 1, dtype=complex)
+    carry = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        out[k] = carry
+        carry = coeffs[k] + root * carry
+    return out
+
+
+def float_plan(points, divisor=None) -> np.ndarray:
+    """The float plan for P_F (or P_F / (X - divisor)), restated: X^N - 1
+    divided by each missing N-th root in ascending r, then times (X - mu)
+    for each point off R_N in angle order, when more than half of F is on
+    R_N; the angle-order product otherwise."""
+    pts = in_angle_order(points)
+    n = len(pts)
+    on = {int(p.angle * n) for p in pts if p.is_exact and (p.angle * n).denominator == 1}
+    if 2 * len(on) > n:
+        coeffs = np.zeros(n + 1, dtype=complex)
+        coeffs[0], coeffs[n] = -1.0, 1.0
+        for r in range(n):
+            if r not in on:
+                coeffs = divide_root(coeffs, turn_to_complex(Fraction(r, n)))
+        off = [p for p in pts if not (p.is_exact and (p.angle * n).denominator == 1)]
+    else:
+        coeffs, off = np.array([1.0 + 0j]), pts
+    for p in off:
+        coeffs = np.convolve(coeffs, np.array([-p.value(), 1.0 + 0j]))
+    return coeffs if divisor is None else divide_root(coeffs, divisor.value())
+
+
+@st.composite
+def generic_mixed_sets(draw):
+    """Up to 10 distinct points, exact p/q (q <= 12) or float, at least one float."""
+    points = draw(st.lists(st.one_of(
+        st.builds(Fraction, st.integers(0, 11), st.integers(1, 12)).map(CirclePoint),
+        st.floats(0.0, 1.0, exclude_max=True).map(CirclePoint.real)),
+        min_size=1, max_size=10, unique_by=lambda p: p.angle))
+    if all(p.is_exact for p in points):
+        points.append(draw(st.floats(0.0, 1.0, exclude_max=True).map(CirclePoint.real)
+                           .filter(lambda p: all(p.angle != q.angle for q in points))))
+    return points
+
+
+@SETTINGS
+@given(st.one_of(division_path_sets(exact_only=False, max_missing=3), generic_mixed_sets())
+       .filter(lambda pts: not all(p.is_exact for p in pts)), st.data())
+def test_float_and_mixed_routes_are_bitwise_the_plan(points, data):
+    assert np.array_equal(bits(poly_from_roots(points).coeffs), bits(float_plan(points)))
+    lam = data.draw(st.sampled_from(points))
+    assert np.array_equal(bits(q_poly(lam, points).coeffs), bits(float_plan(points, lam)))
 
 
 @SETTINGS
