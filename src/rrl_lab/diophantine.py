@@ -244,12 +244,15 @@ def q_poly(point: CirclePoint, points: Sequence[CirclePoint]) -> CPoly:
     """Q(X) = P_F(X) / (X - lambda) for lambda in F (synthetic division).
 
     Exact root sets divide in Z[zeta_L]; Q(lambda) then equals P_F'(lambda)
-    up to float rounding (exactly, for exact sets).
+    up to float rounding (exactly, for exact sets).  The divisor is the
+    member of F at lambda's angle, so a float lambda equal to an exact
+    member divides as that member.
     """
     pts = _sorted_distinct(points)
-    if all(point.angle != p.angle for p in pts):
+    member = next((p for p in pts if p.angle == point.angle), None)
+    if member is None:
         raise NotARoot(f"{point} is not in the root set")
-    return CPoly(_coeffs(pts, point))
+    return CPoly(_coeffs(pts, member))
 
 
 def balance_target(m: int) -> np.ndarray:

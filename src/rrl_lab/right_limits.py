@@ -15,11 +15,21 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ValidationError
+from .errors import CapExceeded, ValidationError
 from .psp import PoleMeasure, moments
 from .psp import taylor_coefficient  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .streams import CoeffStream
+
+# shifts per block of the search: one stream read of SEARCH_BLOCK + 2W values
+SEARCH_BLOCK = 1 << 16
+# largest k_max searched: about 30 s of n = 0 passes on a desk machine
+SEARCH_K_CAP = 10**9
+# values the search may hold at once, one block read plus the hits' windows
+# (8 B each for a real stream, 16 B for a complex one; the windows are
+# concatenated once at the end)
+SEARCH_CELLS_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,13 @@ def renascent_shift_search(a: CoeffStream, half_width: int, k_max: int,
     Each hit carries its induced two-sided window b_n := a_{n+k},
     -W <= n <= W.  An empty report is a valid outcome: it is evidence (not
     proof) that no renascent right limit exists.
+
+    Shifts are scanned in blocks of SEARCH_BLOCK, each read from the stream
+    with its 2W neighbours, so the search holds one block plus the hits'
+    windows: SEARCH_BLOCK + 2W + hits*(2W+1) values, whatever K_max is.
+    K_max above SEARCH_K_CAP, or a count above SEARCH_CELLS_CAP (checked
+    before the scan and before each block's windows are kept), is
+    CapExceeded.
     """
     w = int(half_width)
     if w < 1:
@@ -88,19 +105,44 @@ def renascent_shift_search(a: CoeffStream, half_width: int, k_max: int,
         raise ValidationError("k_max must exceed half_width")
     if not tol >= 0:
         raise ValidationError("tol must be >= 0")
-    arr = a.take(k_max + w + 1)
-    # n = 0 over every shift, then n = 1 .. W over the survivors only: the
-    # residual max_n |a_{n+k} - a_n| is the same in any order
-    residuals = np.abs(arr[w + 1 : k_max + 1] - arr[0])
-    cand = np.flatnonzero(residuals <= tol) + (w + 1)
-    residuals = residuals[cand - (w + 1)]
-    for n in range(1, w + 1):
-        d = np.abs(arr[cand + n] - arr[n])
-        keep = d <= tol
-        cand, residuals = cand[keep], np.maximum(residuals[keep], d[keep])
-    values = np.lib.stride_tricks.sliding_window_view(arr, 2 * w + 1)[cand - w]
+    if k_max > SEARCH_K_CAP:
+        raise CapExceeded(f"k_max = {k_max} exceeds cap {SEARCH_K_CAP}")
+    span = 2 * w + 1
+    cells = SEARCH_BLOCK + 2 * w
+    if cells > SEARCH_CELLS_CAP:
+        raise CapExceeded(f"a block of the search holds {cells} values, over the "
+                          f"cap {SEARCH_CELLS_CAP}")
+    head = a.take(w + 1)
+    shifts, residuals, values = [], [], []
+    for lo in range(w + 1, k_max + 1, SEARCH_BLOCK):
+        size = min(SEARCH_BLOCK, k_max + 1 - lo)
+        block = a.take(size + 2 * w, start=lo - w)  # block[i + W + n] = a_{lo+i+n}
+        # n = 0 over every shift of the block, then the survivors only, c
+        # values of n at a time with c * survivors <= size (one pass per n
+        # would cost blocks * W numpy calls): the residual
+        # max_n |a_{n+k} - a_n| is the same in any order
+        res = np.abs(block[w : w + size] - head[0])
+        cand = np.flatnonzero(res <= tol)
+        res = res[cand]
+        n = 1
+        while n <= w and cand.size:
+            c = min(w + 1 - n, max(1, size // cand.size))
+            d = np.abs(sliding_window_view(block, c)[cand + (w + n)] - head[n : n + c])
+            d = d.max(axis=1)
+            keep = d <= tol
+            cand, res = cand[keep], np.maximum(res[keep], d[keep])
+            n += c
+        cells += cand.size * span
+        if cells > SEARCH_CELLS_CAP:
+            raise CapExceeded(f"the windows of the shifts up to {lo + size - 1} "
+                              f"bring the search to {cells} values, over the cap "
+                              f"{SEARCH_CELLS_CAP}")
+        shifts.append(cand + lo)
+        residuals.append(res)
+        values.append(sliding_window_view(block, span)[cand])
     return ShiftReport(half_width=w, k_max=int(k_max), tol=float(tol),
-                       shifts=cand.tolist(), residuals=residuals, values=values)
+                       shifts=np.concatenate(shifts).tolist(),
+                       residuals=np.concatenate(residuals), values=np.concatenate(values))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ class CoeffStream:
 
     ``rule`` maps an integer index array to the coefficients at those
     indices, elementwise.  ``take`` and ``a`` both read through it, so a
-    single coefficient is bit-identical to the same entry of a prefix.
+    single coefficient, or a slice read from any start, is bit-identical
+    to the same entries of a prefix.
     A real rule's output is read as float64 (ints and bools cast), a
     complex one as complex128.  Every value read is checked against the
     declared bound; a NaN fails the check.
@@ -47,9 +48,11 @@ class CoeffStream:
             raise ValidationError("stream index must be >= 0")
         return complex(self._read(np.array([k]))[0])
 
-    def take(self, n: int) -> np.ndarray:
-        """Materialize a_0 .. a_{n-1} (float64 for a real rule, else complex)."""
-        return self._read(np.arange(n))
+    def take(self, n: int, start: int = 0) -> np.ndarray:
+        """Materialize a_start .. a_{start+n-1} (float64 for a real rule, else complex)."""
+        if start < 0:
+            raise ValidationError("stream index must be >= 0")
+        return self._read(np.arange(start, start + n))
 
     def __repr__(self) -> str:
         return f"CoeffStream({self.name!r}, bound={self.bound})"

@@ -174,6 +174,10 @@ def test_unparsable_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     ["run", "--recipe", "psp-rrl", "--shifts", "factorial:1700"],
     # L is a product of two primes near 1e9: trial division stops at 1e5
     ["balance", "--angles", "1/1000000007,499122177/998244353"],
+    # the right-limit search: k_max over SEARCH_K_CAP, and a block read of
+    # SEARCH_BLOCK + 2W values over SEARCH_CELLS_CAP
+    ["run", "--recipe", "hecke-unique", "--k-max", "1000000000000"],
+    ["run", "--recipe", "hecke-two", "--w", "100000000", "--k-max", "100000001"],
 ])
 def test_caps_exit_3(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -201,6 +201,13 @@ def test_q_poly_requires_membership():
         q_poly(CirclePoint.exact(1, 8), roots_of_unity(3))
 
 
+def test_q_poly_float_lambda_divides_as_its_exact_member():
+    # 0.5 == 1/2, so lambda is in F; the exact plan divides by the member
+    exact = [CirclePoint(Fraction(0)), CirclePoint(Fraction(1, 2))]
+    q = q_poly(CirclePoint.real(0.5), exact)
+    assert list(q.coeffs) == list(q_poly(exact[1], exact).coeffs) == [-1.0, 1.0]
+
+
 def test_q_poly_equals_derivative_at_root():
     rng = np.random.default_rng(47)
     for _ in range(10):

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +14,12 @@ from hypothesis import strategies as st
 from conftest import GOLDEN
 from rrl_lab.circle import CirclePoint
 from rrl_lab.dynamics import hecke_stream
-from rrl_lab.errors import ValidationError
+from rrl_lab.errors import CapExceeded, ValidationError
 from rrl_lab.psp import PoleMeasure, psp_eval, uniform_roots_measure
 from rrl_lab.right_limits import (
+    SEARCH_BLOCK,
+    SEARCH_CELLS_CAP,
+    SEARCH_K_CAP,
     generating_functions,
     renascent_shift_search,
     report_to_csv,
@@ -19,6 +27,8 @@ from rrl_lab.right_limits import (
     window_cluster,
 )
 from rrl_lab.streams import CoeffStream, from_values, partial_sum, periodic, preperiodic
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_periodic_search_finds_exact_multiples():
@@ -60,6 +70,27 @@ def test_search_validates_inputs():
         renascent_shift_search(s, 5, 10, -0.1)
     with pytest.raises(ValidationError):  # not an empty report
         renascent_shift_search(s, 3, 30, math.nan)
+
+
+def test_search_caps_refuse_before_reading():
+    def unread(ks):
+        raise AssertionError("the stream was read")
+
+    s = CoeffStream("unread", unread, 1.0)
+    with pytest.raises(CapExceeded):
+        renascent_shift_search(s, 10, SEARCH_K_CAP + 1, 0.1)
+    # one block read of SEARCH_BLOCK + 2W values is already over the cells cap
+    w = (SEARCH_CELLS_CAP - SEARCH_BLOCK) // 2 + 1
+    with pytest.raises(CapExceeded):
+        renascent_shift_search(s, w, w + 1, 0.1)
+
+
+def test_search_windows_cap():
+    # every shift is a hit: the windows pass the cells cap after a few blocks
+    w = 20
+    with pytest.raises(CapExceeded):
+        renascent_shift_search(periodic([1.0]), w, SEARCH_CELLS_CAP // (2 * w + 1) + w,
+                               math.inf)
 
 
 def test_monotonicity_in_tol_and_width():
@@ -253,13 +284,18 @@ def as_complex(stream):
                        stream.bound)
 
 
-def search_peak(stream, w, k_max):
+def traced_search(stream, w, k_max, tol):
+    """(report, traced peak bytes) of one search."""
     tracemalloc.start()
     try:
-        renascent_shift_search(stream, w, k_max, 1e-2)
-        return tracemalloc.get_traced_memory()[1]
+        report = renascent_shift_search(stream, w, k_max, tol)
+        return report, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def search_peak(stream, w, k_max):
+    return traced_search(stream, w, k_max, 1e-2)[1]
 
 
 @pytest.mark.parametrize("w", [10, 40])
@@ -376,3 +412,100 @@ def test_window_index_outside_half_width_rejected():
     for n in (-3, 3, -100):
         with pytest.raises(ValidationError):
             w[n]
+
+
+# -- block edges: hits on the first and last shift of a block ---------------
+
+
+def search_matches_oracle(stream, w, k_max, tol):
+    report = renascent_shift_search(stream, w, k_max, tol)
+    hits = oracle_search(stream, w, k_max, tol)
+    assert report.shifts == [k for k, _, _ in hits]
+    assert np.array_equal(bits(report.residuals), bits([r for _, r, _ in hits]))
+    assert np.array_equal(bits(report.values), bits(np.array([v for _, _, v in hits])))
+    return report
+
+
+@pytest.mark.parametrize("cycle", [[0.0, 1.0, 0.5, -1.0], [1j, 0.25, -1.0, 0.5 + 0.5j]])
+@pytest.mark.parametrize("w", [3, 4])
+@pytest.mark.parametrize("blocks", [3, 3.5])
+def test_search_across_blocks_matches_oracle(cycle, w, blocks):
+    # period 4 divides SEARCH_BLOCK, and block j scans (W + j B, W + (j+1) B],
+    # so the hits (the multiples of 4) land on the first shift of every
+    # block when W = 3 and on the last when W = 4
+    k_max = w + int(blocks * SEARCH_BLOCK)
+    report = search_matches_oracle(periodic(cycle), w, k_max, 0.0)
+    edges = [w + 1 + j * SEARCH_BLOCK if w == 3 else w + (j + 1) * SEARCH_BLOCK
+             for j in range(3)]
+    assert set(edges) <= set(report.shifts)
+
+
+def test_shifted_rotation_search_across_blocks_matches_oracle():
+    report = search_matches_oracle(hecke_stream(GOLDEN, GOLDEN), 10, 3 * SEARCH_BLOCK + 500,
+                                   5e-3)
+    assert report.shifts[-1] > 2 * SEARCH_BLOCK
+    assert len(window_cluster(report, 2 * 5e-3)) == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, 2.0])
+def test_bad_coefficient_in_last_block_rejected(bad):
+    w, k_max = 5, 3 * SEARCH_BLOCK + 100
+    last = k_max + w  # the last index the search reads
+
+    def rule(ks):
+        return np.where(ks == last, bad, 0.0)
+
+    with pytest.raises(ValidationError):
+        renascent_shift_search(CoeffStream("late", rule, 1.0), w, k_max, 0.1)
+
+
+# -- memory follows the block and the hits, not k_max -----------------------
+
+
+@pytest.mark.parametrize("cast", [lambda s: s, as_complex], ids=["real", "complex"])
+def test_search_memory_follows_block_and_hits(cast):
+    w, tol = 10, 1e-4  # about one hit per 10^4 shifts
+    stream = cast(hecke_stream(GOLDEN))
+    small, peak_small = traced_search(stream, w, 200_000, tol)
+    large, peak_large = traced_search(stream, w, 2_000_000, tol)
+    size = large.values.itemsize
+    # a hit holds its window, residual and shift twice (per block, then
+    # concatenated) and a Python int in the shift list
+    per_hit = 2 * ((2 * w + 1) * size + 16) + 40
+    assert len(small) < len(large) < 1000
+    assert peak_large <= 5 * size * SEARCH_BLOCK + per_hit * len(large)
+    assert peak_large - peak_small <= per_hit * (len(large) - len(small))
+
+
+def search_under_512_mb(stream: str, w: int, k_max: int, tol: str
+                        ) -> subprocess.CompletedProcess:
+    """The search in a subprocess capped at 512 MB of address space, so a
+    regression is a MemoryError, not a machine-wide out-of-memory."""
+    script = textwrap.dedent(f"""
+        import math, resource, sys
+        limit = 1 << 29  # 512 MB
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        from rrl_lab.dynamics import hecke_stream
+        from rrl_lab.errors import CapExceeded
+        from rrl_lab.right_limits import renascent_shift_search
+        from rrl_lab.streams import CoeffStream
+        try:
+            renascent_shift_search({stream}, {w}, {k_max}, {tol})
+        except CapExceeded as exc:
+            print(exc)
+            sys.exit(3)
+    """)
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_every_shift_a_hit_exits_3_under_a_memory_limit():
+    # at tol = inf all 5e6 shifts are hits: 1.7e9 bytes of complex windows
+    # without the cells cap
+    stream = ("CoeffStream('c', lambda ks: hecke_stream(0.5 ** 0.5).rule(ks)"
+              ".astype(complex), 1.0)")
+    proc = search_under_512_mb(stream, 10, 5_000_000, "math.inf")
+    assert proc.returncode == 3, proc.stderr
+    assert "over the cap" in proc.stdout

@@ -54,6 +54,8 @@ def test_negative_index_rejected():
     s = periodic([1.0])
     with pytest.raises(ValidationError):
         s.a(-1)
+    with pytest.raises(ValidationError):
+        s.take(3, start=-1)
 
 
 def test_from_values_pads_with_zeros():
@@ -92,6 +94,8 @@ def test_single_read_matches_prefix_bitwise(stream, n, data):
     prefix = stream.take(n)
     k = data.draw(st.integers(0, n - 1))
     assert np.array_equal(bits([stream.a(k)]), bits(prefix[k : k + 1]))
+    # a slice read from k: the blocks of the right-limit search
+    assert np.array_equal(bits(stream.take(n - k, start=k)), bits(prefix[k:]))
 
 
 def test_hecke_stream_single_reads_are_unsnapped():
