@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 from .errors import ValidationError
 
 Angle = Union[Fraction, float]
@@ -35,6 +37,28 @@ def frac_part(x: float) -> float:
     if f > 1.0 - FRAC_SNAP:
         return 0.0
     return f
+
+
+def frac_array(x: np.ndarray) -> np.ndarray:
+    """Overwrite a float64 array with its fractional parts x - floor(x); return it.
+
+    Unsnapped, and bit-equal to ``np.mod(x, 1.0)`` and to Python's
+    ``x % 1.0`` for every finite x, at a fraction of np.mod's cost.  Both
+    of those take m = fmod(x, 1) = x - trunc(x), which is exact, then:
+
+    * x >= 0: the result is m.  Here x - floor(x) = x - trunc(x) is exact
+      too (Sterbenz: floor(x) is 0 or within [x/2, x]).
+    * x < 0, not an integer: the result is fl(m + 1), one rounding of the
+      real x - trunc(x) + 1 = x - floor(x), which the subtraction here
+      also rounds once.
+    * x an integer (zero included): m = 0 becomes +0.0, and x - x is +0.0
+      under round-to-nearest, also for x = -0.0.
+
+    A non-finite x gives NaN on every path (floor(+-inf) = +-inf).
+    ``tests/test_kernel_exactness.py`` pins the equality.
+    """
+    x -= np.floor(x)
+    return x
 
 
 def turn_to_complex(t: Angle) -> complex:

@@ -19,14 +19,19 @@ from typing import Sequence
 import numpy as np
 
 from . import cyclotomic as cyc
-from .circle import CirclePoint, frac_part
+from .circle import FRAC_SNAP, CirclePoint, frac_array, frac_part
 from .errors import CapExceeded, DuplicateRoot, NotARoot, RrlLabError, ValidationError
 from .psp import PoleMeasure, moments
 
 PIGEONHOLE_J_CAP = 8
 # 1000! has 2568 digits, inside CPython's 4300-digit int -> str limit
 FACTORIAL_J_CAP = 1000
-PIGEONHOLE_MAX_SCAN = 5_000_000
+# the one-sided corner cell has measure j^-j: 2**27 is 8 times 8^8, the
+# expected first shift at j = 8 on 8 generic float points
+PIGEONHOLE_MAX_SCAN = 1 << 27
+# shifts per block of the pigeonhole scan: the first, and the cap of the doubling
+PIGEONHOLE_FIRST_BLOCK = 1 << 5
+PIGEONHOLE_BLOCK = 1 << 15
 BALANCE_M_CAP = 3
 BALANCE_N_CAP = 10**6
 
@@ -48,17 +53,20 @@ def factorial_shifts(j_max: int) -> list[int]:
     return out
 
 
-def _one_sided_ok(points: Sequence[CirclePoint], k: int, j: int) -> bool:
-    """Check {k * omega_r} in [0, 1/j) for every point."""
-    for p in points:
-        if p.is_exact:
-            pp, q = p.angle.numerator, p.angle.denominator
-            if j * ((k * pp) % q) >= q:
-                return False
-        else:
-            if frac_part(p.angle * k) >= 1.0 / j:
-                return False
-    return True
+def _in_corner(p: CirclePoint, ks: np.ndarray, j: int) -> np.ndarray:
+    """Mask of the shifts k in ks with {k * omega} in [0, 1/j).
+
+    Exact points test the residue (k * p) mod q, in int64 when
+    q * PIGEONHOLE_MAX_SCAN <= 2**63 (the scan's k < PIGEONHOLE_MAX_SCAN and
+    p < q, so k * p fits) and in Python ints otherwise; float points test the
+    fractional part with CirclePoint's snap of FRAC_SNAP to 0.
+    """
+    if p.is_exact:
+        pp, q = p.angle.numerator, p.angle.denominator
+        r = (ks if q * PIGEONHOLE_MAX_SCAN <= 2**63 else ks.astype(object)) * pp % q
+        return j * r < q
+    f = frac_array(p.angle * ks)
+    return (f < 1.0 / j) | (f > 1.0 - FRAC_SNAP)
 
 
 def pigeonhole_shift(lambdas: Sequence[CirclePoint], j: int) -> int:
@@ -70,6 +78,10 @@ def pigeonhole_shift(lambdas: Sequence[CirclePoint], j: int) -> int:
     in the corner cell of m = 0, so it is found there first.  For float
     angles that rests on int(j * f) = 0 for every f < 1.0 / j, which holds
     for j <= PIGEONHOLE_J_CAP.
+
+    The shifts k < PIGEONHOLE_MAX_SCAN are scanned in blocks that double
+    from PIGEONHOLE_FIRST_BLOCK to PIGEONHOLE_BLOCK; each point in turn keeps
+    the block's shifts that pass for it, so the first survivor is the answer.
     """
     if j < 1:
         raise ValidationError("j must be >= 1")
@@ -78,9 +90,15 @@ def pigeonhole_shift(lambdas: Sequence[CirclePoint], j: int) -> int:
     if not lambdas:
         raise ValidationError("need at least one point")
     pts = list(lambdas)[: min(j, len(lambdas))]
-    for k in range(1, PIGEONHOLE_MAX_SCAN):
-        if _one_sided_ok(pts, k, j):
-            return k
+    lo, size = 1, PIGEONHOLE_FIRST_BLOCK
+    while lo < PIGEONHOLE_MAX_SCAN:
+        ks = np.arange(lo, min(lo + size, PIGEONHOLE_MAX_SCAN))
+        for p in pts:
+            ks = ks[_in_corner(p, ks, j)]
+        if ks.size:
+            return int(ks[0])
+        lo += size
+        size = min(2 * size, PIGEONHOLE_BLOCK)
     raise CapExceeded(f"no one-sided shift found within {PIGEONHOLE_MAX_SCAN} scan steps")
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circle import frac_part
+from .circle import frac_array, frac_part
 from .errors import InsufficientDepth, ResonantGamma, ValidationError
 from .streams import CoeffStream
 
@@ -22,7 +22,7 @@ FEIGENBAUM_C = -1.401155189  # quadratic parameter at the period-doubling limit
 
 
 def hecke_stream(theta: float, gamma: float = 0.0) -> CoeffStream:
-    """Real stream a_k = {gamma + k*theta} (``np.mod``, unsnapped), bound 1.
+    """Real stream a_k = {gamma + k*theta} (``circle.frac_array``, unsnapped), bound 1.
 
     An overflowing k*theta reads as NaN, quietly: the bound check rejects it.
     """
@@ -31,7 +31,9 @@ def hecke_stream(theta: float, gamma: float = 0.0) -> CoeffStream:
 
     def rule(ks: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.mod(ga + ks * th, 1.0)
+            x = ks * th
+            x += ga
+            return frac_array(x)
 
     return CoeffStream(f"hecke(theta={th!r}, gamma={ga!r})", rule, 1.0)
 
@@ -104,7 +106,7 @@ def occurrence_times(theta: float, g1: float, g2: float, n_max: int) -> np.ndarr
     if not (0 <= g1 < g2 < 1):
         raise ValidationError("need 0 <= g1 < g2 < 1")
     ks = np.arange(n_max + 1)
-    f = np.mod(ks * float(theta), 1.0)
+    f = frac_array(ks * float(theta))
     return ks[(f >= 1.0 - g2) & (f < 1.0 - g1)]
 
 

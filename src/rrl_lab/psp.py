@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circle import FRAC_SNAP, CirclePoint, turn_to_complex
+from .circle import FRAC_SNAP, CirclePoint, frac_array, turn_to_complex
 from .errors import DuplicatePole, NonConvergent, PoleCollision, ValidationError
 
 DEFAULT_EXCLUSION = 1e-12
@@ -213,7 +213,7 @@ def _float_parts(angle: float, exps_f: np.ndarray):
     rounds them.  np.cos/np.sin equal math.cos/math.sin on [0, pi/4], the
     only range the octant reduction below passes them.
     """
-    u = np.mod(angle * exps_f, 1.0)
+    u = frac_array(angle * exps_f)
     u[u > 1.0 - FRAC_SNAP] = 0.0
     quadrant = np.floor(4.0 * u)
     r = np.maximum(u - quadrant * 0.25, 0.0)

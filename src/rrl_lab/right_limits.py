@@ -9,8 +9,6 @@ every output here is evidence quantified by residuals, not proof.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -261,16 +259,15 @@ def report_to_csv(report: ShiftReport, cluster_tol: float | None = None) -> str:
     Cluster tolerance defaults to the search tolerance.
     """
     tol = report.tol if cluster_tol is None else float(cluster_tol)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["shift", "residual_pos", "residual_neg_vs_cluster", "cluster_id"])
+    rows = ["shift,residual_pos,residual_neg_vs_cluster,cluster_id\n"]
     if len(report):
         assignment = {
             shift: (cid, d)
             for cid, cl in enumerate(window_cluster(report, tol))
             for shift, d in zip(cl.member_shifts, cl.distances)
         }
+        # ints and float reprs never need CSV quoting
         for shift, residual in zip(report.shifts, report.residuals.tolist()):
             cid, d = assignment[shift]
-            writer.writerow([shift, repr(residual), repr(d), cid])
-    return out.getvalue()
+            rows.append(f"{shift},{residual!r},{d!r},{cid}\n")
+    return "".join(rows)

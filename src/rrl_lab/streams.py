@@ -35,7 +35,13 @@ class CoeffStream:
     def _read(self, ks: np.ndarray) -> np.ndarray:
         arr = np.asarray(self.rule(ks))
         arr = arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
-        worst = float(np.max(np.abs(arr))) if arr.size else 0.0
+        if not arr.size:
+            worst = 0.0
+        elif arr.dtype == complex:
+            worst = float(np.max(np.abs(arr)))
+        else:
+            # no |arr| temporary for a real read; a NaN still propagates
+            worst = float(np.maximum(arr.max(), -arr.min()))
         if not worst <= self.bound + BOUND_SLACK:
             raise ValidationError(
                 f"stream {self.name!r}: |a_k| = {worst} exceeds bound {self.bound}"

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SQRT2_M1, SQRT3_M1
+from rrl_lab import diophantine
 from rrl_lab.circle import CirclePoint, roots_of_unity
 from rrl_lab.diophantine import (
     FACTORIAL_J_CAP,
@@ -111,6 +112,55 @@ def test_pigeonhole_returns_the_smallest_one_sided_shift(points, j):
               if all(_one_sided(a, k, j) for a in angles)), None)
     assume(k is not None)
     assert pigeonhole_shift(points, j) == k
+
+
+# exact angles on both sides of the int64 residue path (q <= 2**36), and floats
+MIXED_POINTS = st.lists(st.one_of(
+    st.builds(Fraction, st.integers(0, 2**64), st.integers(2**36 - 3, 2**64)).map(CirclePoint),
+    st.builds(Fraction, st.integers(0, 11), st.integers(1, 12)).map(CirclePoint),
+    st.floats(-1e6, 1e6).map(CirclePoint.real)),
+    min_size=1, max_size=5)
+Q_BIG = 3 * 2**60 + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(MIXED_POINTS, st.integers(1, 5))
+# first shift 5; (k mod q) * p passes 2**63 from k = 3 on
+@example([CirclePoint(Fraction(9 * Q_BIG // 10, Q_BIG))], 2)
+# 7 * angle is 1 - 2**-52, which the snap reads as 0
+@example([CirclePoint.real(math.nextafter(1 / 7, 0.0))], 8)
+def test_blocked_pigeonhole_scan_returns_the_first_one_sided_shift(points, j):
+    angles = [p.angle for p in points[:j]]
+    k = next((k for k in range(1, 20_000)
+              if all(_one_sided(a, k, j) for a in angles)), None)
+    assume(k is not None)
+    assert pigeonhole_shift(points, j) == k
+
+
+@pytest.mark.parametrize("first, block", [(1, 1), (1, 4), (3, 5)])
+def test_pigeonhole_blocks_and_cap_keep_every_shift(monkeypatch, first, block):
+    # {k (q-1)/q} < 1/8 first holds at k = floor(7q/8) + 1: with tiny blocks
+    # these first shifts land on every position of a block, and a cap just
+    # above or at the first shift must return or refuse it
+    monkeypatch.setattr(diophantine, "PIGEONHOLE_FIRST_BLOCK", first)
+    monkeypatch.setattr(diophantine, "PIGEONHOLE_BLOCK", block)
+    for q in range(2, 60):
+        for pt in (CirclePoint.exact(q - 1, q), CirclePoint.real((q - 1) / q)):
+            k = next(k for k in range(1, q + 1) if _one_sided(pt.angle, k, 8))
+            monkeypatch.setattr(diophantine, "PIGEONHOLE_MAX_SCAN", k + 1)
+            assert pigeonhole_shift([pt], 8) == k
+            monkeypatch.setattr(diophantine, "PIGEONHOLE_MAX_SCAN", k)
+            with pytest.raises(CapExceeded):
+                pigeonhole_shift([pt], 8)
+
+
+def test_pigeonhole_j8_on_eight_square_roots():
+    # the corner cell has measure 8^-8: the first shift lies past 5 * 10**6
+    angles = [CirclePoint.real(math.sqrt(p)).angle for p in (2, 3, 5, 7, 11, 13, 17, 19)]
+    k = pigeonhole_shift([CirclePoint.real(a) for a in angles], 8)
+    assert k == 22_286_098
+    assert all(_one_sided(a, k, 8) for a in angles)
+    assert not all(_one_sided(a, k - 1, 8) for a in angles)
 
 
 # ---------------------------------------------------------------- dirichlet

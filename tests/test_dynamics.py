@@ -26,6 +26,7 @@ from rrl_lab.dynamics import (
 )
 from rrl_lab.errors import InsufficientDepth, ResonantGamma, ValidationError
 from rrl_lab.recipes import kneading_coeffs
+from rrl_lab.right_limits import SEARCH_BLOCK
 
 
 # ---------------------------------------------------------------- streams
@@ -45,6 +46,24 @@ def test_hecke_stream_gamma_periodicity():
     a = hecke_stream(SQRT2_M1, gamma=0.3).take(500)
     b = hecke_stream(SQRT2_M1, gamma=1.3).take(500)
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [GOLDEN, -GOLDEN, 0.7548776662466927])
+@pytest.mark.parametrize("gamma", [0.0, None, -0.3])
+def test_hecke_stream_bitwise_np_mod(theta, gamma):
+    # the floor kernel gives np.mod's bits on a read spanning 3 search blocks
+    gamma = theta if gamma is None else gamma
+    start, n = 12_345, 3 * SEARCH_BLOCK
+    want = np.mod(gamma + np.arange(start, start + n) * theta, 1.0)
+    got = hecke_stream(theta, gamma).take(n, start)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_hecke_stream_overflow_reads_nan_and_is_rejected():
+    # k * 1e300 is finite up to k = 1e8 and inf from 2e8 on, where {x} is NaN
+    assert np.array_equal(hecke_stream(1e300).take(3), np.zeros(3))
+    with pytest.raises(ValidationError):
+        hecke_stream(1e300).take(4, start=2 * 10**8)
 
 
 # ---------------------------------------------------------------- outer identities
@@ -133,6 +152,14 @@ def test_occurrence_times_identity():
         coeff = ((g1 + k * theta) % 1.0) - ((g2 + k * theta) % 1.0) + (g2 - g1)
         indicator = 1.0 if k in times else 0.0
         assert abs(coeff - indicator) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [SQRT2_M1, -GOLDEN, 1e6 + GOLDEN])
+def test_occurrence_times_bitwise_np_mod(theta):
+    ks = np.arange(50_001)
+    f = np.mod(ks * theta, 1.0)
+    want = ks[(f >= 1.0 - 0.7) & (f < 1.0 - 0.2)]
+    assert np.array_equal(occurrence_times(theta, 0.2, 0.7, 50_000), want)
 
 
 def test_occurrence_times_wide_interval_covers_almost_all():

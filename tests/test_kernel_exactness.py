@@ -13,11 +13,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrl_lab.boundary import arc_l1_growth, radial_blowup
-from rrl_lab.circle import CirclePoint, turn_to_complex
+from rrl_lab import psp
+from rrl_lab.circle import CirclePoint, frac_array, turn_to_complex
 from rrl_lab.diophantine import PIGEONHOLE_J_CAP, moment_sequence
 from rrl_lab.errors import PoleCollision, ValidationError
 from rrl_lab.psp import (
@@ -251,6 +252,48 @@ def test_float_below_one_over_j_stays_in_cell_zero():
     # f, so the largest such f decides
     for j in range(1, PIGEONHOLE_J_CAP + 1):
         assert int(j * math.nextafter(1.0 / j, 0.0)) == 0
+
+
+FRAC_EXAMPLES = [0.0, -0.0, -1.0, -3.0, -2.0**60, -5e-324, 5e-324, -1e-20, 1e-20,
+                 2.0**52, -(2.0**52), 2.0**52 + 1.0, 2.0**53, -(2.0**53) - 2.0, 1e300,
+                 -1e300, 2.0**-1022, -(2.0**-1022), 2.0**-1030, -(2.0**-1030), -0.5,
+                 -1.0 - 2.0**-52, 1.0 - 2.0**-53, -(1.0 - 2.0**-53)]
+
+
+def assert_frac_is_mod(xs: list[float]) -> None:
+    got = frac_array(np.array(xs))
+    assert np.array_equal(got.view(np.uint64), np.mod(np.array(xs), 1.0).view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), np.array([x % 1.0 for x in xs]).view(np.uint64))
+
+
+def test_frac_array_is_np_mod_and_python_mod_on_edge_cases():
+    assert_frac_is_mod(FRAC_EXAMPLES)
+    got = frac_array(np.array([-0.0, -3.0, -1e-20, -5e-324]))
+    assert np.array_equal(got.view(np.uint64), np.array([0.0, 0.0, 1.0, 1.0]).view(np.uint64))
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=200_000) * 10.0 ** rng.integers(-320, 300, 200_000)
+    assert_frac_is_mod(x.tolist())
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(frac_array(np.array([np.inf, -np.inf, np.nan]))).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+@example(FRAC_EXAMPLES)
+def test_frac_array_is_np_mod_and_python_mod(xs):
+    assert_frac_is_mod(xs)
+
+
+@SETTINGS
+@given(measures(), st.lists(exponents, max_size=30))
+def test_float_atom_moments_unchanged_from_np_mod(m, exps):
+    want = moments(m, exps)
+    orig = psp.frac_array
+    psp.frac_array = lambda x: np.mod(x, 1.0)
+    try:
+        assert same_bits(moments(m, exps), want)
+    finally:
+        psp.frac_array = orig
 
 
 def test_numpy_hypot_equals_complex_abs():

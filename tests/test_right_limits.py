@@ -447,7 +447,7 @@ def test_shifted_rotation_search_across_blocks_matches_oracle():
     assert len(window_cluster(report, 2 * 5e-3)) == 2
 
 
-@pytest.mark.parametrize("bad", [math.nan, 2.0])
+@pytest.mark.parametrize("bad", [math.nan, 2.0, -2.0])
 def test_bad_coefficient_in_last_block_rejected(bad):
     w, k_max = 5, 3 * SEARCH_BLOCK + 100
     last = k_max + w  # the last index the search reads
