@@ -6,7 +6,7 @@ certificates, rotation/kneading coefficient streams, and natural-boundary
 probes, plus a recipe-driven CLI (``rrl-lab``).
 """
 
-from .boundary import ArcProbeResult, arc_l1_growth, radial_blowup
+from .boundary import ArcProbeResult, arc_l1_growth
 from .circle import CirclePoint, roots_of_unity, turn_to_complex
 from .diophantine import (
     BalancedSet,
@@ -42,7 +42,6 @@ from .errors import (
     DuplicateRoot,
     EvalFailure,
     InsufficientDepth,
-    NonConvergent,
     NotARoot,
     PoleCollision,
     ResonantGamma,
@@ -54,9 +53,7 @@ from .psp import (
     fourier_psp,
     moments,
     psp_eval,
-    recover_residue,
     taylor_inner,
-    taylor_outer,
     uniform_roots_measure,
 )
 from .right_limits import (
@@ -69,6 +66,6 @@ from .right_limits import (
     verify_rrl_on_psp,
     window_cluster,
 )
-from .streams import CoeffStream, partial_sum, periodic, preperiodic
+from .streams import CoeffStream, periodic, preperiodic
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Numeric natural-boundary diagnostics: arc L1 growth and radial blow-up.
+"""Numeric natural-boundary diagnostics: arc L1 growth.
 
 A strong natural boundary means the arc integrals of |g| blow up as the
 radius approaches 1 on every arc.  Finite radius schedules can only
@@ -8,14 +8,11 @@ ratio indicator, never a divergence claim.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .circle import CirclePoint
 from .errors import EvalFailure, ValidationError
 
 # default radius schedule 1 - 10^(-k/2), k = 2..6
@@ -36,15 +33,6 @@ class ArcProbeResult:
     def ratio(self) -> float:
         """integrals[last] / integrals[first]; the blow-up indicator."""
         return float(self.integrals[-1] / self.integrals[0])
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["radius", "integral", "ratio_to_first"])
-        first = float(self.integrals[0])
-        for r, v in zip(self.radii, self.integrals):
-            writer.writerow([repr(float(r)), repr(float(v)), repr(float(v) / first)])
-        return out.getvalue()
 
 
 def _abs_eval(g: Callable, z: np.ndarray) -> np.ndarray:
@@ -99,20 +87,3 @@ def arc_l1_growth(
         quadrature_n=int(quadrature_n),
     )
 
-
-def radial_blowup(
-    g: Callable[[np.ndarray], np.ndarray],
-    point: CirclePoint,
-    radii: Sequence[float] | None = None,
-) -> np.ndarray:
-    """Samples |g(r * lambda)| along the ray toward a circle point.
-
-    For a pole series with an atom of weight w at lambda the samples grow
-    like |w| / (1 - r).
-    """
-    rs = np.asarray(list(radii) if radii is not None else DEFAULT_RADII, dtype=float)
-    if np.any(rs <= 0) or np.any(rs >= 1):
-        raise ValidationError("radii must lie in (0, 1)")
-    lam = point.value()
-    c, s = np.array([lam.real]), np.array([lam.imag])
-    return np.array([_abs_eval(g, _scale(r, c, s))[0] for r in rs])

@@ -129,11 +129,6 @@ class CirclePoint:
     def is_exact(self) -> bool:
         return isinstance(self.angle, Fraction)
 
-    @property
-    def order(self) -> int | None:
-        """Order as a root of unity, or None for float angles."""
-        return self.angle.denominator if self.is_exact else None
-
     def power(self, k: int) -> "CirclePoint":
         """lambda^k as a circle point; exact points stay exact for any int k."""
         if self.is_exact:
@@ -143,9 +138,6 @@ class CirclePoint:
 
     def value(self) -> complex:
         return turn_to_complex(self.angle)
-
-    def angle_float(self) -> float:
-        return float(self.angle)
 
     def __repr__(self) -> str:
         if self.is_exact:

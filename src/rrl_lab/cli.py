@@ -61,6 +61,10 @@ def _read_config(path: str | None) -> dict:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     conf = _read_config(args.config)
+    unknown = sorted(set(conf) - set(PARAM_KEYS) - {"recipe", "out", "format"})
+    if unknown:
+        raise ValidationError(f"unknown config keys {unknown}; known: recipe, out, "
+                              f"format, {', '.join(PARAM_KEYS)}")
     recipe = args.recipe or conf.get("recipe")
     if not recipe:
         raise ValidationError("no recipe given (flag --recipe or config)")

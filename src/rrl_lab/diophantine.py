@@ -10,7 +10,6 @@ unity through the coefficient 1-norm of P_F(X) - (X^|F| - 1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,20 +160,6 @@ class CPoly:
         for c in self.coeffs[::-1]:
             out = out * zs + c
         return complex(out) if out.ndim == 0 else out
-
-    def to_json_obj(self):
-        return [{"re": c.real, "im": c.imag} for c in self.coeffs]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "CPoly":
-        return cls(np.array([complex(r["re"], r["im"]) for r in obj]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def loads(cls, text: str) -> "CPoly":
-        return cls.from_json_obj(json.loads(text))
 
 
 def _sorted_distinct(points: Sequence[CirclePoint]) -> list[CirclePoint]:
@@ -327,7 +312,7 @@ def balance_completion(points_g: Sequence[CirclePoint], eps: float = 0.5) -> Bal
     if not (0 < eps < 1):
         raise ValidationError("eps must be in (0, 1)")
     m = len(g)
-    thetas = [p.angle_float() for p in g]
+    thetas = [float(p.angle) for p in g]
     big_m = max(2**m + 1, 4)
     tried: set[tuple[int, tuple[int, ...]]] = set()  # rungs that failed
     while big_m <= BALANCE_N_CAP:

@@ -174,24 +174,18 @@ def kneading_sequence(umap: UnimodalMap, n_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KneadingData:
-    """Kneading signs and the cumulative-product determinant coefficients."""
+    """The cumulative-product determinant coefficients of kneading signs."""
 
-    epsilons: np.ndarray  # eps_1 .. eps_N
     d_coeffs: np.ndarray  # d_0 = 1, d_k = eps_1 * ... * eps_k
 
 
-def kneading_determinant(eps: Sequence[int], n_max: int | None = None
-                         ) -> KneadingData:
+def kneading_determinant(eps: Sequence[int]) -> KneadingData:
     """Coefficients d_0 .. d_N of D(z) = 1 + sum eps_1...eps_k z^k."""
     e = np.asarray(eps, dtype=np.int64)
     if not np.all(np.abs(e) == 1):
         raise ValidationError("kneading signs must be +-1")
-    if n_max is not None:
-        if n_max > len(e):
-            raise ValidationError("not enough signs for requested depth")
-        e = e[:n_max]
     d = np.concatenate(([1], np.cumprod(e)))
-    return KneadingData(epsilons=e, d_coeffs=d)
+    return KneadingData(d_coeffs=d)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,6 @@ class PoleCollision(RrlLabError):
     """Evaluation point fell inside the exclusion radius of a pole."""
 
 
-class NonConvergent(RrlLabError):
-    """A limit trace still oscillates at the finest sampled radius."""
-
-
 class DuplicatePole(RrlLabError):
     """Two constructed poles coincide on the circle."""
 

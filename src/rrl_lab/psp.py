@@ -20,14 +20,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .circle import FRAC_SNAP, CirclePoint, frac_array, turn_to_complex
-from .errors import DuplicatePole, NonConvergent, PoleCollision, ValidationError
+from .errors import DuplicatePole, PoleCollision, ValidationError
 
 DEFAULT_EXCLUSION = 1e-12
 
@@ -62,15 +61,6 @@ class PoleMeasure:
     @property
     def points(self) -> list[CirclePoint]:
         return [p for p, _ in self.atoms]
-
-    def largest_angle_gap(self) -> float:
-        """Largest gap (in turns) between consecutive sorted atom angles."""
-        if not self.atoms:
-            return 1.0
-        angles = [float(p.angle) for p, _ in self.atoms]
-        gaps = [b - a for a, b in zip(angles, angles[1:])]
-        gaps.append(1.0 - angles[-1] + angles[0])
-        return max(gaps)
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -268,54 +258,6 @@ def taylor_inner(m: PoleMeasure, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
     return -moments(m, range(-1, -n_max - 2, -1))
-
-
-def taylor_outer(m: PoleMeasure, n_count: int) -> np.ndarray:
-    """Outer coefficients b_{-1} .. b_{-n_count}."""
-    if n_count < 0:
-        raise ValidationError("n_count must be >= 0")
-    return -moments(m, range(n_count))
-
-
-@dataclass(frozen=True)
-class ResidueTrace:
-    """Radial limit samples of (z - lambda) * g(z) along z = r*lambda."""
-
-    radii: np.ndarray
-    samples: np.ndarray
-
-    @property
-    def estimate(self) -> complex:
-        return complex(self.samples[-1])
-
-
-def recover_residue(
-    g: Callable[[complex], complex],
-    point: CirclePoint,
-    radii: Sequence[float],
-    oscillation_tol: float | None = None,
-) -> ResidueTrace:
-    """Estimate the weight at ``point`` from radial samples of (z-lambda)*g(z).
-
-    ``radii`` must be strictly increasing with last radius <= 1 - 1e-8.  For
-    a pole series the samples converge to the atom weight (0 off support).
-    When ``oscillation_tol`` is given, the step between the two finest
-    samples must not exceed it, else NonConvergent is raised.
-    """
-    rs = np.asarray(list(radii), dtype=float)
-    if rs.size < 1 or np.any(np.diff(rs) <= 0):
-        raise ValidationError("radii must be strictly increasing")
-    if rs[-1] > 1.0 - 1e-8:
-        raise ValidationError("last radius must be <= 1 - 1e-8")
-    lam = point.value()
-    samples = np.array([(r * lam - lam) * g(r * lam) for r in rs])
-    if oscillation_tol is not None and len(samples) >= 2:
-        osc = abs(samples[-1] - samples[-2])
-        if osc > oscillation_tol:
-            raise NonConvergent(
-                f"trace still moves by {osc} at finest radius {rs[-1]}"
-            )
-    return ResidueTrace(radii=rs, samples=samples)
 
 
 def fourier_psp(fhat: Sequence[tuple[int, complex]], theta: float) -> PoleMeasure:

@@ -305,15 +305,17 @@ def recipe_probe_arc(params: dict) -> tuple[dict, Table]:
     from .psp import psp_eval  # looked up per run, so a wrapper on rrl_lab.psp is seen
 
     probe = arc_l1_growth(lambda z: psp_eval(m, z), omega1, omega2, rs, qn)
+    radii, integrals = list(map(float, probe.radii)), list(map(float, probe.integrals))
     summary = {
         "omega1": omega1,
         "omega2": omega2,
         "quadrature_n": qn,
-        "radii": list(map(float, probe.radii)),
-        "integrals": list(map(float, probe.integrals)),
+        "radii": radii,
+        "integrals": integrals,
         "ratio": probe.ratio,
     }
-    return summary, probe.to_csv
+    rows = [[r, v, v / integrals[0]] for r, v in zip(radii, integrals)]
+    return summary, lambda: _rows_csv(["radius", "integral", "ratio_to_first"], rows)
 
 
 RECIPES: dict[str, Callable[[dict], tuple[dict, Table]]] = {

@@ -25,8 +25,7 @@ SEARCH_BLOCK = 1 << 16
 # largest k_max searched: about 30 s of n = 0 passes on a desk machine
 SEARCH_K_CAP = 10**9
 # values the search may hold at once, one block read plus the hits' windows
-# (8 B each for a real stream, 16 B for a complex one; the windows are
-# concatenated once at the end)
+# (8 B each for a real stream, 16 B for a complex one)
 SEARCH_CELLS_CAP = 10**7
 
 
@@ -111,7 +110,11 @@ def renascent_shift_search(a: CoeffStream, half_width: int, k_max: int,
         raise CapExceeded(f"a block of the search holds {cells} values, over the "
                           f"cap {SEARCH_CELLS_CAP}")
     head = a.take(w + 1)
-    shifts, residuals, values = [], [], []
+    shifts, residuals = [], []
+    # one hits x (2W+1) array, grown in place block by block (ndarray.resize
+    # reallocates it; no view of it lives across a resize), so the windows
+    # are never held twice
+    values = np.empty((0, span), dtype=head.dtype)
     for lo in range(w + 1, k_max + 1, SEARCH_BLOCK):
         size = min(SEARCH_BLOCK, k_max + 1 - lo)
         block = a.take(size + 2 * w, start=lo - w)  # block[i + W + n] = a_{lo+i+n}
@@ -137,10 +140,12 @@ def renascent_shift_search(a: CoeffStream, half_width: int, k_max: int,
                               f"{SEARCH_CELLS_CAP}")
         shifts.append(cand + lo)
         residuals.append(res)
-        values.append(sliding_window_view(block, span)[cand])
+        hits = len(values)
+        values.resize((hits + cand.size, span), refcheck=False)
+        values[hits:] = sliding_window_view(block, span)[cand]
     return ShiftReport(half_width=w, k_max=int(k_max), tol=float(tol),
                        shifts=np.concatenate(shifts).tolist(),
-                       residuals=np.concatenate(residuals), values=np.concatenate(values))
+                       residuals=np.concatenate(residuals), values=values)
 
 
 @dataclass(frozen=True)

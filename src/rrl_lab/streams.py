@@ -108,15 +108,3 @@ def preperiodic(head: Sequence[complex], cycle: Sequence[complex],
 
     return CoeffStream(name, rule, bound)
 
-
-def partial_sum(stream: CoeffStream, z: complex, n_terms: int) -> tuple[complex, float]:
-    """(sum_{k<n_terms} a_k z^k, geometric tail bound) for |z| < 1.
-
-    The bound is B*|z|^n/(1-|z|); +inf when |z| >= 1.
-    """
-    ks = np.arange(n_terms)
-    coeffs = stream.take(n_terms)
-    value = complex(np.sum(coeffs * np.power(complex(z), ks)))
-    r = abs(z)
-    tail = stream.bound * r**n_terms / (1.0 - r) if r < 1.0 else float("inf")
-    return value, tail

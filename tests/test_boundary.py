@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SQRT2_M1
-from rrl_lab.boundary import DEFAULT_RADII, arc_l1_growth, radial_blowup
+from rrl_lab.boundary import DEFAULT_RADII, arc_l1_growth
 from rrl_lab.circle import CirclePoint
 from rrl_lab.errors import EvalFailure, ValidationError
 from rrl_lab.psp import PoleMeasure, psp_eval, uniform_roots_measure
@@ -88,42 +87,4 @@ def test_eval_failure_propagates():
 
     with pytest.raises(EvalFailure):
         arc_l1_growth(broken, 0.0, 1.0, [0.5, 0.9], quadrature_n=64)
-    with pytest.raises(EvalFailure):
-        radial_blowup(broken, CirclePoint.exact(0, 1), [0.5])
 
-
-def test_radial_blowup_single_atom_rate():
-    m = PoleMeasure([(CirclePoint.exact(1, 4), 1.0)])
-    radii = [0.9, 0.99, 0.999, 0.9999]
-    samples = radial_blowup(lambda z: psp_eval(m, z), CirclePoint.exact(1, 4), radii)
-    normalized = samples * (1.0 - np.asarray(radii))
-    assert abs(normalized[-1] - 1.0) < 1e-3
-    assert np.all(np.abs(normalized - 1.0) < 0.2)
-
-
-def test_radial_blowup_off_support_bounded():
-    m = PoleMeasure([(CirclePoint.exact(1, 4), 1.0)])
-    samples = radial_blowup(lambda z: psp_eval(m, z), CirclePoint.exact(3, 4),
-                            [0.9, 0.99, 0.999])
-    assert np.all(samples < 1.0)
-
-
-def test_radial_blowup_rotation_stream_monotone():
-    # direct truncated summation of the rotation series along the ray to 1
-    ks = np.arange(0, 30_001)
-    a = np.mod(ks * SQRT2_M1, 1.0)
-
-    def g(z):
-        r = abs(z)
-        return np.sum(a * r**ks)
-
-    samples = radial_blowup(g, CirclePoint.exact(0, 1), DEFAULT_RADII)
-    assert np.all(np.diff(samples) > 0)
-
-
-def test_csv_output():
-    probe = arc_l1_growth(lambda z: 1.0 + 0j, 0.0, 1.0, [0.5, 0.9], quadrature_n=64)
-    lines = probe.to_csv().strip().split("\n")
-    assert lines[0] == "radius,integral,ratio_to_first"
-    assert len(lines) == 3
-    assert lines[1].split(",")[2] == "1.0"

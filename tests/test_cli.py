@@ -358,6 +358,20 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert json.loads(out2.read_text())["n"] == 31
 
 
+@pytest.mark.parametrize("line", ["k-max = 50", "thetaa = 0.3", "gamma = 0.1"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, line):
+    # a misspelt key used to be dropped, and the run went on at the defaults
+    out = tmp_path / "typo.json"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[run]\nrecipe = hecke-unique\nout = {out}\n[params]\n{line}\n")
+    code = main(["run", "--config", str(cfg)])
+    lines = capsys.readouterr().out.splitlines()
+    obj = json.loads(lines[0])
+    assert code == 2 and len(lines) == 1 and obj["error"]["type"] == "ValidationError"
+    assert line.split(" = ")[0] in obj["error"]["message"]
+    assert not out.exists()
+
+
 def test_missing_config_file(capsys):
     code, obj = run_cli(capsys, "run", "--config", "/nonexistent.cfg")
     assert code == 2 and "error" in obj

@@ -11,7 +11,6 @@ from rrl_lab import diophantine
 from rrl_lab.circle import CirclePoint, roots_of_unity
 from rrl_lab.diophantine import (
     FACTORIAL_J_CAP,
-    CPoly,
     balance_completion,
     balance_target,
     dirichlet_approx,
@@ -284,12 +283,6 @@ def test_q_poly_norm_inequality_property():
         for lam in pts:
             q = q_poly(lam, pts)
             assert q.one_norm <= d * p.one_norm + 1e-9
-
-
-def test_cpoly_serialization_roundtrip():
-    p = CPoly(np.array([1.0 + 2.0j, -0.5, 3.0j]))
-    back = CPoly.loads(p.dumps())
-    assert np.array_equal(back.coeffs, p.coeffs)
 
 
 # ---------------------------------------------------------------- balance

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrl_lab.boundary import arc_l1_growth, radial_blowup
+from rrl_lab.boundary import arc_l1_growth
 from rrl_lab import psp
 from rrl_lab.circle import CirclePoint, frac_array, turn_to_complex
 from rrl_lab.diophantine import PIGEONHOLE_J_CAP, moment_sequence
@@ -28,7 +28,6 @@ from rrl_lab.psp import (
     psp_eval,
     taylor_coefficient,
     taylor_inner,
-    taylor_outer,
 )
 from rrl_lab.right_limits import verify_rrl_on_psp
 
@@ -123,7 +122,6 @@ def test_taylor_coefficient_is_length_one_kernel_call(m, n):
 @given(measures(), st.integers(0, 60))
 def test_taylor_series_and_moment_sequence_bitwise(m, n):
     assert same_bits(taylor_inner(m, n), [-moment_oracle(m, -k - 1) for k in range(n + 1)])
-    assert same_bits(taylor_outer(m, n), [-moment_oracle(m, k - 1) for k in range(1, n + 1)])
     assert same_bits(moment_sequence(m, n), [moment_oracle(m, k) for k in range(n + 1)])
 
 
@@ -206,11 +204,6 @@ def test_boundary_probes_bitwise_equal_to_scalar_loops(m, omega1, span):
         return
     got = arc_l1_growth(lambda z: psp_eval(m, z), omega1, omega1 + span, radii, 64)
     assert np.array_equal(got.integrals.view(np.uint64), np.array(want).view(np.uint64))
-    pt = CirclePoint.real(omega1 % 1.0)
-    rs = np.array(radii)
-    want = np.array([abs(eval_oracle(m, r * pt.value())) for r in rs])
-    got = radial_blowup(lambda z: psp_eval(m, z), pt, radii)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_probe_evaluator_receives_points_of_scalar_product():
@@ -227,11 +220,6 @@ def test_probe_evaluator_receives_points_of_scalar_product():
     omegas = np.linspace(-1.0, -0.0, 65)
     for r, z in zip(radii, seen):
         assert same_bits(z, [r * complex(np.cos(o), np.sin(o)) for o in omegas])
-    pt = CirclePoint.exact(1, 2)
-    seen.clear()
-    radial_blowup(g, pt, radii)
-    assert [z.shape for z in seen] == [(1,), (1,)]
-    assert same_bits(np.concatenate(seen), [r * pt.value() for r in radii])
 
 
 # -- host facts the kernels rely on -------------------------------------------

@@ -1,4 +1,3 @@
-import cmath
 import math
 from fractions import Fraction
 
@@ -7,15 +6,14 @@ import pytest
 
 from conftest import QC, rational_function_of_measure, series_divide
 from rrl_lab.circle import CirclePoint
-from rrl_lab.errors import DuplicatePole, NonConvergent, PoleCollision, ValidationError
+from rrl_lab.errors import DuplicatePole, PoleCollision, ValidationError
 from rrl_lab.psp import (
     PoleMeasure,
     fourier_psp,
+    moments,
     psp_eval,
-    recover_residue,
     taylor_coefficient,
     taylor_inner,
-    taylor_outer,
     uniform_roots_measure,
 )
 
@@ -65,12 +63,6 @@ def test_taylor_inner_alternating():
     assert np.allclose(b, [(-1.0) ** n for n in range(11)], atol=0, rtol=0)
 
 
-def test_taylor_outer_patterns():
-    assert list(taylor_outer(ATOM_1, 2)) == [-1.0, -1.0]
-    b = taylor_outer(ATOM_HALF, 2)
-    assert b[0] == -1.0 and b[1] == 1.0
-
-
 def test_taylor_inner_consistency_with_eval():
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -90,12 +82,13 @@ def test_taylor_inner_consistency_with_eval():
         assert abs(val - psp_eval(m, 0.5)) < 1e-10 + tail
 
 
-def test_taylor_outer_consistency_with_eval():
+def test_outer_series_consistency_with_eval():
+    # outer coefficients b_{-k} = -M(k - 1), k = 1 .. n
     m = PoleMeasure(
         [(CirclePoint.exact(0, 3), 0.5), (CirclePoint.exact(1, 3), -1.0j)]
     )
     n = 120
-    b = taylor_outer(m, n)
+    b = -moments(m, range(n))
     val = -sum(b[k - 1] * 3.0 ** (-k) for k in range(1, n + 1))
     tail = m.total_mass * 3.0 ** (-n)
     assert abs(val - psp_eval(m, 3.0)) < 1e-10 + tail
@@ -124,62 +117,6 @@ def test_inner_outer_geometric_error_bound():
         val = sum(b[k] * 0.5**k for k in range(n + 1))
         err = abs(val - psp_eval(m, 0.5))
         assert err <= m.total_mass * 0.5**n / (1 - 0.5) * 2.0
-
-
-def test_recover_residue_single_pole_exact():
-    trace = recover_residue(lambda z: psp_eval(ATOM_1, z), CirclePoint.exact(0, 1),
-                            [0.5, 0.9, 0.99])
-    assert np.all(trace.samples == 1.0)
-    assert trace.estimate == 1.0
-
-
-def test_recover_residue_off_support_goes_to_zero():
-    trace = recover_residue(
-        lambda z: psp_eval(ATOM_1, z), CirclePoint.exact(1, 4),
-        [0.9, 0.99, 0.999, 0.999999]
-    )
-    assert abs(trace.estimate) < 1e-5
-    assert abs(trace.samples[-1]) < abs(trace.samples[0])
-
-
-def test_recover_residue_two_atoms():
-    m = PoleMeasure([(CirclePoint.exact(0, 1), 1.0), (CirclePoint.exact(1, 2), 2.0)])
-    radii = [1 - 10.0**-k for k in range(1, 7)]
-    trace = recover_residue(lambda z: psp_eval(m, z), CirclePoint.exact(1, 2), radii)
-    assert abs(trace.estimate - 2.0) < 1e-4
-
-
-def test_recover_residue_reproduces_every_weight():
-    rng = np.random.default_rng(5)
-    ks = rng.choice(40, size=4, replace=False)
-    m = PoleMeasure(
-        [(CirclePoint.exact(int(k), 40), complex(rng.normal(), rng.normal()))
-         for k in ks]
-    )
-    radii = [1 - 10.0**-k for k in range(1, 7)]
-    for p, w in m.atoms:
-        trace = recover_residue(lambda z: psp_eval(m, z), p, radii)
-        first_err = abs(trace.samples[0] - w)
-        last_err = abs(trace.samples[-1] - w)
-        assert last_err < first_err
-        assert last_err < 1e-4
-
-
-def test_recover_residue_oscillation_guard():
-    def wobble(z):
-        return cmath.exp(1j / (1 - abs(z))) / (1 - abs(z))
-
-    with pytest.raises(NonConvergent):
-        recover_residue(wobble, CirclePoint.exact(0, 1), [0.9, 0.99, 0.999],
-                        oscillation_tol=1e-6)
-
-
-def test_recover_residue_validates_radii():
-    g = lambda z: 0j
-    with pytest.raises(ValidationError):
-        recover_residue(g, ATOM_1.points[0], [0.9, 0.5])
-    with pytest.raises(ValidationError):
-        recover_residue(g, ATOM_1.points[0], [0.5, 1.0])
 
 
 def test_fourier_constant_observable():
@@ -238,7 +175,6 @@ def test_measure_sorted_and_mass():
     m = PoleMeasure([(CirclePoint.exact(3, 4), 2.0), (CirclePoint.exact(1, 4), -1.0)])
     assert [p.angle for p in m.points] == [Fraction(1, 4), Fraction(3, 4)]
     assert m.total_mass == 3.0
-    assert abs(m.largest_angle_gap() - 0.5) < 1e-15
 
 
 def test_serialization_roundtrip():

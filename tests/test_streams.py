@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rrl_lab.dynamics import hecke_stream
 from rrl_lab.errors import ValidationError
-from rrl_lab.streams import CoeffStream, from_values, partial_sum, periodic, preperiodic
+from rrl_lab.streams import CoeffStream, from_values, periodic, preperiodic
 
 
 def test_periodic_values():
@@ -62,15 +62,6 @@ def test_from_values_pads_with_zeros():
     s = from_values([3.0, 4.0])
     assert s.a(1) == 4.0 and s.a(10) == 0.0
     assert s.bound == 4.0
-
-
-def test_partial_sum_geometric():
-    s = CoeffStream("ones", lambda ks: np.ones(len(ks)), 1.0)
-    val, tail = partial_sum(s, 0.5, 30)
-    # sum_{k<30} 0.5^k = 2 - 2*0.5^30; tail bound 0.5^30 / 0.5
-    assert abs(val - (2.0 - 2.0 * 0.5**30)) < 1e-15
-    assert abs(tail - 0.5**30 / 0.5) < 1e-18
-    assert abs(val - 2.0) <= tail
 
 
 VALUES = st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False), min_size=1,
