@@ -26,7 +26,6 @@ from .dynamics import (
     RealZeroResult,
     UnimodalMap,
     feigenbaum_product,
-    hecke_gamma_outer,
     hecke_outer_eval,
     hecke_stream,
     itinerary,

@@ -15,9 +15,10 @@ import sys
 from pathlib import Path
 
 from .diophantine import dirichlet_approx, factorial_shifts, pigeonhole_shift
-from .dynamics import hecke_gamma_outer, hecke_outer_eval, hecke_outer_truncation_bound, thue_morse
+from .dynamics import hecke_outer_eval, hecke_outer_truncation_bound, thue_morse
 from .errors import RrlLabError, ValidationError
 from .recipes import (
+    RECIPES,
     RecipeConfig,
     hecke_direct_sum,
     kneading_coeffs,
@@ -25,7 +26,9 @@ from .recipes import (
     parse_number,
     parse_theta,
     recipe_balance,
+    recipe_defaults,
     recipe_kneading_entropy,
+    recipe_kwargs,
     run_recipe,
 )
 
@@ -34,10 +37,7 @@ EXIT_VALIDATION = 2
 EXIT_COMPUTATION = 3
 
 # recipe parameters that may arrive from the config file or flags
-PARAM_KEYS = (
-    "theta", "n", "w", "k_max", "tol", "eps", "z", "map",
-    "measure", "shifts", "angles", "omega1", "omega2", "quadrature_n", "radii",
-)
+PARAM_KEYS = sorted({key for recipe in RECIPES for key in recipe_defaults(recipe)})
 
 
 def _emit(obj) -> None:
@@ -61,10 +61,6 @@ def _read_config(path: str | None) -> dict:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     conf = _read_config(args.config)
-    unknown = sorted(set(conf) - set(PARAM_KEYS) - {"recipe", "out", "format"})
-    if unknown:
-        raise ValidationError(f"unknown config keys {unknown}; known: recipe, out, "
-                              f"format, {', '.join(PARAM_KEYS)}")
     recipe = args.recipe or conf.get("recipe")
     if not recipe:
         raise ValidationError("no recipe given (flag --recipe or config)")
@@ -72,7 +68,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not out:
         raise ValidationError("no output path given (flag --out or config)")
     fmt = args.format or conf.get("format", "json")
-    params = {k: v for k, v in conf.items() if k in PARAM_KEYS}
+    params = {k: v for k, v in conf.items() if k not in ("recipe", "out", "format")}
     for key in PARAM_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -101,7 +97,8 @@ def _cmd_shifts(args: argparse.Namespace) -> int:
 
 
 def _cmd_balance(args: argparse.Namespace) -> int:
-    summary, _ = recipe_balance({"angles": args.angles, "eps": args.eps})
+    summary, _ = recipe_balance(**recipe_kwargs(
+        "balance", {"angles": args.angles, "eps": args.eps}))
     _emit(summary)
     return EXIT_OK
 
@@ -126,10 +123,7 @@ def _cmd_hecke(args: argparse.Namespace) -> int:
     theta = parse_theta(args.theta)
     gamma = parse_number(float, args.gamma, "gamma")
     z = parse_number(complex, args.z, "z")
-    if gamma != 0.0:
-        value = hecke_gamma_outer(theta, gamma, z, args.n)
-    else:
-        value = hecke_outer_eval(theta, z, args.n)
+    value = hecke_outer_eval(theta, z, args.n, gamma)
     bound = hecke_outer_truncation_bound(z, args.n)
     if not args.check_identity:
         _emit({"value": [value.real, value.imag], "bound": bound, "status": "ok"})
@@ -140,7 +134,7 @@ def _cmd_hecke(args: argparse.Namespace) -> int:
             "value": [value.real, value.imag],
             "bound": bound,
             "identity_residual": residual,
-            "status": "ok" if residual <= max(2.0 * bound, 1e-9) else "mismatch",
+            "status": "ok" if residual <= max(2.0 * bound, 1e-10) else "mismatch",
         }
     )
     return EXIT_OK
@@ -151,7 +145,8 @@ def _cmd_kneading(args: argparse.Namespace) -> int:
         d = kneading_coeffs(args.map, args.n)
         _emit({"value": [int(x) for x in d[:32]], "bound": 1.0, "status": "ok"})
         return EXIT_OK
-    summary, _ = recipe_kneading_entropy({"map": args.map, "n": args.n, "tol": args.tol})
+    summary, _ = recipe_kneading_entropy(**recipe_kwargs(
+        "kneading-entropy", {"map": args.map, "n": args.n, "tol": args.tol}))
     _emit(
         {
             "value": summary["entropy"],

@@ -38,60 +38,39 @@ def hecke_stream(theta: float, gamma: float = 0.0) -> CoeffStream:
     return CoeffStream(f"hecke(theta={th!r}, gamma={ga!r})", rule, 1.0)
 
 
-def _check_depth(n_terms: int) -> None:
-    if n_terms < 1:
-        raise ValidationError(f"Hecke depth must be >= 1, got {n_terms}")
-
-
-def hecke_outer_eval(theta: float, z: complex, n_terms: int) -> complex:
-    """Continuation formula sum_{k<=N} {k*theta} z^(-k) + 1/(1-z) on |z| > 1.
+def hecke_outer_eval(theta: float, z: complex, n_terms: int, gamma: float = 0.0) -> complex:
+    """Continuation formula 1/(1-z) + sum_{k<=N} {k*theta - gamma} z^(-k) on |z| > 1.
 
     For irrational theta this equals the direct partial sum
-    -sum_{-N<=n<0} {n*theta} z^n up to the geometric truncation tails
-    (termwise: -{-x} = {x} - 1 off the integers).  Truncation bound:
-    |z|^(-N) / (|z| - 1).
+    -sum_{-N<=n<0} {gamma + n*theta} z^n up to the geometric truncation
+    tails (termwise: -{-x} = {x} - 1 off the integers).  Truncation bound:
+    |z|^(-N) / (|z| - 1).  A nonzero gamma must stay off the orbit lattice
+    Z + theta*Z; that precondition is checked to 1e-10 over |n| <= N and
+    violated offsets raise ResonantGamma.
     """
-    _check_depth(n_terms)
+    if n_terms < 1:
+        raise ValidationError(f"Hecke depth must be >= 1, got {n_terms}")
     z = complex(z)
     if abs(z) < 1.0 + 1e-6:
         raise ValidationError("need |z| >= 1 + 1e-6")
+    th, ga = float(theta), float(gamma)
+    if ga != 0.0:
+        for n in range(-n_terms, n_terms + 1):
+            f = frac_part(ga + n * th)
+            if min(f, 1.0 - f) <= 1e-10:
+                raise ResonantGamma(
+                    f"gamma + {n}*theta is within 1e-10 of an integer"
+                )
     zinv = 1.0 / z
     total = 1.0 / (1.0 - z)
     for k in range(1, n_terms + 1):
-        total += frac_part(k * theta) * zinv**k
+        total += frac_part(k * th - ga) * zinv**k
     return total
 
 
 def hecke_outer_truncation_bound(z: complex, n_terms: int) -> float:
     r = abs(z)
     return r ** (-n_terms) / (r - 1.0)
-
-
-def hecke_gamma_outer(theta: float, gamma: float, z: complex,
-                      n_terms: int) -> complex:
-    """Offset continuation: sum_{k<=N} {-gamma + k*theta} z^(-k) + z/(1-z) + {gamma}.
-
-    Matches the direct partial sum -sum_{-N<=n<0} {gamma + n*theta} z^n
-    within truncation bounds, provided gamma stays off the orbit lattice
-    Z + theta*Z; that precondition is checked to 1e-10 over |n| <= N and
-    violated offsets raise ResonantGamma.
-    """
-    _check_depth(n_terms)
-    z = complex(z)
-    if abs(z) < 1.0 + 1e-6:
-        raise ValidationError("need |z| >= 1 + 1e-6")
-    th, ga = float(theta), float(gamma)
-    for n in range(-n_terms, n_terms + 1):
-        f = frac_part(ga + n * th)
-        if min(f, 1.0 - f) <= 1e-10:
-            raise ResonantGamma(
-                f"gamma + {n}*theta is within 1e-10 of an integer"
-            )
-    zinv = 1.0 / z
-    total = z / (1.0 - z) + frac_part(ga)
-    for k in range(n_terms + 1):  # k = 0 contributes the constant {-gamma}
-        total += frac_part(-ga + k * th) * zinv**k
-    return total
 
 
 def occurrence_times(theta: float, g1: float, g2: float, n_max: int) -> np.ndarray:

@@ -70,7 +70,7 @@ class PoleMeasure:
 
     # -- serialization: JSON array of atom objects, angle either {p, q} or float
 
-    def to_json_obj(self):
+    def dumps(self) -> str:
         arr = []
         for p, w in self.atoms:
             if p.is_exact:
@@ -79,11 +79,15 @@ class PoleMeasure:
                 ang = p.angle
             arr.append({"angle": ang, "re": w.real, "im": w.imag})
         if self.tail_mass == 0.0:
-            return arr
-        return {"atoms": arr, "tail_mass": self.tail_mass}
+            return json.dumps(arr, sort_keys=True)
+        return json.dumps({"atoms": arr, "tail_mass": self.tail_mass}, sort_keys=True)
 
     @classmethod
-    def from_json_obj(cls, obj) -> "PoleMeasure":
+    def loads(cls, text: str) -> "PoleMeasure":
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise ValidationError(f"measure is not JSON: {exc}") from exc
         tail = 0.0
         try:
             if isinstance(obj, dict):
@@ -100,17 +104,6 @@ class PoleMeasure:
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"malformed measure: {type(exc).__name__}: {exc}") from exc
         return cls(atoms, tail_mass=tail)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "PoleMeasure":
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:
-            raise ValidationError(f"measure is not JSON: {exc}") from exc
-        return cls.from_json_obj(obj)
 
 
 def uniform_roots_measure(q: int, weight: complex | None = None) -> PoleMeasure:

@@ -1,15 +1,17 @@
 """Named batch experiments driven by the CLI.
 
-Every recipe is a function of its parameter dict that returns a summary
-dict and a zero-argument callable rendering its CSV table.  ``run_recipe``
-is the one writer: sorted-key JSON of the summary, or the table.  Fixed
-summation orders and no timestamps make reruns with one config
-byte-identical.
+Every recipe is a function of keyword parameters with defaults that returns
+a summary dict and a zero-argument callable rendering its CSV table;
+``RecipeConfig`` parses each given value by the type of its default.
+``run_recipe`` is the one writer: sorted-key JSON of the summary, or the
+table.  Fixed summation orders and no timestamps make reruns with one
+config byte-identical.
 """
 
 from __future__ import annotations
 
 import cmath
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -112,10 +114,6 @@ def parse_number(kind: type, raw: Any, name: str):
     return value
 
 
-def _param(params: dict, key: str, kind: type, default):
-    return parse_number(kind, params.get(key, default), key)
-
-
 def hecke_direct_sum(theta: float, z: complex, n: int, gamma: float = 0.0) -> complex:
     """Direct partial sum -sum_{-N<=n<0} {gamma + n*theta} z^n, unsnapped mod 1."""
     return -sum(((theta * nn + gamma) % 1.0) * z**nn for nn in range(-n, 0))
@@ -144,9 +142,27 @@ def kneading_coeffs(map_spec: str, n: int) -> np.ndarray:
     return kneading_determinant(kneading_sequence(umap, n)).d_coeffs
 
 
+def recipe_defaults(recipe: str) -> dict[str, Any]:
+    """The keyword parameters a recipe takes, with their defaults."""
+    return {key: p.default for key, p in inspect.signature(RECIPES[recipe]).parameters.items()}
+
+
+def recipe_kwargs(recipe: str, params: dict) -> dict:
+    """``params`` parsed by the types of the recipe's defaults (str, int,
+    float or complex); a key the recipe does not take is a ValidationError."""
+    defaults = recipe_defaults(recipe)
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValidationError(f"recipe {recipe!r} takes no parameter {', '.join(unknown)}; "
+                              f"its parameters: {', '.join(defaults)}")
+    return {key: str(raw) if isinstance(defaults[key], str)
+            else parse_number(type(defaults[key]), raw, key)
+            for key, raw in params.items()}
+
+
 @dataclass
 class RecipeConfig:
-    """One experiment: a recipe name, its parameters, and an output target."""
+    """One experiment: a recipe name, its parsed parameters, and an output target."""
 
     recipe: str
     out: Path
@@ -160,6 +176,7 @@ class RecipeConfig:
             )
         if self.fmt not in ("json", "csv"):
             raise ValidationError("format must be json or csv")
+        self.params = recipe_kwargs(self.recipe, self.params)
 
 
 def _rows_csv(header: list[str], rows) -> str:
@@ -169,7 +186,9 @@ def _rows_csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_measure(path: str) -> PoleMeasure:
+def _load_measure(path: str, default_order: int) -> PoleMeasure:
+    if not path:
+        return uniform_roots_measure(default_order)
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -177,19 +196,13 @@ def _read_measure(path: str) -> PoleMeasure:
     return PoleMeasure.loads(text)
 
 
-def _load_measure(params: dict, default_order: int) -> PoleMeasure:
-    path = params.get("measure")
-    return _read_measure(path) if path else uniform_roots_measure(default_order)
-
-
 Table = Callable[[], str]
 
 
-def recipe_psp_rrl(params: dict) -> tuple[dict, Table]:
-    m = _load_measure(params, 4)
-    w = _param(params, "w", int, 32)
-    shifts = parse_shift_spec(str(params.get("shifts", "factorial:6")), m.points)
-    rows = verify_rrl_on_psp(m, shifts, w)
+def recipe_psp_rrl(measure: str = "", w: int = 32, shifts: str = "factorial:6"
+                   ) -> tuple[dict, Table]:
+    m = _load_measure(measure, 4)
+    rows = verify_rrl_on_psp(m, parse_shift_spec(shifts, m.points), w)
     summary = {
         "half_width": w,
         "rows": [
@@ -201,18 +214,22 @@ def recipe_psp_rrl(params: dict) -> tuple[dict, Table]:
     return summary, lambda: _rows_csv(["shift", "residual_pos", "residual_neg"], rows)
 
 
-def recipe_hecke_unique(params: dict) -> tuple[dict, Table]:
-    theta = parse_theta(str(params.get("theta", "golden")))
-    n = _param(params, "n", int, 200)
-    w = _param(params, "w", int, 10)
-    k_max = _param(params, "k_max", int, 10_000)
-    tol = _param(params, "tol", float, 1e-2)
-    z = _param(params, "z", complex, "2+0j")
+def _hecke_search(theta: float, gamma: float, w: int, k_max: int, tol: float):
+    """Right-limit windows of the Hecke stream {gamma + k*theta}, clustered
+    once at the search tol: (report, clusters, CSV table)."""
+    report = renascent_shift_search(hecke_stream(theta, gamma), w, k_max, tol)
+    clusters = window_cluster(report, tol)
+    return report, clusters, lambda: report_to_csv(report, clusters)
+
+
+def recipe_hecke_unique(theta: str = "golden", n: int = 200, w: int = 10,
+                        k_max: int = 10_000, tol: float = 1e-2, z: complex = 2 + 0j
+                        ) -> tuple[dict, Table]:
+    theta = parse_theta(theta)
     formula = hecke_outer_eval(theta, z, n)
     residual = abs(formula - hecke_direct_sum(theta, z, n))
     bound = 2.0 * hecke_outer_truncation_bound(z, n)
-    report = renascent_shift_search(hecke_stream(theta), w, k_max, tol)
-    clusters = window_cluster(report, tol) if len(report) else []
+    report, clusters, table = _hecke_search(theta, 0.0, w, k_max, tol)
     summary = {
         "theta": theta,
         "n_terms": n,
@@ -223,17 +240,13 @@ def recipe_hecke_unique(params: dict) -> tuple[dict, Table]:
         "identity_bound": bound,
         "status": "ok" if residual <= max(bound, 1e-10) else "mismatch",
     }
-    return summary, lambda: report_to_csv(report)
+    return summary, table
 
 
-def recipe_hecke_two(params: dict) -> tuple[dict, Table]:
-    theta = parse_theta(str(params.get("theta", "golden")))
-    w = _param(params, "w", int, 10)
-    k_max = _param(params, "k_max", int, 100_000)
-    tol = _param(params, "tol", float, 5e-3)
-    stream = hecke_stream(theta, gamma=theta)  # a_k = {(k+1) theta}
-    report = renascent_shift_search(stream, w, k_max, tol)
-    clusters = window_cluster(report, tol) if len(report) else []
+def recipe_hecke_two(theta: str = "golden", w: int = 10, k_max: int = 100_000,
+                     tol: float = 5e-3) -> tuple[dict, Table]:
+    theta = parse_theta(theta)
+    report, clusters, table = _hecke_search(theta, theta, w, k_max, tol)  # a_k = {(k+1) theta}
     diff_at_minus_1 = None
     if len(clusters) == 2:
         r0, r1 = clusters[0].representative, clusters[1].representative
@@ -246,16 +259,14 @@ def recipe_hecke_two(params: dict) -> tuple[dict, Table]:
         "diff_at_minus_1": diff_at_minus_1,
         "status": "ok" if len(clusters) == 2 else "unexpected-cluster-count",
     }
-    return summary, lambda: report_to_csv(report)
+    return summary, table
 
 
-def recipe_kneading_entropy(params: dict) -> tuple[dict, Table]:
-    map_spec = str(params.get("map", "tent"))
-    n = _param(params, "n", int, 2047)
-    tol = _param(params, "tol", float, 1e-6)
-    res = smallest_real_zero(kneading_coeffs(map_spec, n).astype(float), tol)
+def recipe_kneading_entropy(map: str = "tent", n: int = 2047, tol: float = 1e-6
+                            ) -> tuple[dict, Table]:
+    res = smallest_real_zero(kneading_coeffs(map, n).astype(float), tol)
     summary = {
-        "map": map_spec,
+        "map": map,
         "depth": n,
         "status": res.status,
         "root": res.root,
@@ -263,14 +274,13 @@ def recipe_kneading_entropy(params: dict) -> tuple[dict, Table]:
         "entropy_interval": res.entropy_interval,
         "r_max": res.r_max,
     }
-    row = [map_spec, res.status, "" if res.root is None else res.root, res.entropy,
+    row = [map, res.status, "" if res.root is None else res.root, res.entropy,
            *("" if v is None else v for v in res.entropy_interval or (None, None)), res.r_max]
     return summary, lambda: _rows_csv(
         ["map", "status", "root", "entropy", "entropy_lo", "entropy_hi", "r_max"], [row])
 
 
-def recipe_thue_morse_product(params: dict) -> tuple[dict, Table]:
-    n = _param(params, "n", int, 1023)
+def recipe_thue_morse_product(n: int = 1023) -> tuple[dict, Table]:
     product = feigenbaum_product(n)
     signs = thue_morse(n)
     signs *= -2  # (-1)^tau = 1 - 2 tau, built in place
@@ -279,9 +289,8 @@ def recipe_thue_morse_product(params: dict) -> tuple[dict, Table]:
     return {"n": n, "match": match}, lambda: _rows_csv(["n", "match"], [[n, match]])
 
 
-def recipe_balance(params: dict) -> tuple[dict, Table]:
-    angles = parse_angles(str(params.get("angles", "sqrt2")))
-    bs = balance_completion(angles, _param(params, "eps", float, 0.5))
+def recipe_balance(angles: str = "sqrt2", eps: float = 0.5) -> tuple[dict, Table]:
+    bs = balance_completion(parse_angles(angles), eps)
     summary = {
         "epsilon": bs.epsilon,
         "defect": bs.defect,
@@ -293,32 +302,29 @@ def recipe_balance(params: dict) -> tuple[dict, Table]:
     return summary, lambda: _rows_csv(header, [[summary[key] for key in header]])
 
 
-def recipe_probe_arc(params: dict) -> tuple[dict, Table]:
-    m = _load_measure(params, 16)
-    omega1 = _param(params, "omega1", float, 0.0)
-    omega2 = _param(params, "omega2", float, math.pi / 4.0)
-    qn = _param(params, "quadrature_n", int, 512)
-    radii = params.get("radii")
-    rs = ([parse_number(float, x, "radii") for x in str(radii).split(",")] if radii
+def recipe_probe_arc(measure: str = "", omega1: float = 0.0, omega2: float = math.pi / 4.0,
+                     quadrature_n: int = 512, radii: str = "") -> tuple[dict, Table]:
+    m = _load_measure(measure, 16)
+    rs = ([parse_number(float, x, "radii") for x in radii.split(",")] if radii
           else list(DEFAULT_RADII))
 
     from .psp import psp_eval  # looked up per run, so a wrapper on rrl_lab.psp is seen
 
-    probe = arc_l1_growth(lambda z: psp_eval(m, z), omega1, omega2, rs, qn)
-    radii, integrals = list(map(float, probe.radii)), list(map(float, probe.integrals))
+    probe = arc_l1_growth(lambda z: psp_eval(m, z), omega1, omega2, rs, quadrature_n)
+    rs, integrals = list(map(float, probe.radii)), list(map(float, probe.integrals))
     summary = {
         "omega1": omega1,
         "omega2": omega2,
-        "quadrature_n": qn,
-        "radii": radii,
+        "quadrature_n": quadrature_n,
+        "radii": rs,
         "integrals": integrals,
         "ratio": probe.ratio,
     }
-    rows = [[r, v, v / integrals[0]] for r, v in zip(radii, integrals)]
+    rows = [[r, v, v / integrals[0]] for r, v in zip(rs, integrals)]
     return summary, lambda: _rows_csv(["radius", "integral", "ratio_to_first"], rows)
 
 
-RECIPES: dict[str, Callable[[dict], tuple[dict, Table]]] = {
+RECIPES: dict[str, Callable[..., tuple[dict, Table]]] = {
     "psp-rrl": recipe_psp_rrl,
     "hecke-unique": recipe_hecke_unique,
     "hecke-two": recipe_hecke_two,
@@ -332,7 +338,7 @@ RECIPES: dict[str, Callable[[dict], tuple[dict, Table]]] = {
 def run_recipe(cfg: RecipeConfig) -> dict:
     """Run one recipe and write ``cfg.out``: sorted-key JSON of its summary,
     or its CSV table.  Returns the summary, with the recipe name."""
-    summary, table = RECIPES[cfg.recipe](cfg.params)
+    summary, table = RECIPES[cfg.recipe](**cfg.params)
     result = {"recipe": cfg.recipe, **summary}
     text = table() if cfg.fmt == "csv" else json.dumps(result, sort_keys=True, indent=2) + "\n"
     cfg.out.parent.mkdir(parents=True, exist_ok=True)

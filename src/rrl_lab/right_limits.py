@@ -166,12 +166,10 @@ def window_cluster(report: ShiftReport, tol: float) -> list[WindowCluster]:
     multiplicity of completions shows up purely in b_{-W..-1}.  Leader
     clustering: the first unassigned window (ascending shift) represents a
     new cluster of itself and every unassigned window within tol of it;
-    clusters are returned in first-seen order.
+    clusters are returned in first-seen order; an empty report has none.
     """
     if not tol >= 0:
         raise ValidationError("tol must be >= 0")
-    if not len(report):
-        raise ValidationError("report is empty")
     neg = report.values[:, : report.half_width]
     unassigned = np.ones(len(neg), dtype=bool)
     clusters = []
@@ -256,23 +254,22 @@ def verify_rrl_on_psp(m: PoleMeasure, shifts: Sequence[int],
     return [(k, max(row[w:]), max(row[:w])) for k, row in zip(ks, dist)]
 
 
-def report_to_csv(report: ShiftReport, cluster_tol: float | None = None) -> str:
+def report_to_csv(report: ShiftReport, clusters: Sequence[WindowCluster]) -> str:
     """CSV rendering: shift, residual_pos, residual_neg_vs_cluster, cluster_id.
 
-    ``residual_neg_vs_cluster`` is the sup-distance of the window's negative
-    side to its cluster representative (0 for the representative itself).
-    Cluster tolerance defaults to the search tolerance.
+    ``clusters`` is a clustering of the report's windows (``window_cluster``
+    at any tol), numbered in its order; ``residual_neg_vs_cluster`` is the
+    sup-distance of the window's negative side to its cluster representative
+    (0 for the representative itself).
     """
-    tol = report.tol if cluster_tol is None else float(cluster_tol)
+    assignment = {
+        shift: (cid, d)
+        for cid, cl in enumerate(clusters)
+        for shift, d in zip(cl.member_shifts, cl.distances)
+    }
     rows = ["shift,residual_pos,residual_neg_vs_cluster,cluster_id\n"]
-    if len(report):
-        assignment = {
-            shift: (cid, d)
-            for cid, cl in enumerate(window_cluster(report, tol))
-            for shift, d in zip(cl.member_shifts, cl.distances)
-        }
-        # ints and float reprs never need CSV quoting
-        for shift, residual in zip(report.shifts, report.residuals.tolist()):
-            cid, d = assignment[shift]
-            rows.append(f"{shift},{residual!r},{d!r},{cid}\n")
+    # ints and float reprs never need CSV quoting
+    for shift, residual in zip(report.shifts, report.residuals.tolist()):
+        cid, d = assignment[shift]
+        rows.append(f"{shift},{residual!r},{d!r},{cid}\n")
     return "".join(rows)

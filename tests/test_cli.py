@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrl_lab import cli, recipes, right_limits
 from rrl_lab.circle import CirclePoint
-from rrl_lab.cli import main
+from rrl_lab.cli import PARAM_KEYS, main
 from rrl_lab.errors import ValidationError
 from rrl_lab.psp import PoleMeasure, uniform_roots_measure
-from rrl_lab.recipes import parse_shift_spec
+from rrl_lab.recipes import hecke_direct_sum, parse_shift_spec
 
 
 def run_cli(capsys, *argv):
@@ -300,6 +301,20 @@ def test_hecke_two_recipe(tmp_path, capsys):
     assert abs(data["diff_at_minus_1"] - 1.0) <= 2 * 5e-3
 
 
+def test_hecke_two_csv_clusters_once(tmp_path, monkeypatch):
+    calls = []
+    for module in (recipes, right_limits):
+        def counted(*args, _cluster=module.window_cluster):
+            calls.append(args)
+            return _cluster(*args)
+
+        monkeypatch.setattr(module, "window_cluster", counted)
+    out = tmp_path / "two.csv"
+    recipes.run_recipe(recipes.RecipeConfig("hecke-two", out, "csv", {"k_max": 30000}))
+    assert len(calls) == 1
+    assert {line.rsplit(",", 1)[1] for line in out.read_text().split()[1:]} == {"0", "1"}
+
+
 def test_balance_recipe_and_computation_error(tmp_path, capsys):
     out = tmp_path / "bal.json"
     code, _ = run_cli(
@@ -358,7 +373,8 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert json.loads(out2.read_text())["n"] == 31
 
 
-@pytest.mark.parametrize("line", ["k-max = 50", "thetaa = 0.3", "gamma = 0.1"])
+@pytest.mark.parametrize("line", ["k-max = 50", "thetaa = 0.3", "gamma = 0.1",
+                                  "angles = 1/3"])
 def test_unknown_config_key_exits_2(tmp_path, capsys, line):
     # a misspelt key used to be dropped, and the run went on at the defaults
     out = tmp_path / "typo.json"
@@ -370,6 +386,27 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, line):
     assert code == 2 and len(lines) == 1 and obj["error"]["type"] == "ValidationError"
     assert line.split(" = ")[0] in obj["error"]["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("recipe, flags, message", [
+    ("hecke-two", ["--n", "5", "--eps", "0.1", "--angles", "1/3"],
+     "recipe 'hecke-two' takes no parameter angles, eps, n; "
+     "its parameters: theta, w, k_max, tol"),
+    ("thue-morse-product", ["--theta", "sqrt2", "--k-max", "9"],
+     "recipe 'thue-morse-product' takes no parameter k_max, theta; its parameters: n"),
+], ids=["hecke-two", "thue-morse-product"])
+def test_flag_the_recipe_does_not_take_exits_2(tmp_path, capsys, recipe, flags, message):
+    # such a flag used to be dropped, and the run went on at the defaults
+    out = tmp_path / "unread.json"
+    code, obj = run_cli(capsys, "run", "--recipe", recipe, *flags, "--out", str(out))
+    assert code == 2 and obj["error"] == {"type": "ValidationError", "message": message}
+    assert not out.exists()
+
+
+def test_flag_keys_are_the_recipe_keywords():
+    assert sorted(PARAM_KEYS) == sorted(["theta", "n", "w", "k_max", "tol", "eps", "z", "map",
+                                         "measure", "shifts", "angles", "omega1",
+                                         "omega2", "quadrature_n", "radii"])
 
 
 def test_missing_config_file(capsys):
@@ -427,6 +464,23 @@ def test_hecke_tool_identity(capsys):
     assert code == 0
     assert obj["status"] == "ok"
     assert obj["identity_residual"] < 1e-9
+
+
+@pytest.mark.parametrize("offset, status", [(5e-11, "ok"), (5e-10, "mismatch")])
+def test_hecke_identity_floor_is_the_recipes(tmp_path, monkeypatch, capsys, offset, status):
+    # the tool and the hecke-unique recipe accept a residual up to one floor, 1e-10
+    def off(*args):
+        return hecke_direct_sum(*args) + offset
+
+    monkeypatch.setattr(cli, "hecke_direct_sum", off)
+    monkeypatch.setattr(recipes, "hecke_direct_sum", off)
+    code, tool = run_cli(capsys, "hecke", "--check-identity")
+    assert code == 0 and tool["identity_residual"] < 1e-9
+    out = tmp_path / "unique.json"
+    code, _ = run_cli(capsys, "run", "--recipe", "hecke-unique", "--k-max", "100",
+                      "--out", str(out))
+    assert code == 0
+    assert tool["status"] == json.loads(out.read_text())["status"] == status
 
 
 def test_hecke_tool_gamma_resonant_exits_3(capsys):

@@ -13,7 +13,6 @@ from rrl_lab.dynamics import (
     UnimodalMap,
     _series_values,
     feigenbaum_product,
-    hecke_gamma_outer,
     hecke_outer_eval,
     hecke_outer_truncation_bound,
     hecke_stream,
@@ -120,22 +119,24 @@ def test_gamma_outer_identity():
     z = 2.0 + 0j
     n = 60
     lhs = _direct_outer(SQRT2_M1, 0.3, z, n)
-    rhs = hecke_gamma_outer(SQRT2_M1, 0.3, z, n)
+    rhs = hecke_outer_eval(SQRT2_M1, z, n, 0.3)
     assert abs(lhs - rhs) < 1e-10
 
 
 def test_gamma_outer_multiple_sample_points():
     for z in (3.0 + 0j, 1.5 + 1.5j, -2.5 + 0.5j):
         lhs = _direct_outer(GOLDEN, 0.25, z, 80)
-        rhs = hecke_gamma_outer(GOLDEN, 0.25, z, 80)
+        rhs = hecke_outer_eval(GOLDEN, z, 80, 0.25)
         assert abs(lhs - rhs) < 1e-10 + 2 * hecke_outer_truncation_bound(z, 80)
 
 
 def test_gamma_outer_resonant_rejected():
+    # gamma = 0 is the plain continuation, bit for bit; an offset on the
+    # orbit lattice is refused
+    got, plain = hecke_outer_eval(GOLDEN, 2.0, 40, 0.0), hecke_outer_eval(GOLDEN, 2.0, 40)
+    assert np.array_equal(np.array([got]).view(np.uint64), np.array([plain]).view(np.uint64))
     with pytest.raises(ResonantGamma):
-        hecke_gamma_outer(GOLDEN, 0.0, 2.0, 40)
-    with pytest.raises(ResonantGamma):
-        hecke_gamma_outer(GOLDEN, (5 * GOLDEN) % 1.0, 2.0, 40)
+        hecke_outer_eval(GOLDEN, 2.0, 40, (5 * GOLDEN) % 1.0)
 
 
 # ---------------------------------------------------------------- occurrence times

@@ -131,10 +131,9 @@ def test_cluster_constant_stream():
     assert clusters[0].count == len(report)
 
 
-def test_cluster_empty_report_rejected():
+def test_cluster_empty_report_has_no_clusters():
     report = renascent_shift_search(preperiodic([5.0], [0.0]), 2, 50, 1e-9)
-    with pytest.raises(ValidationError):
-        window_cluster(report, 0.1)
+    assert len(report) == 0 and window_cluster(report, 0.1) == []
 
 
 def test_generating_functions_constant_window():
@@ -238,12 +237,12 @@ def test_report_csv_bytes_unchanged_by_shift_lookup():
     for w in report.windows:
         cid, d = assignment[w.shift]
         lines.append(f"{w.shift},{w.residual!r},{d!r},{cid}")
-    assert report_to_csv(report) == "\n".join(lines) + "\n"
+    assert report_to_csv(report, clusters) == "\n".join(lines) + "\n"
 
 
 def test_report_csv_shape():
     report = renascent_shift_search(periodic([0.0, 1.0]), 3, 12, 0.0)
-    text = report_to_csv(report)
+    text = report_to_csv(report, window_cluster(report, report.tol))
     lines = text.strip().split("\n")
     assert lines[0] == "shift,residual_pos,residual_neg_vs_cluster,cluster_id"
     assert len(lines) == 1 + len(report)
@@ -253,8 +252,22 @@ def test_report_csv_shape():
 
 def test_report_csv_empty_report():
     report = renascent_shift_search(preperiodic([5.0], [0.0]), 2, 40, 1e-9)
-    text = report_to_csv(report)
+    text = report_to_csv(report, window_cluster(report, report.tol))
     assert text.strip() == "shift,residual_pos,residual_neg_vs_cluster,cluster_id"
+
+
+def test_report_csv_writes_the_clusters_it_is_given():
+    # negative sides 0, 0.15 and -0.15: three clusters at tol 0.1, one at 2 * tol
+    from rrl_lab.right_limits import ShiftReport
+
+    report = ShiftReport(half_width=1, k_max=4, tol=0.1, shifts=[2, 3, 4],
+                         residuals=np.zeros(3),
+                         values=np.array([[x, 0.0, 0.0] for x in (0.0, 0.15, -0.15)]))
+    header = "shift,residual_pos,residual_neg_vs_cluster,cluster_id\n"
+    assert report_to_csv(report, window_cluster(report, report.tol)) == \
+        header + "2,0.0,0.0,0\n3,0.0,0.0,1\n4,0.0,0.0,2\n"
+    assert report_to_csv(report, window_cluster(report, 2 * report.tol)) == \
+        header + "2,0.0,0.0,0\n3,0.0,0.15,0\n4,0.0,0.15,0\n"
 
 
 def test_cluster_rejects_bad_tol():
@@ -262,8 +275,6 @@ def test_cluster_rejects_bad_tol():
     for tol in (-1.0, -1e-300, math.nan):
         with pytest.raises(ValidationError):
             window_cluster(report, tol)
-        with pytest.raises(ValidationError):
-            report_to_csv(report, tol)
 
 
 def test_cluster_nan_window_forms_its_own_cluster():
@@ -357,7 +368,7 @@ def bits(x) -> np.ndarray:
 
 @settings(max_examples=300, deadline=None)
 @given(SEARCH_STREAMS, st.integers(1, 6), st.integers(1, 400), TOLS, TOLS)
-def test_search_and_clusters_match_matrix_oracle(stream, w, extra, tol, cluster_tol):
+def test_search_and_clusters_match_matrix_oracle(stream, w, extra, tol, group_tol):
     k_max = w + extra
     report = renascent_shift_search(stream, w, k_max, tol)
     hits = oracle_search(stream, w, k_max, tol)
@@ -366,10 +377,8 @@ def test_search_and_clusters_match_matrix_oracle(stream, w, extra, tol, cluster_
                           bits([r for _, r, _ in hits]))
     for x, (_, _, values) in zip(report.windows, hits):
         assert np.array_equal(bits(x.values), bits(values))
-    if not hits:
-        return
-    clusters = window_cluster(report, cluster_tol)
-    expected = oracle_clusters(hits, w, cluster_tol)
+    clusters = window_cluster(report, group_tol)
+    expected = oracle_clusters(hits, w, group_tol)
     assert [(c.representative.shift, c.member_shifts) for c in clusters] == \
         [(rep, ks) for rep, ks, _ in expected]
     assert [c.count for c in clusters] == [len(ks) for _, ks, _ in expected]
@@ -379,7 +388,7 @@ def test_search_and_clusters_match_matrix_oracle(stream, w, extra, tol, cluster_
 
 @settings(max_examples=200, deadline=None)
 @given(REAL_SEARCH_STREAMS, st.integers(1, 6), st.integers(1, 400), TOLS, TOLS)
-def test_real_stream_matches_its_complex_cast_bitwise(stream, w, extra, tol, cluster_tol):
+def test_real_stream_matches_its_complex_cast_bitwise(stream, w, extra, tol, group_tol):
     # |x + 0i| = |x| and max is exact, so keeping a real stream in float64
     # moves no bit of any residual, distance or CSV row
     twin = as_complex(stream)
@@ -389,11 +398,11 @@ def test_real_stream_matches_its_complex_cast_bitwise(stream, w, extra, tol, clu
     assert real.shifts == cplx.shifts
     assert np.array_equal(bits(real.residuals), bits(cplx.residuals))
     assert np.array_equal(bits(real.values.astype(complex)), bits(cplx.values))
-    assert report_to_csv(real, cluster_tol) == report_to_csv(cplx, cluster_tol)
-    if len(real):
-        for a, b in zip(window_cluster(real, cluster_tol), window_cluster(cplx, cluster_tol)):
-            assert a.member_shifts == b.member_shifts
-            assert np.array_equal(bits(a.distances), bits(b.distances))
+    clusters = [window_cluster(r, group_tol) for r in (real, cplx)]
+    assert report_to_csv(real, clusters[0]) == report_to_csv(cplx, clusters[1])
+    for a, b in zip(*clusters):
+        assert a.member_shifts == b.member_shifts
+        assert np.array_equal(bits(a.distances), bits(b.distances))
 
 
 def test_hecke_stream_is_float64():
