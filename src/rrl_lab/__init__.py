@@ -22,7 +22,6 @@ from .diophantine import (
 )
 from .dynamics import (
     FEIGENBAUM_C,
-    KneadingData,
     RealZeroResult,
     UnimodalMap,
     feigenbaum_product,
@@ -65,6 +64,6 @@ from .right_limits import (
     verify_rrl_on_psp,
     window_cluster,
 )
-from .streams import CoeffStream, periodic, preperiodic
+from .streams import CoeffStream, preperiodic
 
 __version__ = "0.1.0"

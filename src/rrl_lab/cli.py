@@ -59,7 +59,7 @@ def _read_config(path: str | None) -> dict:
     return merged
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> dict:
     conf = _read_config(args.config)
     recipe = args.recipe or conf.get("recipe")
     if not recipe:
@@ -75,15 +75,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             params[key] = flag
     cfg = RecipeConfig(recipe=recipe, out=Path(out), fmt=fmt, params=params)
     result = run_recipe(cfg)
-    _emit({"recipe": recipe, "out": str(out), "status": result.get("status", "ok")})
-    return EXIT_OK
+    return {"recipe": recipe, "out": str(out), "status": result.get("status", "ok")}
 
 
-def _cmd_shifts(args: argparse.Namespace) -> int:
+def _cmd_shifts(args: argparse.Namespace) -> dict:
     if args.factorial is not None:
-        ks = factorial_shifts(args.factorial)
-        _emit({"mode": "factorial", "shifts": ks, "status": "ok"})
-        return EXIT_OK
+        return {"mode": "factorial", "shifts": factorial_shifts(args.factorial),
+                "status": "ok"}
     if args.pigeonhole is None:
         raise ValidationError("need --factorial J or --pigeonhole J")
     if args.pigeonhole < 1:
@@ -92,77 +90,61 @@ def _cmd_shifts(args: argparse.Namespace) -> int:
         raise ValidationError("--pigeonhole needs --angles")
     points = parse_angles(args.angles)
     ks = [pigeonhole_shift(points, j) for j in range(1, args.pigeonhole + 1)]
-    _emit({"mode": "pigeonhole", "shifts": ks, "status": "ok"})
-    return EXIT_OK
+    return {"mode": "pigeonhole", "shifts": ks, "status": "ok"}
 
 
-def _cmd_balance(args: argparse.Namespace) -> int:
+def _cmd_balance(args: argparse.Namespace) -> dict:
     summary, _ = recipe_balance(**recipe_kwargs(
         "balance", {"angles": args.angles, "eps": args.eps}))
-    _emit(summary)
-    return EXIT_OK
+    return summary
 
 
-def _cmd_dirichlet(args: argparse.Namespace) -> int:
+def _cmd_dirichlet(args: argparse.Namespace) -> dict:
     thetas = [parse_theta(t) for t in args.thetas.split(",") if t.strip()]
     n, ps = dirichlet_approx(thetas, args.big_m)
-    errors = [abs(n * t - p) for t, p in zip(thetas, ps)]
-    _emit(
-        {
-            "N": n,
-            "p": ps,
-            "errors": errors,
-            "bound": args.big_m ** (-1.0 / len(thetas)),
-            "status": "ok",
-        }
-    )
-    return EXIT_OK
+    return {
+        "N": n,
+        "p": ps,
+        "errors": [abs(n * t - p) for t, p in zip(thetas, ps)],
+        "bound": args.big_m ** (-1.0 / len(thetas)),
+        "status": "ok",
+    }
 
 
-def _cmd_hecke(args: argparse.Namespace) -> int:
+def _cmd_hecke(args: argparse.Namespace) -> dict:
     theta = parse_theta(args.theta)
     gamma = parse_number(float, args.gamma, "gamma")
     z = parse_number(complex, args.z, "z")
     value = hecke_outer_eval(theta, z, args.n, gamma)
     bound = hecke_outer_truncation_bound(z, args.n)
     if not args.check_identity:
-        _emit({"value": [value.real, value.imag], "bound": bound, "status": "ok"})
-        return EXIT_OK
+        return {"value": [value.real, value.imag], "bound": bound, "status": "ok"}
     residual = abs(value - hecke_direct_sum(theta, z, args.n, gamma))
-    _emit(
-        {
-            "value": [value.real, value.imag],
-            "bound": bound,
-            "identity_residual": residual,
-            "status": "ok" if residual <= max(2.0 * bound, 1e-10) else "mismatch",
-        }
-    )
-    return EXIT_OK
+    return {
+        "value": [value.real, value.imag],
+        "bound": bound,
+        "identity_residual": residual,
+        "status": "ok" if residual <= max(2.0 * bound, 1e-10) else "mismatch",
+    }
 
 
-def _cmd_kneading(args: argparse.Namespace) -> int:
+def _cmd_kneading(args: argparse.Namespace) -> dict:
     if not args.entropy:
         d = kneading_coeffs(args.map, args.n)
-        _emit({"value": [int(x) for x in d[:32]], "bound": 1.0, "status": "ok"})
-        return EXIT_OK
+        return {"value": [int(x) for x in d[:32]], "bound": 1.0, "status": "ok"}
     summary, _ = recipe_kneading_entropy(**recipe_kwargs(
         "kneading-entropy", {"map": args.map, "n": args.n, "tol": args.tol}))
-    _emit(
-        {
-            "value": summary["entropy"],
-            "bound": args.tol,
-            "status": summary["status"],
-            "root": summary["root"],
-            "r_max": summary["r_max"],
-        }
-    )
-    return EXIT_OK
+    return {
+        "value": summary["entropy"],
+        "bound": args.tol,
+        "status": summary["status"],
+        "root": summary["root"],
+        "r_max": summary["r_max"],
+    }
 
 
-def _cmd_thue_morse(args: argparse.Namespace) -> int:
-    bits = thue_morse(args.n)
-    _emit({"value": [int(b) for b in bits], "bound": 1.0, "status": "ok"})
-    return EXIT_OK
+def _cmd_thue_morse(args: argparse.Namespace) -> dict:
+    return {"value": [int(b) for b in thue_morse(args.n)], "bound": 1.0, "status": "ok"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hecke = sub.add_parser("hecke", help="rotation-stream continuation values")
     p_hecke.add_argument("--theta", default="golden")
-    p_hecke.add_argument("--gamma", type=float, default=0.0)
+    p_hecke.add_argument("--gamma", default="0.0")
     p_hecke.add_argument("--check-identity", action="store_true")
     p_hecke.add_argument("-n", type=int, default=200)
     p_hecke.add_argument("-z", default="2+0j")
@@ -230,7 +212,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        _emit(args.handler(args))
+        return EXIT_OK
     except ValidationError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return EXIT_VALIDATION

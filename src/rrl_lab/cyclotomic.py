@@ -76,10 +76,6 @@ def reduce_element(a: dict[int, int], L: int) -> dict[int, int]:
     return a
 
 
-def is_zero(a: dict[int, int], L: int) -> bool:
-    return not reduce_element(a, L)
-
-
 def to_complex(a: dict[int, int], L: int) -> complex:
     """Float value of the element; exact 0.0 / exact ints survive exactly.
 
@@ -143,7 +139,7 @@ def synthetic_div_root(coeffs: list[dict[int, int]], e: int, L: int
         out[k] = carry
         terms = _counted(terms + len(carry), L)
         carry = _add_shifted(dict(coeffs[k]), carry, e, L, 1)
-    if not is_zero(carry, L):
+    if reduce_element(carry, L):
         raise ArithmeticError("point is not a root of the polynomial")
     return out
 

@@ -147,10 +147,6 @@ class CPoly:
     coeffs: np.ndarray
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
     def one_norm(self) -> float:
         return float(np.sum(np.abs(self.coeffs)))
 

@@ -45,8 +45,8 @@ def hecke_outer_eval(theta: float, z: complex, n_terms: int, gamma: float = 0.0)
     -sum_{-N<=n<0} {gamma + n*theta} z^n up to the geometric truncation
     tails (termwise: -{-x} = {x} - 1 off the integers).  Truncation bound:
     |z|^(-N) / (|z| - 1).  A nonzero gamma must stay off the orbit lattice
-    Z + theta*Z; that precondition is checked to 1e-10 over |n| <= N and
-    violated offsets raise ResonantGamma.
+    Z + theta*Z at the offsets the sum reads: gamma + n*theta is checked to
+    1e-10 for -N <= n <= -1, and a violated offset raises ResonantGamma.
     """
     if n_terms < 1:
         raise ValidationError(f"Hecke depth must be >= 1, got {n_terms}")
@@ -55,7 +55,7 @@ def hecke_outer_eval(theta: float, z: complex, n_terms: int, gamma: float = 0.0)
         raise ValidationError("need |z| >= 1 + 1e-6")
     th, ga = float(theta), float(gamma)
     if ga != 0.0:
-        for n in range(-n_terms, n_terms + 1):
+        for n in range(-n_terms, 0):
             f = frac_part(ga + n * th)
             if min(f, 1.0 - f) <= 1e-10:
                 raise ResonantGamma(
@@ -151,20 +151,12 @@ def kneading_sequence(umap: UnimodalMap, n_max: int) -> np.ndarray:
     return itinerary(umap, umap.critical, n_max)[1:]
 
 
-@dataclass(frozen=True)
-class KneadingData:
-    """The cumulative-product determinant coefficients of kneading signs."""
-
-    d_coeffs: np.ndarray  # d_0 = 1, d_k = eps_1 * ... * eps_k
-
-
-def kneading_determinant(eps: Sequence[int]) -> KneadingData:
-    """Coefficients d_0 .. d_N of D(z) = 1 + sum eps_1...eps_k z^k."""
+def kneading_determinant(eps: Sequence[int]) -> np.ndarray:
+    """Coefficients d_0 .. d_N of D(z) = 1 + sum eps_1...eps_k z^k, an int64 array."""
     e = np.asarray(eps, dtype=np.int64)
     if not np.all(np.abs(e) == 1):
         raise ValidationError("kneading signs must be +-1")
-    d = np.concatenate(([1], np.cumprod(e)))
-    return KneadingData(d_coeffs=d)
+    return np.concatenate(([1], np.cumprod(e)))
 
 
 @dataclass(frozen=True)

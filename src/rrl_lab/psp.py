@@ -106,10 +106,9 @@ class PoleMeasure:
         return cls(atoms, tail_mass=tail)
 
 
-def uniform_roots_measure(q: int, weight: complex | None = None) -> PoleMeasure:
-    """Uniform measure on the q-th roots of unity (default weight 1/q each)."""
-    w = complex(weight) if weight is not None else 1.0 / q
-    return PoleMeasure([(CirclePoint.exact(p, q), w) for p in range(q)])
+def uniform_roots_measure(q: int) -> PoleMeasure:
+    """Uniform measure on the q-th roots of unity, weight 1/q each."""
+    return PoleMeasure([(CirclePoint.exact(p, q), 1.0 / q) for p in range(q)])
 
 
 def _smith_quot(ar: float, ai: float, br: np.ndarray, bi: np.ndarray):
@@ -134,15 +133,14 @@ def _smith_quot(ar: float, ai: float, br: np.ndarray, bi: np.ndarray):
     return qr, qi
 
 
-def psp_eval(m: PoleMeasure, z,
-             exclusion_radius: float = DEFAULT_EXCLUSION) -> complex | np.ndarray:
+def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
     """Evaluate the pole series at z (a scalar or an array), atoms in angle order.
 
     A scalar z goes through the same code as a length-1 array and comes
     back as a complex; an array comes back as a complex array of its shape.
     Each point sees the float operations of the scalar sum
     ``total += w / (z - lambda)``, so results are bit-equal to it.  Raises
-    PoleCollision when a point is within the exclusion radius of an atom.
+    PoleCollision when a point is within DEFAULT_EXCLUSION of an atom.
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
@@ -151,10 +149,10 @@ def psp_eval(m: PoleMeasure, z,
     for p, w in m.atoms:
         lam = p.value()
         dr, di = zr - lam.real, zi - lam.imag
-        hit = (np.hypot(dr, di) <= exclusion_radius) | ((dr == 0.0) & (di == 0.0))
+        hit = np.hypot(dr, di) <= DEFAULT_EXCLUSION
         if hit.any():
             at = complex(flat[np.argmax(hit)])
-            raise PoleCollision(f"z = {at} within {exclusion_radius} of pole {p}")
+            raise PoleCollision(f"z = {at} within {DEFAULT_EXCLUSION} of pole {p}")
         qr, qi = _smith_quot(w.real, w.imag, dr, di)
         tr, ti = tr + qr, ti + qi
     if zs.ndim == 0:

@@ -51,13 +51,7 @@ def parse_theta(text: str) -> float:
     """A named theta (golden, sqrt2, sqrt3) or a finite float."""
     if text in NAMED_THETAS:
         return NAMED_THETAS[text]
-    try:
-        theta = float(text)
-    except ValueError as exc:
-        raise ValidationError(f"bad theta {text!r}: {exc}") from exc
-    if not math.isfinite(theta):
-        raise ValidationError(f"theta must be finite, got {text!r}")
-    return theta
+    return parse_number(float, text, "theta")
 
 
 def parse_angle(text: str) -> CirclePoint:
@@ -139,7 +133,7 @@ def kneading_coeffs(map_spec: str, n: int) -> np.ndarray:
     else:
         raise ValidationError(
             f"unknown map spec {map_spec!r} (tent | quadratic:c | feigenbaum-product)")
-    return kneading_determinant(kneading_sequence(umap, n)).d_coeffs
+    return kneading_determinant(kneading_sequence(umap, n))
 
 
 def recipe_defaults(recipe: str) -> dict[str, Any]:

@@ -48,10 +48,6 @@ class Window:
                                   f"{self.half_width}]")
         return complex(self.values[n + self.half_width])
 
-    def negative_side(self) -> np.ndarray:
-        """b_{-W} .. b_{-1}."""
-        return self.values[: self.half_width]
-
 
 @dataclass(frozen=True)
 class ShiftReport:
@@ -71,10 +67,6 @@ class ShiftReport:
     def window(self, i: int) -> Window:
         return Window(half_width=self.half_width, values=self.values[i],
                       shift=self.shifts[i], residual=float(self.residuals[i]))
-
-    @property
-    def windows(self) -> list[Window]:
-        return [self.window(i) for i in range(len(self))]
 
     def __len__(self) -> int:
         return len(self.shifts)

@@ -16,9 +16,8 @@ class CoeffStream:
     """A bounded sequence {a_k}, k >= 0, with a named generating rule.
 
     ``rule`` maps an integer index array to the coefficients at those
-    indices, elementwise.  ``take`` and ``a`` both read through it, so a
-    single coefficient, or a slice read from any start, is bit-identical
-    to the same entries of a prefix.
+    indices, elementwise, so a slice read by ``take`` from any start is
+    bit-identical to the same entries of a prefix.
     A real rule's output is read as float64 (ints and bools cast), a
     complex one as complex128.  Every value read is checked against the
     declared bound; a NaN fails the check.
@@ -48,12 +47,6 @@ class CoeffStream:
             )
         return arr
 
-    def a(self, k: int) -> complex:
-        """Single coefficient a_k (k >= 0)."""
-        if k < 0:
-            raise ValidationError("stream index must be >= 0")
-        return complex(self._read(np.array([k]))[0])
-
     def take(self, n: int, start: int = 0) -> np.ndarray:
         """Materialize a_start .. a_{start+n-1} (float64 for a real rule, else complex)."""
         if start < 0:
@@ -64,41 +57,19 @@ class CoeffStream:
         return f"CoeffStream({self.name!r}, bound={self.bound})"
 
 
-def _table(values: Sequence[complex]) -> np.ndarray:
-    """values as float64 when all are real (ints and bools cast), else complex128."""
-    arr = np.asarray(values)
-    return arr.astype(complex if np.iscomplexobj(arr) else float)
-
-
-def from_values(values: Sequence[complex], name: str = "values") -> CoeffStream:
-    """Finite sequence, implicitly zero past the end."""
-    vals = _table(values)
-    bound = float(np.max(np.abs(vals))) if vals.size else 0.0
-
-    def rule(ks: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(ks), dtype=vals.dtype)
-        inside = ks < len(vals)
-        out[inside] = vals[ks[inside]]
-        return out
-
-    return CoeffStream(name, rule, bound)
-
-
-def periodic(cycle: Sequence[complex], name: str = "periodic") -> CoeffStream:
-    cyc = _table(cycle)
-    if cyc.size == 0:
-        raise ValidationError("cycle must be nonempty")
-    bound = float(np.max(np.abs(cyc)))
-    return CoeffStream(name, lambda ks: cyc[np.mod(ks, len(cyc))], bound)
-
-
 def preperiodic(head: Sequence[complex], cycle: Sequence[complex],
                 name: str = "preperiodic") -> CoeffStream:
-    both = _table([*head, *cycle])  # one dtype: complex if any value is
+    """head, then cycle repeated forever; the one stream backed by a table.
+
+    A finite sequence v is ``preperiodic(v, [0])``, a periodic one c is
+    ``preperiodic([], c)``.  The table is float64 when every value is real
+    (ints and bools cast), else complex128; the bound is the largest |value|.
+    """
+    both = np.asarray([*head, *cycle])
+    both = both.astype(complex if np.iscomplexobj(both) else float)
     h, cyc = both[:len(head)], both[len(head):]
     if cyc.size == 0:
         raise ValidationError("cycle must be nonempty")
-    bound = float(max(np.max(np.abs(h)) if h.size else 0.0, np.max(np.abs(cyc))))
 
     def rule(ks: np.ndarray) -> np.ndarray:
         out = cyc[np.mod(ks - len(h), len(cyc))]
@@ -106,5 +77,5 @@ def preperiodic(head: Sequence[complex], cycle: Sequence[complex],
         out[small] = h[ks[small]]
         return out
 
-    return CoeffStream(name, rule, bound)
+    return CoeffStream(name, rule, float(np.max(np.abs(both))))
 

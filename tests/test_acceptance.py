@@ -133,7 +133,7 @@ def test_criterion_06_thue_morse_product():
 def test_criterion_07_entropy():
     t0 = time.perf_counter()
     eps = kneading_sequence(UnimodalMap.tent(), 64)
-    d = kneading_determinant(eps).d_coeffs.astype(float)
+    d = kneading_determinant(eps).astype(float)
     tent = smallest_real_zero(d, tol=1e-7)
     ok = (
         tent.status == "zero"

@@ -484,12 +484,26 @@ def test_hecke_identity_floor_is_the_recipes(tmp_path, monkeypatch, capsys, offs
 
 
 def test_hecke_tool_gamma_resonant_exits_3(capsys):
+    # gamma = {5 theta}: gamma - 5 theta is an integer, and n = -5 enters the sum
     code, obj = run_cli(
-        capsys, "hecke", "--theta", "golden", "--gamma", "1.0",
+        capsys, "hecke", "--theta", "golden", "--gamma", "0.09016994374947451",
         "--check-identity", "-n", "40",
     )
     assert code == 3
     assert obj["error"]["type"] == "ResonantGamma"
+
+
+@pytest.mark.parametrize("gamma", ["1.0", "0.9098300562505255"])
+def test_hecke_tool_gamma_resonant_only_off_the_sum_exits_0(capsys, gamma):
+    # gamma + n theta is an integer only at n = 0 (gamma = 1) or n = +5
+    # (gamma = {-5 theta}); the sum reads n <= -1, so the identity holds
+    code, obj = run_cli(
+        capsys, "hecke", "--theta", "golden", "--gamma", gamma,
+        "--check-identity", "-n", "40",
+    )
+    assert code == 0
+    assert obj["status"] == "ok"
+    assert obj["identity_residual"] <= 2.0 * obj["bound"]
 
 
 def test_kneading_tool_entropy(capsys):

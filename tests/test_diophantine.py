@@ -208,7 +208,7 @@ def test_dirichlet_exhaustive_oracle_property():
 def test_poly_from_cube_roots_exact():
     p = poly_from_roots(roots_of_unity(3))
     assert list(p.coeffs) == [-1.0, 0.0, 0.0, 1.0]
-    assert p.degree == 3 and p.one_norm == 2.0
+    assert len(p.coeffs) == 4 and p.one_norm == 2.0
 
 
 def test_poly_single_root():

