@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .diophantine import dirichlet_approx, factorial_shifts, pigeonhole_shift
 from .dynamics import hecke_outer_eval, hecke_outer_truncation_bound, thue_morse
-from .errors import RrlLabError, ValidationError
+from .errors import CapExceeded, RrlLabError, ValidationError
 from .recipes import (
     RECIPES,
     RecipeConfig,
@@ -35,6 +35,10 @@ from .recipes import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_COMPUTATION = 3
+
+# largest n of the thue-morse tool, which prints every bit as a JSON list:
+# about 15 MB and 0.3 s per 10^6 bits
+THUE_MORSE_TOOL_N_CAP = 10**7
 
 # recipe parameters that may arrive from the config file or flags
 PARAM_KEYS = sorted({key for recipe in RECIPES for key in recipe_defaults(recipe)})
@@ -144,6 +148,8 @@ def _cmd_kneading(args: argparse.Namespace) -> dict:
 
 
 def _cmd_thue_morse(args: argparse.Namespace) -> dict:
+    if args.n > THUE_MORSE_TOOL_N_CAP:
+        raise CapExceeded(f"n = {args.n} exceeds cap {THUE_MORSE_TOOL_N_CAP}")
     return {"value": [int(b) for b in thue_morse(args.n)], "bound": 1.0, "status": "ok"}
 
 

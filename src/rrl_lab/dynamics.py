@@ -15,10 +15,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circle import frac_array, frac_part
-from .errors import InsufficientDepth, ResonantGamma, ValidationError
+from .errors import CapExceeded, InsufficientDepth, ResonantGamma, ValidationError
 from .streams import CoeffStream
 
 FEIGENBAUM_C = -1.401155189  # quadratic parameter at the period-doubling limit
+# largest degree of the lacunary product: its int8 coefficients stay near
+# 200 MB, well inside 512 MB of address space with the interpreter
+PRODUCT_N_CAP = 2 * 10**8
 
 
 def hecke_stream(theta: float, gamma: float = 0.0) -> CoeffStream:
@@ -104,11 +107,6 @@ class UnimodalMap:
     increasing_side: str  # "left" | "right"
     name: str = "unimodal"
 
-    def observable(self, x: float) -> int:
-        if self.increasing_side == "left":
-            return 1 if x <= self.critical else -1
-        return 1 if x >= self.critical else -1
-
     @classmethod
     def tent(cls) -> "UnimodalMap":
         return cls(
@@ -136,14 +134,16 @@ def itinerary(umap: UnimodalMap, x0: float, n_max: int) -> np.ndarray:
     """
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
-    out = np.empty(n_max + 1, dtype=np.int64)
+    fn, critical, isfinite = umap.fn, umap.critical, math.isfinite
+    left = umap.increasing_side == "left"
+    signs = []
     x = float(x0)
     for k in range(n_max + 1):
-        if not math.isfinite(x):
+        if not isfinite(x):
             raise ValidationError(f"{umap.name}: orbit of {x0!r} is not finite at step {k}")
-        out[k] = umap.observable(x)
-        x = umap.fn(x)
-    return out
+        signs.append((1 if x <= critical else -1) if left else (1 if x >= critical else -1))
+        x = fn(x)
+    return np.array(signs, dtype=np.int64)
 
 
 def kneading_sequence(umap: UnimodalMap, n_max: int) -> np.ndarray:
@@ -152,11 +152,13 @@ def kneading_sequence(umap: UnimodalMap, n_max: int) -> np.ndarray:
 
 
 def kneading_determinant(eps: Sequence[int]) -> np.ndarray:
-    """Coefficients d_0 .. d_N of D(z) = 1 + sum eps_1...eps_k z^k, an int64 array."""
+    """Coefficients d_0 .. d_N of D(z) = 1 + sum eps_1...eps_k z^k, an int8 array."""
     e = np.asarray(eps, dtype=np.int64)
     if not np.all(np.abs(e) == 1):
         raise ValidationError("kneading signs must be +-1")
-    return np.concatenate(([1], np.cumprod(e)))
+    d = np.ones(len(e) + 1, dtype=np.int8)
+    np.cumprod(e, out=d[1:])
+    return d
 
 
 @dataclass(frozen=True)
@@ -291,11 +293,11 @@ def smallest_real_zero(coeffs: Sequence[float], tol: float) -> RealZeroResult:
                           (-math.log(b), -math.log(a) if a > 0 else None))
 
 
-def thue_morse(n_max: int) -> np.ndarray:
-    """Bits tau_0 .. tau_N: parity of the binary popcount of n."""
-    if n_max < 0:
-        raise ValidationError("n_max must be >= 0")
-    tau = np.arange(n_max + 1)
+def thue_morse(n_max: int, start: int = 0) -> np.ndarray:
+    """Bits tau_start .. tau_N: parity of the binary popcount of n, int64."""
+    if not 0 <= start <= n_max:
+        raise ValidationError(f"need 0 <= start <= n_max, got start {start}, n_max {n_max}")
+    tau = np.arange(start, n_max + 1)
     # in place: one int64 array, no uint8 temporaries
     return np.bitwise_and(np.bitwise_count(tau, out=tau), 1, out=tau)
 
@@ -303,12 +305,15 @@ def thue_morse(n_max: int) -> np.ndarray:
 def feigenbaum_product(n_max: int) -> np.ndarray:
     """Coefficients 0..N of prod_m (1 - z^(2^m)), factors with 2^m <= N.
 
-    Exact integers; coefficient n equals (-1)^{tau_n} for the Thue-Morse
-    bits tau.
+    Exact in int8, one byte a coefficient: coefficient n equals
+    (-1)^{tau_n} for the Thue-Morse bits tau.  N above PRODUCT_N_CAP is
+    CapExceeded, before anything is allocated.
     """
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
-    coeffs = np.zeros(n_max + 1, dtype=np.int64)
+    if n_max > PRODUCT_N_CAP:
+        raise CapExceeded(f"n = {n_max} exceeds cap {PRODUCT_N_CAP}")
+    coeffs = np.zeros(n_max + 1, dtype=np.int8)
     coeffs[0] = 1
     step = 1
     while step <= n_max:

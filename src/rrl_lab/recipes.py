@@ -40,6 +40,9 @@ from .errors import ValidationError
 from .psp import PoleMeasure, uniform_roots_measure
 from .right_limits import renascent_shift_search, report_to_csv, verify_rrl_on_psp, window_cluster
 
+# Thue-Morse bits per block of the thue-morse-product check (512 KB of int64)
+THUE_MORSE_BLOCK = 1 << 16
+
 NAMED_THETAS = {
     "golden": (math.sqrt(5.0) - 1.0) / 2.0,
     "sqrt2": math.sqrt(2.0) - 1.0,
@@ -275,11 +278,14 @@ def recipe_kneading_entropy(map: str = "tent", n: int = 2047, tol: float = 1e-6
 
 
 def recipe_thue_morse_product(n: int = 1023) -> tuple[dict, Table]:
+    """Coefficients of prod_m (1 - z^(2^m)) against (-1)^tau, compared one
+    block of THUE_MORSE_BLOCK bits at a time, so the run holds the int8
+    product and one block; the first mismatch ends the check."""
     product = feigenbaum_product(n)
-    signs = thue_morse(n)
-    signs *= -2  # (-1)^tau = 1 - 2 tau, built in place
-    signs += 1
-    match = bool(np.array_equal(product, signs))
+    # (-1)^tau = 1 - 2 tau
+    match = all(np.array_equal(product[lo : lo + THUE_MORSE_BLOCK],
+                               1 - 2 * thue_morse(min(lo + THUE_MORSE_BLOCK - 1, n), lo))
+                for lo in range(0, n + 1, THUE_MORSE_BLOCK))
     return {"n": n, "match": match}, lambda: _rows_csv(["n", "match"], [[n, match]])
 
 

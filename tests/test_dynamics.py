@@ -1,5 +1,11 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,8 +14,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLDEN, SQRT2_M1, substitution_thue_morse
+from rrl_lab import recipes
+from rrl_lab.cli import THUE_MORSE_TOOL_N_CAP
 from rrl_lab.dynamics import (
     FEIGENBAUM_C,
+    PRODUCT_N_CAP,
     UnimodalMap,
     _series_values,
     feigenbaum_product,
@@ -24,8 +33,10 @@ from rrl_lab.dynamics import (
     thue_morse,
 )
 from rrl_lab.errors import InsufficientDepth, ResonantGamma, ValidationError
-from rrl_lab.recipes import kneading_coeffs
+from rrl_lab.recipes import THUE_MORSE_BLOCK, kneading_coeffs, recipe_thue_morse_product
 from rrl_lab.right_limits import SEARCH_BLOCK
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # ---------------------------------------------------------------- streams
@@ -206,6 +217,46 @@ def test_itinerary_values_are_signs():
         assert set(np.unique(signs)) <= {-1, 1}
 
 
+def plain_itinerary(umap, x0, n_max):
+    """Reference: the sign rule and the map looked up afresh at every step."""
+    out, x = [], float(x0)
+    for k in range(n_max + 1):
+        if not math.isfinite(x):
+            raise ValidationError(f"not finite at step {k}")
+        if umap.increasing_side == "left":
+            out.append(1 if x <= umap.critical else -1)
+        else:
+            out.append(1 if x >= umap.critical else -1)
+        x = umap.fn(x)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.one_of(st.none(), st.floats(-2.0, 0.25)), u=st.one_of(st.none(), st.floats(0.0, 1.0)),
+       n=st.integers(0, 300))
+@example(c=None, u=None, n=300)
+@example(c=-2.0, u=None, n=300)
+@example(c=-1.75, u=None, n=300)
+def test_itinerary_is_the_plain_loop(c, u, n):
+    # c None: the tent map (increasing on the left); else x^2 + c, on
+    # [-beta, beta]; u None starts at the critical point
+    if c is None:
+        umap, x0 = UnimodalMap.tent(), u
+    else:
+        umap = UnimodalMap.quadratic(c)
+        beta = (1.0 + math.sqrt(1.0 - 4.0 * c)) / 2.0
+        x0 = None if u is None else beta * (2.0 * u - 1.0)
+    x0 = umap.critical if x0 is None else x0
+    try:
+        want = plain_itinerary(umap, x0, n)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            itinerary(umap, x0, n)
+        return
+    got = itinerary(umap, x0, n)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 def test_kneading_determinant_all_plus():
     d = kneading_determinant([1] * 8)
     assert np.all(d == 1)
@@ -227,6 +278,12 @@ def test_feigenbaum_kneading_matches_thue_morse():
     d = kneading_determinant(eps)
     tm = thue_morse(64)
     assert np.array_equal(d, (-1) ** tm)
+
+
+@pytest.mark.parametrize("spec", ["tent", "quadratic:-1.75", "feigenbaum-product"])
+def test_kneading_coeffs_are_int8_for_every_map(spec):
+    d = kneading_coeffs(spec, 300)
+    assert d.dtype == np.int8 and d[0] == 1 and np.all(np.abs(d) == 1)
 
 
 def test_kneading_coefficients_unimodular():
@@ -469,3 +526,85 @@ def test_feigenbaum_product_matches_convolution_oracle():
 def test_feigenbaum_product_equals_thue_morse_signs():
     n = 1023
     assert np.array_equal(feigenbaum_product(n), (-1) ** thue_morse(n))
+
+
+@pytest.mark.parametrize("start,n_max", [(0, 0), (5, 5), (3, 100), (SEARCH_BLOCK, 3 * SEARCH_BLOCK)])
+def test_thue_morse_from_start_is_a_slice(start, n_max):
+    tm = thue_morse(n_max, start)
+    assert tm.dtype == np.int64 and np.array_equal(tm, thue_morse(n_max)[start:])
+
+
+@pytest.mark.parametrize("start,n_max", [(-1, 5), (6, 5), (0, -1)])
+def test_thue_morse_rejects_a_bad_start(start, n_max):
+    with pytest.raises(ValidationError):
+        thue_morse(n_max, start)
+
+
+# the check runs in blocks: sizes n + 1 on and around the block edges
+@pytest.mark.parametrize("size", [THUE_MORSE_BLOCK - 1, THUE_MORSE_BLOCK, THUE_MORSE_BLOCK + 1,
+                                  3 * THUE_MORSE_BLOCK + 5])
+def test_thue_morse_product_recipe_matches_across_blocks(size):
+    assert recipe_thue_morse_product(n=size - 1)[0] == {"n": size - 1, "match": True}
+
+
+@pytest.mark.parametrize("index", [0, THUE_MORSE_BLOCK, None], ids=["first", "block", "last"])
+def test_thue_morse_product_recipe_sees_one_wrong_sign(monkeypatch, index):
+    n = 3 * THUE_MORSE_BLOCK + 4
+    index = n if index is None else index
+    blocks = []
+
+    def wrong_product(n_max):
+        c = feigenbaum_product(n_max)
+        c[index] = -c[index]
+        return c
+
+    def counted_thue_morse(n_max, start):
+        blocks.append(start)
+        return thue_morse(n_max, start)
+
+    monkeypatch.setattr(recipes, "feigenbaum_product", wrong_product)
+    monkeypatch.setattr(recipes, "thue_morse", counted_thue_morse)
+    assert recipe_thue_morse_product(n=n)[0]["match"] is False
+    # the check stops at the block holding the first mismatch
+    assert blocks == list(range(0, index + 1, THUE_MORSE_BLOCK))
+
+
+def cli_under_512_mb(*argv: str) -> subprocess.CompletedProcess:
+    """`rrl-lab ARGV` in a subprocess capped at 512 MB of address space, so
+    a regression is a MemoryError, not a machine-wide out-of-memory."""
+    script = textwrap.dedent(f"""
+        import resource, sys
+        limit = 1 << 29  # 512 MB
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        from rrl_lab.cli import main
+        sys.exit(main({list(argv)!r}))
+    """)
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_thue_morse_product_at_1e8_runs_under_a_memory_limit(tmp_path):
+    # two whole int64 arrays would need 1.6 GB; the int8 product and one
+    # block of the check need about 100 MB
+    out = tmp_path / "tm.json"
+    proc = cli_under_512_mb("run", "--recipe", "thue-morse-product", "--n", "100000000",
+                            "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text()) == {"match": True, "n": 100_000_000,
+                                           "recipe": "thue-morse-product"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--recipe", "thue-morse-product", "--n", str(PRODUCT_N_CAP + 1)],
+    ["kneading", "--map", "feigenbaum-product", "-n", str(PRODUCT_N_CAP + 1)],
+    ["thue-morse", "-n", str(THUE_MORSE_TOOL_N_CAP + 1)],
+], ids=["recipe", "kneading", "tool"])
+def test_thue_morse_caps_exit_3_under_a_memory_limit(tmp_path, argv):
+    if argv[0] == "run":
+        argv = [*argv, "--out", str(tmp_path / "tm.json")]
+    proc = cli_under_512_mb(*argv)
+    lines = proc.stdout.strip().splitlines()
+    assert proc.returncode == 3, proc.stderr
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "CapExceeded"
