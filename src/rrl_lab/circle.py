@@ -61,6 +61,14 @@ def frac_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def power_turns(angle: float, ks: np.ndarray) -> np.ndarray:
+    """{k * angle} for each k of ks, snapped to 0 within FRAC_SNAP of 1 as
+    ``frac_part`` snaps: the angles of ``CirclePoint(angle).power(k)``."""
+    u = frac_array(angle * ks)
+    u[u > 1.0 - FRAC_SNAP] = 0.0
+    return u
+
+
 def turn_to_complex(t: Angle) -> complex:
     """e^{2*pi*i*t} for t in [0, 1), via quadrant reduction.
 

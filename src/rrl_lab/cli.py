@@ -20,7 +20,7 @@ from .errors import CapExceeded, RrlLabError, ValidationError
 from .recipes import (
     RECIPES,
     RecipeConfig,
-    hecke_direct_sum,
+    hecke_identity,
     kneading_coeffs,
     parse_angles,
     parse_number,
@@ -119,16 +119,16 @@ def _cmd_hecke(args: argparse.Namespace) -> dict:
     theta = parse_theta(args.theta)
     gamma = parse_number(float, args.gamma, "gamma")
     z = parse_number(complex, args.z, "z")
-    value = hecke_outer_eval(theta, z, args.n, gamma)
-    bound = hecke_outer_truncation_bound(z, args.n)
     if not args.check_identity:
-        return {"value": [value.real, value.imag], "bound": bound, "status": "ok"}
-    residual = abs(value - hecke_direct_sum(theta, z, args.n, gamma))
+        value = hecke_outer_eval(theta, z, args.n, gamma)
+        return {"value": [value.real, value.imag],
+                "bound": hecke_outer_truncation_bound(z, args.n), "status": "ok"}
+    value, residual, bound, status = hecke_identity(theta, z, args.n, gamma)
     return {
         "value": [value.real, value.imag],
         "bound": bound,
         "identity_residual": residual,
-        "status": "ok" if residual <= max(2.0 * bound, 1e-10) else "mismatch",
+        "status": status,
     }
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cyclotomic as cyc
-from .circle import FRAC_SNAP, CirclePoint, frac_array, frac_part
+from .circle import CirclePoint, frac_part, power_turns
 from .errors import CapExceeded, DuplicateRoot, NotARoot, RrlLabError, ValidationError
 from .psp import PoleMeasure, moments
 
@@ -58,14 +58,13 @@ def _in_corner(p: CirclePoint, ks: np.ndarray, j: int) -> np.ndarray:
     Exact points test the residue (k * p) mod q, in int64 when
     q * PIGEONHOLE_MAX_SCAN <= 2**63 (the scan's k < PIGEONHOLE_MAX_SCAN and
     p < q, so k * p fits) and in Python ints otherwise; float points test the
-    fractional part with CirclePoint's snap of FRAC_SNAP to 0.
+    fractional part as CirclePoint.power snaps it (``power_turns``).
     """
     if p.is_exact:
         pp, q = p.angle.numerator, p.angle.denominator
         r = (ks if q * PIGEONHOLE_MAX_SCAN <= 2**63 else ks.astype(object)) * pp % q
         return j * r < q
-    f = frac_array(p.angle * ks)
-    return (f < 1.0 / j) | (f > 1.0 - FRAC_SNAP)
+    return power_turns(p.angle, ks) < 1.0 / j
 
 
 def pigeonhole_shift(lambdas: Sequence[CirclePoint], j: int) -> int:
@@ -272,11 +271,10 @@ def is_eps_balanced(points: Sequence[CirclePoint], eps: float
     """
     if not (0 < eps < 1):
         raise ValidationError("eps must be in (0, 1)")
-    pts = _sorted_distinct(points)
-    p = poly_from_roots(pts)
-    defect = float(np.sum(np.abs(p.coeffs - balance_target(len(pts)))))
+    p = poly_from_roots(points)
+    defect = float(np.sum(np.abs(p.coeffs - balance_target(len(points)))))
     if not math.isfinite(defect):
-        raise RrlLabError(f"defect of a {len(pts)}-point root set is {defect!r}")
+        raise RrlLabError(f"defect of a {len(points)}-point root set is {defect!r}")
     return defect <= eps, defect
 
 

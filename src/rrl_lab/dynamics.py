@@ -22,6 +22,12 @@ FEIGENBAUM_C = -1.401155189  # quadratic parameter at the period-doubling limit
 # largest degree of the lacunary product: its int8 coefficients stay near
 # 200 MB, well inside 512 MB of address space with the interpreter
 PRODUCT_N_CAP = 2 * 10**8
+# longest itinerary: the Python loop keeps a list and then an int64 array,
+# about 18 B a step, 2 s and 190 MB at the cap
+ITINERARY_N_CAP = 10**7
+# largest degree of the smallest-real-zero scan, which holds the coefficients
+# as floats and as Horner blocks, about 20 B each: 5 s and 240 MB at the cap
+ZERO_N_CAP = 10**7
 
 
 def hecke_stream(theta: float, gamma: float = 0.0) -> CoeffStream:
@@ -134,6 +140,8 @@ def itinerary(umap: UnimodalMap, x0: float, n_max: int) -> np.ndarray:
     """
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
+    if n_max > ITINERARY_N_CAP:
+        raise CapExceeded(f"itinerary length n = {n_max} exceeds cap {ITINERARY_N_CAP}")
     fn, critical, isfinite = umap.fn, umap.critical, math.isfinite
     left = umap.increasing_side == "left"
     signs = []
@@ -173,7 +181,6 @@ class RealZeroResult:
     entropy: float
     bracket: tuple[float, float] | None
     r_max: float
-    tail_at_root: float | None
     entropy_interval: tuple[float, float | None] | None = None
 
 
@@ -245,8 +252,11 @@ def smallest_real_zero(coeffs: Sequence[float], tol: float) -> RealZeroResult:
     points inside it until it stops shrinking, on the prefix c_0 .. c_m
     with b^(m+1) <= u, the unit roundoff: the tail term bounds the dropped
     coefficients.  These short rescans use Horner's rule (``np.polyval``,
-    2m roundings), whose bits set the reported bracket.
+    2m roundings), whose bits set the reported bracket.  A degree above
+    ZERO_N_CAP is CapExceeded, before the coefficients are copied.
     """
+    if len(coeffs) - 1 > ZERO_N_CAP:
+        raise CapExceeded(f"zero scan degree {len(coeffs) - 1} exceeds cap {ZERO_N_CAP}")
     c = np.asarray(coeffs, dtype=float)
     if not (c.size and np.all(np.abs(c) <= 1.0 + 1e-12)):
         raise ValidationError("coefficients must be finite and bounded by 1")
@@ -278,7 +288,7 @@ def smallest_real_zero(coeffs: Sequence[float], tol: float) -> RealZeroResult:
         if any(_first_flip(part) is not None for part in (bare[: inner.size], bare[inner.size :])):
             raise InsufficientDepth(
                 f"uncertified sign change (r_max = {r_max}); deepen the truncation")
-        return RealZeroResult("no-zero", None, 0.0, None, r_max, None)
+        return RealZeroResult("no-zero", None, 0.0, None, r_max)
     a, b = float(inner[flip[0]]), float(inner[flip[1]])
     m = min(n, math.ceil(math.log(_UNIT_ROUNDOFF) / math.log(b)))
     while True:
@@ -289,7 +299,7 @@ def smallest_real_zero(coeffs: Sequence[float], tol: float) -> RealZeroResult:
             break
         a, b = float(rs[flip[0]]), float(rs[flip[1]])
     root = 0.5 * (a + b)
-    return RealZeroResult("zero", root, -math.log(root), (a, b), r_max, _tail_bound(root, n),
+    return RealZeroResult("zero", root, -math.log(root), (a, b), r_max,
                           (-math.log(b), -math.log(a) if a > 0 else None))
 
 

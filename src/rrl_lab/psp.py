@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circle import FRAC_SNAP, CirclePoint, frac_array, turn_to_complex
+from .circle import CirclePoint, power_turns, turn_to_complex
 from .errors import DuplicatePole, PoleCollision, ValidationError
 
 DEFAULT_EXCLUSION = 1e-12
@@ -194,8 +194,7 @@ def _float_parts(angle: float, exps_f: np.ndarray):
     rounds them.  np.cos/np.sin equal math.cos/math.sin on [0, pi/4], the
     only range the octant reduction below passes them.
     """
-    u = frac_array(angle * exps_f)
-    u[u > 1.0 - FRAC_SNAP] = 0.0
+    u = power_turns(angle, exps_f)
     quadrant = np.floor(4.0 * u)
     r = np.maximum(u - quadrant * 0.25, 0.0)
     low = r <= 0.125
@@ -258,14 +257,8 @@ def fourier_psp(fhat: Sequence[tuple[int, complex]], theta: float) -> PoleMeasur
     -lambda_j * fhat_j.  Raises DuplicatePole when two supplied frequencies
     collide on the circle (rational theta).
     """
-    seen: dict = {}
     atoms = []
     for j, c in fhat:
         pt = CirclePoint.real(-j * theta)
-        if pt.angle in seen:
-            raise DuplicatePole(
-                f"frequencies {seen[pt.angle]} and {j} give the same pole"
-            )
-        seen[pt.angle] = j
         atoms.append((pt, -pt.value() * complex(c)))
     return PoleMeasure(atoms)

@@ -26,6 +26,7 @@ from .circle import CirclePoint
 from .diophantine import balance_completion, factorial_shifts, pigeonhole_shift
 from .dynamics import (
     FEIGENBAUM_C,
+    ZERO_N_CAP,
     UnimodalMap,
     feigenbaum_product,
     hecke_outer_eval,
@@ -36,7 +37,7 @@ from .dynamics import (
     smallest_real_zero,
     thue_morse,
 )
-from .errors import ValidationError
+from .errors import CapExceeded, ValidationError
 from .psp import PoleMeasure, uniform_roots_measure
 from .right_limits import renascent_shift_search, report_to_csv, verify_rrl_on_psp, window_cluster
 
@@ -52,21 +53,18 @@ NAMED_THETAS = {
 
 def parse_theta(text: str) -> float:
     """A named theta (golden, sqrt2, sqrt3) or a finite float."""
-    if text in NAMED_THETAS:
-        return NAMED_THETAS[text]
-    return parse_number(float, text, "theta")
+    return parse_number(float, NAMED_THETAS.get(text, text), "theta")
 
 
 def parse_angle(text: str) -> CirclePoint:
-    """Angle in turns: 'p/q' gives an exact point, otherwise float."""
+    """Angle in turns: 'p/q' gives an exact point, otherwise a named theta
+    or a finite float."""
     text = text.strip()
+    if "/" not in text:
+        return CirclePoint.real(parse_number(float, NAMED_THETAS.get(text, text), "angle"))
     try:
-        if "/" in text:
-            p, q = text.split("/")
-            return CirclePoint(Fraction(int(p), int(q)))
-        if text in NAMED_THETAS:
-            return CirclePoint.real(NAMED_THETAS[text])
-        return CirclePoint.real(float(text))
+        p, q = text.split("/")
+        return CirclePoint(Fraction(int(p), int(q)))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad angle {text!r}: {exc}") from exc
 
@@ -114,6 +112,20 @@ def parse_number(kind: type, raw: Any, name: str):
 def hecke_direct_sum(theta: float, z: complex, n: int, gamma: float = 0.0) -> complex:
     """Direct partial sum -sum_{-N<=n<0} {gamma + n*theta} z^n, unsnapped mod 1."""
     return -sum(((theta * nn + gamma) % 1.0) * z**nn for nn in range(-n, 0))
+
+
+def hecke_identity(theta: float, z: complex, n: int, gamma: float = 0.0
+                   ) -> tuple[complex, float, float, str]:
+    """(value, residual, bound, status) of the continuation formula at z.
+
+    The residual is its distance to ``hecke_direct_sum``; both truncations
+    are within ``bound`` = |z|^(-N) / (|z| - 1), so the status is "ok" when
+    the residual is at most max(2 * bound, 1e-10), else "mismatch".
+    """
+    value = hecke_outer_eval(theta, z, n, gamma)
+    residual = abs(value - hecke_direct_sum(theta, z, n, gamma))
+    bound = hecke_outer_truncation_bound(z, n)
+    return value, residual, bound, "ok" if residual <= max(2.0 * bound, 1e-10) else "mismatch"
 
 
 def kneading_coeffs(map_spec: str, n: int) -> np.ndarray:
@@ -223,9 +235,7 @@ def recipe_hecke_unique(theta: str = "golden", n: int = 200, w: int = 10,
                         k_max: int = 10_000, tol: float = 1e-2, z: complex = 2 + 0j
                         ) -> tuple[dict, Table]:
     theta = parse_theta(theta)
-    formula = hecke_outer_eval(theta, z, n)
-    residual = abs(formula - hecke_direct_sum(theta, z, n))
-    bound = 2.0 * hecke_outer_truncation_bound(z, n)
+    _, residual, bound, status = hecke_identity(theta, z, n)
     report, clusters, table = _hecke_search(theta, 0.0, w, k_max, tol)
     summary = {
         "theta": theta,
@@ -234,8 +244,8 @@ def recipe_hecke_unique(theta: str = "golden", n: int = 200, w: int = 10,
         "shifts_head": report.shifts[:16],
         "cluster_count": len(clusters),
         "identity_residual": residual,
-        "identity_bound": bound,
-        "status": "ok" if residual <= max(bound, 1e-10) else "mismatch",
+        "identity_bound": 2.0 * bound,
+        "status": status,
     }
     return summary, table
 
@@ -252,7 +262,7 @@ def recipe_hecke_two(theta: str = "golden", w: int = 10, k_max: int = 100_000,
         "theta": theta,
         "shift_count": len(report),
         "cluster_count": len(clusters),
-        "cluster_sizes": [c.count for c in clusters],
+        "cluster_sizes": [len(c.member_shifts) for c in clusters],
         "diff_at_minus_1": diff_at_minus_1,
         "status": "ok" if len(clusters) == 2 else "unexpected-cluster-count",
     }
@@ -261,7 +271,9 @@ def recipe_hecke_two(theta: str = "golden", w: int = 10, k_max: int = 100_000,
 
 def recipe_kneading_entropy(map: str = "tent", n: int = 2047, tol: float = 1e-6
                             ) -> tuple[dict, Table]:
-    res = smallest_real_zero(kneading_coeffs(map, n).astype(float), tol)
+    if n > ZERO_N_CAP:  # the zero scan's cap, checked before the coefficients are built
+        raise CapExceeded(f"zero scan degree {n} exceeds cap {ZERO_N_CAP}")
+    res = smallest_real_zero(kneading_coeffs(map, n), tol)
     summary = {
         "map": map,
         "depth": n,

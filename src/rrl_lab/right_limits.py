@@ -27,20 +27,20 @@ SEARCH_K_CAP = 10**9
 # values the search may hold at once, one block read plus the hits' windows
 # (8 B each for a real stream, 16 B for a complex one)
 SEARCH_CELLS_CAP = 10**7
+# exponents verify_rrl_on_psp may sum at once, (shifts + 1) * (2W + 1): about
+# 130 B each on one order of roots of unity, 1 s and 290 MB at the cap
+VERIFY_CELLS_CAP = 2 * 10**6
 
 
 @dataclass(frozen=True)
 class Window:
     """Two-sided candidate window b_{-W..W} induced by one shift k.
 
-    ``values[n + half_width]`` holds b_n = a_{n+k}; ``residual`` is the
-    max of |a_{n+k} - a_n| over the fitted range 0 <= n <= W.
+    ``values[n + half_width]`` holds b_n = a_{n+k}.
     """
 
     half_width: int
     values: np.ndarray
-    shift: int
-    residual: float
 
     def __getitem__(self, n: int) -> complex:
         if abs(n) > self.half_width:
@@ -58,15 +58,12 @@ class ShiftReport:
     """
 
     half_width: int
-    k_max: int
-    tol: float
     shifts: list[int]
     residuals: np.ndarray
     values: np.ndarray
 
     def window(self, i: int) -> Window:
-        return Window(half_width=self.half_width, values=self.values[i],
-                      shift=self.shifts[i], residual=float(self.residuals[i]))
+        return Window(half_width=self.half_width, values=self.values[i])
 
     def __len__(self) -> int:
         return len(self.shifts)
@@ -135,18 +132,17 @@ def renascent_shift_search(a: CoeffStream, half_width: int, k_max: int,
         hits = len(values)
         values.resize((hits + cand.size, span), refcheck=False)
         values[hits:] = sliding_window_view(block, span)[cand]
-    return ShiftReport(half_width=w, k_max=int(k_max), tol=float(tol),
-                       shifts=np.concatenate(shifts).tolist(),
+    return ShiftReport(half_width=w, shifts=np.concatenate(shifts).tolist(),
                        residuals=np.concatenate(residuals), values=values)
 
 
 @dataclass(frozen=True)
 class WindowCluster:
-    """Windows grouped under a representative; ``distances[i]`` is the
-    negative-side sup-distance of ``member_shifts[i]`` to the representative."""
+    """Windows grouped under a representative, the window of
+    ``member_shifts[0]``; ``distances[i]`` is the negative-side sup-distance
+    of ``member_shifts[i]`` to the representative."""
 
     representative: Window
-    count: int
     member_shifts: list[int]
     distances: list[float]
 
@@ -173,7 +169,7 @@ def window_cluster(report: ShiftReport, tol: float) -> list[WindowCluster]:
         members = idx[joins]
         unassigned[members] = False
         clusters.append(WindowCluster(
-            representative=report.window(idx[0]), count=len(members),
+            representative=report.window(idx[0]),
             member_shifts=[report.shifts[i] for i in members],
             distances=dist[joins].tolist()))
     return clusters
@@ -229,6 +225,7 @@ def verify_rrl_on_psp(m: PoleMeasure, shifts: Sequence[int],
     [-W, -1]) per shift.  When every atom is a root of unity and the shift
     is divisible by all orders, both residuals are exactly 0: the shifted
     exponents reduce to identical angles, so the sums agree bitwise.
+    More than VERIFY_CELLS_CAP exponents is CapExceeded, before any is built.
     """
     ks = [int(k) for k in shifts]
     if not ks:
@@ -238,6 +235,10 @@ def verify_rrl_on_psp(m: PoleMeasure, shifts: Sequence[int],
     w = int(half_width)
     if w < 1:
         raise ValidationError("half_width must be >= 1")
+    cells = (len(ks) + 1) * (2 * w + 1)
+    if cells > VERIFY_CELLS_CAP:
+        raise CapExceeded(f"{len(ks)} shifts at W = {w} need {cells} exponents, over the "
+                          f"cap {VERIFY_CELLS_CAP}")
     # b_n = -moment(-n-1) for n in [-W, W], unshifted and then for each shift
     exps = [-(n + k) - 1 for k in [0] + ks for n in range(-w, w + 1)]
     b = -moments(m, exps).reshape(len(ks) + 1, 2 * w + 1)

@@ -3,17 +3,23 @@
 These are independent computation paths (exact rational-complex
 arithmetic, power-series long division, substitution expansion) used to
 freeze expected values; they deliberately avoid the library code paths
-they check.
+they check.  ``cli_under_512_mb`` runs the command line in a child
+process with a memory limit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
-
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 SQRT3_M1 = math.sqrt(3.0) - 1.0
@@ -84,3 +90,19 @@ def substitution_thue_morse(depth: int) -> list[int]:
     for _ in range(depth):
         word = [b for a in word for b in ((0, 1) if a == 0 else (1, 0))]
     return word
+
+
+def cli_under_512_mb(*argv: str) -> subprocess.CompletedProcess:
+    """`rrl-lab ARGV` in a subprocess capped at 512 MB of address space, so
+    a regression is a MemoryError, not a machine-wide out-of-memory."""
+    script = textwrap.dedent(f"""
+        import resource, sys
+        limit = 1 << 29  # 512 MB
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        from rrl_lab.cli import main
+        sys.exit(main({list(argv)!r}))
+    """)
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)

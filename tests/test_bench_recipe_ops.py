@@ -1,4 +1,5 @@
-"""Every recipe op of the benchmark passes the recipe parameter check.
+"""Every recipe op of the benchmark passes the recipe parameter check and
+stays under every size cap that its parameters reach.
 
 perfbench/workloads.py builds its recipe ops from keyword parameters; a key
 the recipe does not take is a ValidationError, which the benchmark would
@@ -12,11 +13,52 @@ from pathlib import Path
 
 import pytest
 
-from rrl_lab.dynamics import PRODUCT_N_CAP
-from rrl_lab.recipes import RecipeConfig
+from rrl_lab.boundary import ARC_POINTS_CAP, DEFAULT_RADII
+from rrl_lab.diophantine import BALANCE_M_CAP
+from rrl_lab.dynamics import ITINERARY_N_CAP, PRODUCT_N_CAP, ZERO_N_CAP
+from rrl_lab.psp import PoleMeasure, uniform_roots_measure
+from rrl_lab.recipes import RecipeConfig, parse_angles, parse_shift_spec, recipe_defaults
+from rrl_lab.right_limits import (
+    SEARCH_BLOCK,
+    SEARCH_CELLS_CAP,
+    SEARCH_K_CAP,
+    VERIFY_CELLS_CAP,
+)
 
 WORKLOADS = runpy.run_path(
     str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))["WORKLOADS"]
+
+
+def recipe_ops(workdir):
+    """(recipe name, format, parameters as given) of every benchmark recipe op."""
+    return [(op.params["recipe"], op.params["format"],
+             {k: v for k, v in op.params.items() if k not in ("recipe", "format")})
+            for workload in sorted(WORKLOADS) for op in WORKLOADS[workload](1301, workdir)
+            if "recipe" in op.params]
+
+
+def reached_caps(recipe: str, p: dict) -> list[tuple[str, int, int]]:
+    """(size, value, cap) for each cap that a run of ``recipe`` with the full
+    parameters ``p`` checks before its work."""
+    if recipe == "psp-rrl":
+        m = PoleMeasure.loads(Path(p["measure"]).read_text()) if p["measure"] \
+            else uniform_roots_measure(4)
+        rows = len(parse_shift_spec(p["shifts"], m.points)) + 1
+        return [("verify exponents", rows * (2 * p["w"] + 1), VERIFY_CELLS_CAP)]
+    if recipe in ("hecke-unique", "hecke-two"):
+        return [("k_max", p["k_max"], SEARCH_K_CAP),
+                ("search block", SEARCH_BLOCK + 2 * p["w"], SEARCH_CELLS_CAP)]
+    if recipe == "kneading-entropy":
+        first = PRODUCT_N_CAP if p["map"] == "feigenbaum-product" else ITINERARY_N_CAP
+        return [("coefficients", p["n"], first), ("zero scan", p["n"], ZERO_N_CAP)]
+    if recipe == "thue-morse-product":
+        return [("product", p["n"], PRODUCT_N_CAP)]
+    if recipe == "balance":
+        return [("points", len(parse_angles(p["angles"])), BALANCE_M_CAP)]
+    if recipe == "probe-arc":
+        radii = len(p["radii"].split(",")) if p["radii"] else len(DEFAULT_RADII)
+        return [("arc points", (p["quadrature_n"] + 1) * radii, ARC_POINTS_CAP)]
+    raise AssertionError(f"no caps listed for recipe {recipe!r}")
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -29,8 +71,11 @@ def test_recipe_ops_pass_the_recipe_check(tmp_path, workload):
                      params)
 
 
-def test_thue_morse_ops_stay_under_the_product_cap(tmp_path):
-    ops = [op for workload in sorted(WORKLOADS) for op in WORKLOADS[workload](1301, tmp_path)
-           if op.params.get("recipe") == "thue-morse-product"]
-    assert ops
-    assert all(op.params["n"] <= PRODUCT_N_CAP for op in ops)
+def test_recipe_ops_stay_under_every_cap_they_reach(tmp_path):
+    ops = recipe_ops(tmp_path)
+    for recipe, fmt, params in ops:
+        given = RecipeConfig(recipe, tmp_path / "op.out", fmt, params).params
+        for size, value, cap in reached_caps(recipe, {**recipe_defaults(recipe), **given}):
+            assert value <= cap, (recipe, params, size, value, cap)
+    # the thue-morse-product ops, the largest sizes of the benchmark, are among them
+    assert any(recipe == "thue-morse-product" for recipe, _, _ in ops)

@@ -2,14 +2,18 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrl_lab import cli, recipes, right_limits
+from conftest import cli_under_512_mb
+from rrl_lab import recipes, right_limits
+from rrl_lab.boundary import ARC_POINTS_CAP
 from rrl_lab.circle import CirclePoint
 from rrl_lab.cli import PARAM_KEYS, main
+from rrl_lab.dynamics import ITINERARY_N_CAP, ZERO_N_CAP
 from rrl_lab.errors import ValidationError
 from rrl_lab.psp import PoleMeasure, uniform_roots_measure
 from rrl_lab.recipes import hecke_direct_sum, parse_shift_spec
@@ -179,15 +183,50 @@ def test_unparsable_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     # SEARCH_BLOCK + 2W values over SEARCH_CELLS_CAP
     ["run", "--recipe", "hecke-unique", "--k-max", "1000000000000"],
     ["run", "--recipe", "hecke-two", "--w", "100000000", "--k-max", "100000001"],
+    # the itinerary loop (ITINERARY_N_CAP + 1 steps)
+    ["kneading", "--map", "tent", "-n", str(ITINERARY_N_CAP + 1)],
+    # the zero scan (degree ZERO_N_CAP + 1), checked before the coefficients are built
+    ["kneading", "--map", "feigenbaum-product", "--entropy", "-n", str(ZERO_N_CAP + 1)],
+    ["run", "--recipe", "kneading-entropy", "--map", "feigenbaum-product",
+     "--n", str(ZERO_N_CAP + 1)],
+    ["run", "--recipe", "kneading-entropy", "--n", str(ZERO_N_CAP + 1)],
+    # verify_rrl_on_psp: 3 rows (2 shifts and the unshifted) of 2W + 1 = 666667
+    # exponents are VERIFY_CELLS_CAP + 1
+    ["run", "--recipe", "psp-rrl", "--shifts", "factorial:1:2", "--w", "333333"],
+    # arc_l1_growth: one radius of quadrature_n + 1 = ARC_POINTS_CAP + 1 points
+    ["run", "--recipe", "probe-arc", "--radii", "0.5", "--quadrature-n", str(ARC_POINTS_CAP)],
 ])
 def test_caps_exit_3(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     if argv[0] == "run":
         argv = [*argv, "--out", "out.json"]
-    code, obj = one_json_line(capsys, *argv)
+    # every cap is checked before the work it bounds allocates anything
+    tracemalloc.start()
+    try:
+        code, obj = one_json_line(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 3
     assert obj["error"]["type"] == "CapExceeded"
     assert not (tmp_path / "out.json").exists()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["kneading", "--map", "tent", "-n", str(ITINERARY_N_CAP)],
+    ["run", "--recipe", "kneading-entropy", "--map", "feigenbaum-product",
+     "--n", str(ZERO_N_CAP)],
+    # default shifts factorial:6, 7 rows of 2W + 1 = 285713: 1999991 exponents
+    ["run", "--recipe", "psp-rrl", "--w", "142856"],
+    ["run", "--recipe", "probe-arc", "--radii", "0.5", "--quadrature-n", str(ARC_POINTS_CAP - 1)],
+], ids=["itinerary", "zero-scan", "psp-rrl", "probe-arc"])
+def test_runs_at_the_caps_fit_in_512_mb(tmp_path, argv):
+    if argv[0] == "run":
+        argv = [*argv, "--out", str(tmp_path / "out.json")]
+    proc = cli_under_512_mb(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] in ("ok", "no-zero")
 
 
 def test_quadratic_range_ends_accepted(capsys):
@@ -468,11 +507,11 @@ def test_hecke_tool_identity(capsys):
 
 @pytest.mark.parametrize("offset, status", [(5e-11, "ok"), (5e-10, "mismatch")])
 def test_hecke_identity_floor_is_the_recipes(tmp_path, monkeypatch, capsys, offset, status):
-    # the tool and the hecke-unique recipe accept a residual up to one floor, 1e-10
+    # the tool and the hecke-unique recipe read one verdict, recipes.hecke_identity,
+    # which accepts a residual up to the floor 1e-10
     def off(*args):
         return hecke_direct_sum(*args) + offset
 
-    monkeypatch.setattr(cli, "hecke_direct_sum", off)
     monkeypatch.setattr(recipes, "hecke_direct_sum", off)
     code, tool = run_cli(capsys, "hecke", "--check-identity")
     assert code == 0 and tool["identity_residual"] < 1e-9

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import SQRT2_M1, SQRT3_M1
 from rrl_lab import diophantine
-from rrl_lab.circle import CirclePoint, roots_of_unity
+from rrl_lab.circle import FRAC_SNAP, CirclePoint, frac_array, power_turns, roots_of_unity
 from rrl_lab.diophantine import (
     FACTORIAL_J_CAP,
     balance_completion,
@@ -79,6 +79,43 @@ def test_pigeonhole_cell_condition_posthoc_property():
         assert k >= 1
         for p in pts[:j]:
             assert (float(p.angle) * k) % 1.0 < 1.0 / j
+
+
+def two_sided_corner(angle: float, ks: np.ndarray, j: int) -> np.ndarray:
+    """The corner mask as it was written before ``power_turns``: the unsnapped
+    fractional part is below 1/j, or within FRAC_SNAP of 1."""
+    f = frac_array(angle * ks)
+    return (f < 1.0 / j) | (f > 1.0 - FRAC_SNAP)
+
+
+# angles whose multiples k * angle land near 0 and near 1 - FRAC_SNAP
+CORNER_ANGLES = st.one_of(
+    st.floats(0.0, 1e-11),
+    st.floats(1e-15, 1e-11).map(lambda d: 1.0 - d),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CORNER_ANGLES, st.lists(st.integers(1, 1 << 27), min_size=1, max_size=64),
+       st.integers(1, 8))
+@example(1.0 - 1e-13, [1, 2, 3], 8)
+@example(1.0 - 2e-14, [1, 5, 10], 2)
+def test_corner_mask_is_the_two_sided_mask_bitwise(angle, ks, j):
+    ks = np.array(ks, dtype=np.int64)
+    want = two_sided_corner(angle, ks, j)
+    assert np.array_equal(power_turns(angle, ks) < 1.0 / j, want)
+    p = CirclePoint.real(angle)
+    assert np.array_equal(diophantine._in_corner(p, ks, j), two_sided_corner(p.angle, ks, j))
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_corner_mask_of_a_non_finite_product_is_false_on_both_sides(angle):
+    ks = np.arange(1, 9)
+    with np.errstate(invalid="ignore"):  # inf - floor(inf) is NaN
+        for j in range(1, 9):
+            assert not np.any(power_turns(angle, ks) < 1.0 / j)
+            assert not np.any(two_sided_corner(angle, ks, j))
 
 
 def test_pigeonhole_caps():

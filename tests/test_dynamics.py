@@ -1,11 +1,6 @@
 import json
 import math
-import os
-import subprocess
-import sys
-import textwrap
 from decimal import Decimal, localcontext
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -13,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN, SQRT2_M1, substitution_thue_morse
+from conftest import GOLDEN, SQRT2_M1, cli_under_512_mb, substitution_thue_morse
 from rrl_lab import recipes
 from rrl_lab.cli import THUE_MORSE_TOOL_N_CAP
 from rrl_lab.dynamics import (
@@ -36,7 +31,6 @@ from rrl_lab.errors import InsufficientDepth, ResonantGamma, ValidationError
 from rrl_lab.recipes import THUE_MORSE_BLOCK, kneading_coeffs, recipe_thue_morse_product
 from rrl_lab.right_limits import SEARCH_BLOCK
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # ---------------------------------------------------------------- streams
@@ -346,7 +340,7 @@ def test_zero_bracket_monotone_under_depth():
         if prev is not None:
             (lo, hi), tail = prev
             assert lo - tail <= res.root <= hi + tail
-        prev = (res.bracket, res.tail_at_root)
+        prev = (res.bracket, res.root ** (n + 1) / (1.0 - res.root))
 
 
 def _kneading_zero(umap, n, tol):
@@ -567,22 +561,6 @@ def test_thue_morse_product_recipe_sees_one_wrong_sign(monkeypatch, index):
     assert recipe_thue_morse_product(n=n)[0]["match"] is False
     # the check stops at the block holding the first mismatch
     assert blocks == list(range(0, index + 1, THUE_MORSE_BLOCK))
-
-
-def cli_under_512_mb(*argv: str) -> subprocess.CompletedProcess:
-    """`rrl-lab ARGV` in a subprocess capped at 512 MB of address space, so
-    a regression is a MemoryError, not a machine-wide out-of-memory."""
-    script = textwrap.dedent(f"""
-        import resource, sys
-        limit = 1 << 29  # 512 MB
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-        from rrl_lab.cli import main
-        sys.exit(main({list(argv)!r}))
-    """)
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
 
 
 def test_thue_morse_product_at_1e8_runs_under_a_memory_limit(tmp_path):

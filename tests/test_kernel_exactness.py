@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrl_lab.boundary import arc_l1_growth
-from rrl_lab import psp
+from rrl_lab import circle
 from rrl_lab.circle import CirclePoint, frac_array, turn_to_complex
 from rrl_lab.diophantine import PIGEONHOLE_J_CAP, moment_sequence
 from rrl_lab.errors import PoleCollision, ValidationError
@@ -273,12 +273,12 @@ def test_frac_array_is_np_mod_and_python_mod(xs):
 @given(measures(), st.lists(exponents, max_size=30))
 def test_float_atom_moments_unchanged_from_np_mod(m, exps):
     want = moments(m, exps)
-    orig = psp.frac_array
-    psp.frac_array = lambda x: np.mod(x, 1.0)
+    orig = circle.frac_array
+    circle.frac_array = lambda x: np.mod(x, 1.0)
     try:
         assert same_bits(moments(m, exps), want)
     finally:
-        psp.frac_array = orig
+        circle.frac_array = orig
 
 
 def test_numpy_hypot_equals_complex_abs():

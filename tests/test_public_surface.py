@@ -1,10 +1,10 @@
-"""Every public function, class and method of the library has a caller
-outside the tests, or is named in KEEP with the reason it stays.
+"""Every public function, class, method and field of the library has a
+reader outside the tests, or is named in KEEP with the reason it stays.
 
 Surface that only tests reach is deleted, not kept.  A top-level name is
 reached when a module of ``src/rrl_lab`` or ``perfbench/`` reads it as a
-name, an attribute or an import; a method is reached when one reads it as
-an attribute.  ``__init__.py`` is skipped on both sides: its imports are the
+name, an attribute or an import; a method, or a field (an annotated
+assignment in a class body), is reached when one reads it as an attribute.  ``__init__.py`` is skipped on both sides: its imports are the
 package's exports, not uses.  Each KEEP entry must still be defined and
 still unreached, so the dict cannot go stale.  Like test_imports_used.py,
 this is a stdlib-``ast`` check.
@@ -32,19 +32,24 @@ KEEP = {
     "generating_functions": "a window's outer series is the continuation that the "
                             "psp-continuation recipe checks (ROADMAP item 1)",
     "fourier_psp": "the dense-pole measure of the psp-continuation recipe (ROADMAP item 1)",
+    "RealZeroResult.bracket": "the certified bracket that the zero-search tests check the "
+                              "true zero against; entropy_interval is derived from it",
 }
 
 
 def public_surface(source: str) -> list[str]:
-    """Public top-level functions and classes, and ``Class.method`` for each
-    public method of a public class."""
+    """Public top-level functions and classes, and ``Class.member`` for each
+    public method and annotated field of a public class."""
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             out.append(node.name)
             if isinstance(node, ast.ClassDef):
-                out += [f"{node.name}.{item.name}" for item in node.body
-                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+                members = [item.name if isinstance(item, ast.FunctionDef) else item.target.id
+                           for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           or isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+                out += [f"{node.name}.{name}" for name in members if not name.startswith("_")]
     return out
 
 
@@ -76,6 +81,7 @@ def test_every_public_name_is_reached_or_kept():
 
 def test_check_sees_unreached_functions_classes_and_methods():
     library = textwrap.dedent("""
+        from dataclasses import dataclass
         def used(): pass
         def dead(): pass
         def _private(): pass
@@ -84,8 +90,14 @@ def test_check_sees_unreached_functions_classes_and_methods():
             def uncalled(self): pass
             def _helper(self): pass
         class Dead: pass
+        @dataclass
+        class Result:
+            read: int
+            unread: float
+            _hidden: int = 0
     """)
-    reader = "from lib import used\nUsed().called()\n"
-    assert unreached([library], [reader]) == ["Dead", "Used.uncalled", "dead"]
-    assert unreached([library], [library, reader]) == ["Dead", "Used.uncalled", "dead"]
+    reader = "from lib import used\nUsed().called()\nprint(Result(1, 2.0).read)\n"
+    want = ["Dead", "Result.unread", "Used.uncalled", "dead"]
+    assert unreached([library], [reader]) == want
+    assert unreached([library], [library, reader]) == want
 

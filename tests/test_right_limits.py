@@ -128,7 +128,7 @@ def test_cluster_constant_stream():
     clusters = window_cluster(report, 1e-12)
     assert len(clusters) == 1
     assert np.all(clusters[0].representative.values == 1.0)
-    assert clusters[0].count == len(report)
+    assert len(clusters[0].member_shifts) == len(report)
 
 
 def test_cluster_empty_report_has_no_clusters():
@@ -163,7 +163,7 @@ def test_generating_functions_match_pole_series():
 
     w = 12
     values = np.array([taylor_coefficient(m, n) for n in range(-w, w + 1)])
-    window = Window(half_width=w, values=values, shift=0, residual=0.0)
+    window = Window(half_width=w, values=values)
     inner, outer = generating_functions(window)
     assert abs(inner(0.5) - psp_eval(m, 0.5)) <= inner.truncation_bound(0.5) + 1e-12
     assert abs(outer(2.0) - psp_eval(m, 2.0)) <= outer.truncation_bound(2.0) + 1e-12
@@ -225,25 +225,25 @@ def test_report_csv_bytes_unchanged_by_shift_lookup():
     # rendering with the linear scan for each cluster member, as before the
     # dict lookup, gives the same bytes on a two-cluster report
     report = renascent_shift_search(hecke_stream(GOLDEN, gamma=GOLDEN), 10, 30_000, 5e-3)
-    clusters = window_cluster(report, report.tol)
+    clusters = window_cluster(report, 5e-3)
     assert len(clusters) == 2 and len(report) > 100
     lines = ["shift,residual_pos,residual_neg_vs_cluster,cluster_id"]
-    windows = [report.window(i) for i in range(len(report))]
+    rows = list(zip(report.shifts, report.residuals.tolist(), report.values))
     assignment = {}
     for cid, cl in enumerate(clusters):
         rep_neg = cl.representative.values[:10]
         for shift in cl.member_shifts:
-            w = next(x for x in windows if x.shift == shift)
-            assignment[shift] = (cid, float(np.max(np.abs(w.values[:10] - rep_neg))))
-    for w in windows:
-        cid, d = assignment[w.shift]
-        lines.append(f"{w.shift},{w.residual!r},{d!r},{cid}")
+            values = next(v for k, _, v in rows if k == shift)
+            assignment[shift] = (cid, float(np.max(np.abs(values[:10] - rep_neg))))
+    for shift, residual, _ in rows:
+        cid, d = assignment[shift]
+        lines.append(f"{shift},{residual!r},{d!r},{cid}")
     assert report_to_csv(report, clusters) == "\n".join(lines) + "\n"
 
 
 def test_report_csv_shape():
     report = renascent_shift_search(preperiodic([], [0.0, 1.0]), 3, 12, 0.0)
-    text = report_to_csv(report, window_cluster(report, report.tol))
+    text = report_to_csv(report, window_cluster(report, 0.0))
     lines = text.strip().split("\n")
     assert lines[0] == "shift,residual_pos,residual_neg_vs_cluster,cluster_id"
     assert len(lines) == 1 + len(report)
@@ -253,7 +253,7 @@ def test_report_csv_shape():
 
 def test_report_csv_empty_report():
     report = renascent_shift_search(preperiodic([5.0], [0.0]), 2, 40, 1e-9)
-    text = report_to_csv(report, window_cluster(report, report.tol))
+    text = report_to_csv(report, window_cluster(report, 1e-9))
     assert text.strip() == "shift,residual_pos,residual_neg_vs_cluster,cluster_id"
 
 
@@ -261,13 +261,12 @@ def test_report_csv_writes_the_clusters_it_is_given():
     # negative sides 0, 0.15 and -0.15: three clusters at tol 0.1, one at 2 * tol
     from rrl_lab.right_limits import ShiftReport
 
-    report = ShiftReport(half_width=1, k_max=4, tol=0.1, shifts=[2, 3, 4],
-                         residuals=np.zeros(3),
+    report = ShiftReport(half_width=1, shifts=[2, 3, 4], residuals=np.zeros(3),
                          values=np.array([[x, 0.0, 0.0] for x in (0.0, 0.15, -0.15)]))
     header = "shift,residual_pos,residual_neg_vs_cluster,cluster_id\n"
-    assert report_to_csv(report, window_cluster(report, report.tol)) == \
+    assert report_to_csv(report, window_cluster(report, 0.1)) == \
         header + "2,0.0,0.0,0\n3,0.0,0.0,1\n4,0.0,0.0,2\n"
-    assert report_to_csv(report, window_cluster(report, 2 * report.tol)) == \
+    assert report_to_csv(report, window_cluster(report, 0.2)) == \
         header + "2,0.0,0.0,0\n3,0.0,0.15,0\n4,0.0,0.15,0\n"
 
 
@@ -282,12 +281,12 @@ def test_cluster_nan_window_forms_its_own_cluster():
     from rrl_lab.right_limits import ShiftReport
 
     negs = [[0, 0], [math.nan, 0], [0, 0]]
-    report = ShiftReport(half_width=2, k_max=5, tol=0.0, shifts=[3, 4, 5],
-                         residuals=np.zeros(3),
+    report = ShiftReport(half_width=2, shifts=[3, 4, 5], residuals=np.zeros(3),
                          values=np.array([[*neg, 0, 0, 0] for neg in negs], dtype=complex))
     clusters = window_cluster(report, 0.1)
     assert [c.member_shifts for c in clusters] == [[3, 5], [4]]
-    assert clusters[1].representative.shift == 4 and math.isnan(clusters[1].distances[0])
+    assert np.isnan(clusters[1].representative.values[0])
+    assert math.isnan(clusters[1].distances[0])
 
 
 def as_complex(stream):
@@ -374,17 +373,16 @@ def test_search_and_clusters_match_matrix_oracle(stream, w, extra, tol, group_to
     report = renascent_shift_search(stream, w, k_max, tol)
     hits = oracle_search(stream, w, k_max, tol)
     assert report.shifts == [k for k, _, _ in hits]
-    windows = [report.window(i) for i in range(len(report))]
-    assert np.array_equal(bits([x.residual for x in windows]),
-                          bits([r for _, r, _ in hits]))
-    for x, (_, _, values) in zip(windows, hits):
-        assert np.array_equal(bits(x.values), bits(values))
+    assert np.array_equal(bits(report.residuals), bits([r for _, r, _ in hits]))
+    for i, (_, _, values) in enumerate(hits):
+        assert np.array_equal(bits(report.window(i).values), bits(values))
     clusters = window_cluster(report, group_tol)
     expected = oracle_clusters(hits, w, group_tol)
-    assert [(c.representative.shift, c.member_shifts) for c in clusters] == \
-        [(rep, ks) for rep, ks, _ in expected]
-    assert [c.count for c in clusters] == [len(ks) for _, ks, _ in expected]
-    for c, (_, _, dists) in zip(clusters, expected):
+    assert [c.member_shifts for c in clusters] == [ks for _, ks, _ in expected]
+    assert [c.member_shifts[0] for c in clusters] == [rep for rep, _, _ in expected]
+    for c, (rep, _, dists) in zip(clusters, expected):
+        values = hits[[k for k, _, _ in hits].index(rep)][2]
+        assert np.array_equal(bits(c.representative.values), bits(values))
         assert np.array_equal(bits(c.distances), bits(dists))
 
 

@@ -11,12 +11,8 @@ with the float plan restated here, on both routes and for q_poly.
 """
 
 import math
-import os
 import subprocess
-import sys
-import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -24,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cli_under_512_mb
 from rrl_lab import cyclotomic as cyc
 from rrl_lab import diophantine
 from rrl_lab.circle import CirclePoint, roots_of_unity, turn_to_complex
@@ -36,7 +33,6 @@ from rrl_lab.diophantine import (
 from rrl_lab.errors import RrlLabError
 from rrl_lab.recipes import NAMED_THETAS
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 SETTINGS = settings(max_examples=40, deadline=None)
 
 
@@ -247,20 +243,8 @@ def test_non_finite_defect_is_an_error(monkeypatch):
 
 
 def balance_under_512_mb(angles: str) -> subprocess.CompletedProcess:
-    """`rrl-lab balance --angles ...` in a subprocess capped at 512 MB of
-    address space, so a regression is a MemoryError, not a machine-wide
-    out-of-memory."""
-    script = textwrap.dedent(f"""
-        import resource, sys
-        limit = 1 << 29  # 512 MB
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-        from rrl_lab.cli import main
-        sys.exit(main(["balance", "--angles", "{angles}"]))
-    """)
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
+    """`rrl-lab balance --angles ...` under a 512 MB address-space limit."""
+    return cli_under_512_mb("balance", "--angles", angles)
 
 
 def test_huge_exact_completion_exits_3_under_a_memory_limit():
