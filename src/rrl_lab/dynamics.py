@@ -28,6 +28,9 @@ ITINERARY_N_CAP = 10**7
 # largest degree of the smallest-real-zero scan, which holds the coefficients
 # as floats and as Horner blocks, about 20 B each: 5 s and 240 MB at the cap
 ZERO_N_CAP = 10**7
+# deepest Hecke continuation: hecke_outer_eval and the direct sum it is
+# checked against are Python loops, about 0.4 s and 0.2 s per 10^6 terms
+HECKE_N_CAP = 10**7
 
 
 def hecke_stream(theta: float, gamma: float = 0.0) -> CoeffStream:
@@ -56,9 +59,12 @@ def hecke_outer_eval(theta: float, z: complex, n_terms: int, gamma: float = 0.0)
     |z|^(-N) / (|z| - 1).  A nonzero gamma must stay off the orbit lattice
     Z + theta*Z at the offsets the sum reads: gamma + n*theta is checked to
     1e-10 for -N <= n <= -1, and a violated offset raises ResonantGamma.
+    A depth above HECKE_N_CAP is CapExceeded, before any loop runs.
     """
     if n_terms < 1:
         raise ValidationError(f"Hecke depth must be >= 1, got {n_terms}")
+    if n_terms > HECKE_N_CAP:
+        raise CapExceeded(f"Hecke depth {n_terms} exceeds cap {HECKE_N_CAP}")
     z = complex(z)
     if abs(z) < 1.0 + 1e-6:
         raise ValidationError("need |z| >= 1 + 1e-6")

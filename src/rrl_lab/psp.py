@@ -29,6 +29,9 @@ from .circle import CirclePoint, power_turns, turn_to_complex
 from .errors import DuplicatePole, PoleCollision, ValidationError
 
 DEFAULT_EXCLUSION = 1e-12
+# atom-point cells of one psp_eval block: its dozen float64 temporaries stay
+# near 1 MB, whatever the number of points
+EVAL_BLOCK = 2**13
 
 
 class PoleMeasure:
@@ -111,25 +114,26 @@ def uniform_roots_measure(q: int) -> PoleMeasure:
     return PoleMeasure([(CirclePoint.exact(p, q), 1.0 / q) for p in range(q)])
 
 
-def _smith_quot(ar: float, ai: float, br: np.ndarray, bi: np.ndarray):
+def _smith_quot(ar, ai, br: np.ndarray, bi: np.ndarray):
     """(ar + ai*i) / (br + bi*i) elementwise, as CPython divides complex numbers.
 
     Smith's algorithm spelled out on real arrays (CPython's ``_Py_c_quot``),
     so every quotient is bit-equal to the scalar ``/``; numpy's own complex
-    division rounds differently.  Zero divisors are excluded by the caller.
+    division rounds differently.  Each element runs the one branch that
+    ``|br| >= |bi|`` picks, with its operands selected by ``np.where``:
+    sums whose operands are swapped are exact, and each difference keeps
+    the branch's own operand order, so signs of zero carry.  The dividend
+    parts broadcast against the divisor.  Zero divisors are excluded by the
+    caller.
     """
-    abr, abi = np.abs(br), np.abs(bi)
+    by_real = np.abs(br) >= np.abs(bi)
+    big, small = np.where(by_real, br, bi), np.where(by_real, bi, br)
     with np.errstate(all="ignore"):
-        ratio1 = bi / br
-        denom1 = br + bi * ratio1
-        ratio2 = br / bi
-        denom2 = br * ratio2 + bi
-        by_real = abr >= abi
-        by_imag = abi >= abr
-        qr = np.where(by_real, (ar + ai * ratio1) / denom1,
-                      np.where(by_imag, (ar * ratio2 + ai) / denom2, np.nan))
-        qi = np.where(by_real, (ai - ar * ratio1) / denom1,
-                      np.where(by_imag, (ai * ratio2 - ar) / denom2, np.nan))
+        ratio = small / big
+        denom = big + small * ratio
+        ar_r, ai_r = ar * ratio, ai * ratio
+        qr = (np.where(by_real, ar, ar_r) + np.where(by_real, ai_r, ai)) / denom
+        qi = (np.where(by_real, ai, ai_r) - np.where(by_real, ar_r, ar)) / denom
     return qr, qi
 
 
@@ -138,23 +142,34 @@ def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
 
     A scalar z goes through the same code as a length-1 array and comes
     back as a complex; an array comes back as a complex array of its shape.
-    Each point sees the float operations of the scalar sum
-    ``total += w / (z - lambda)``, so results are bit-equal to it.  Raises
-    PoleCollision when a point is within DEFAULT_EXCLUSION of an atom.
+    The points are taken in blocks of at most EVAL_BLOCK atom-point cells:
+    each block's differences z - lambda, collision test and Smith division
+    are single numpy passes over atoms x points, and its rows are then
+    added to the accumulators in angle order, so each point sees the float
+    operations of the scalar sum ``total += w / (z - lambda)`` and results
+    are bit-equal to it.  Raises PoleCollision, before returning any sum,
+    when a point is within DEFAULT_EXCLUSION of an atom.
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
     zr, zi = flat.real, flat.imag
     tr, ti = np.zeros(flat.size), np.zeros(flat.size)
-    for p, w in m.atoms:
-        lam = p.value()
-        dr, di = zr - lam.real, zi - lam.imag
-        hit = np.hypot(dr, di) <= DEFAULT_EXCLUSION
-        if hit.any():
-            at = complex(flat[np.argmax(hit)])
-            raise PoleCollision(f"z = {at} within {DEFAULT_EXCLUSION} of pole {p}")
-        qr, qi = _smith_quot(w.real, w.imag, dr, di)
-        tr, ti = tr + qr, ti + qi
+    if m.atoms:
+        lam = np.array([p.value() for p, _ in m.atoms])[:, None]
+        wts = np.array([w for _, w in m.atoms])[:, None]
+        step = max(1, EVAL_BLOCK // len(m.atoms))
+        for lo in range(0, flat.size, step):
+            dr, di = zr[lo:lo + step] - lam.real, zi[lo:lo + step] - lam.imag
+            hit = np.hypot(dr, di) <= DEFAULT_EXCLUSION
+            if hit.any():
+                k, j = np.unravel_index(np.argmax(hit), hit.shape)
+                raise PoleCollision(f"z = {complex(flat[lo + j])} within "
+                                    f"{DEFAULT_EXCLUSION} of pole {m.atoms[k][0]}")
+            qr, qi = _smith_quot(wts.real, wts.imag, dr, di)
+            acc_r, acc_i = tr[lo:lo + step], ti[lo:lo + step]
+            for row_r, row_i in zip(qr, qi):
+                acc_r += row_r
+                acc_i += row_i
     if zs.ndim == 0:
         return complex(tr[0], ti[0])
     out = np.empty(zs.shape, dtype=complex)
@@ -162,25 +177,46 @@ def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
     return out
 
 
-def _exact_parts(p: int, q: int, exps: list[int], cache: dict):
+def _reduced_exponents(orders: set[int], exps: list[int]) -> dict:
+    """For each exact order q, the exponents mod L as int64, or None.
+
+    Ascending orders join one group while q * lcm(group) < 2^63, and the
+    group shares one array of e mod L, L its lcm, so the index
+    (p*(e mod L)) mod q = (p*e) mod q is one int64 pass: memory grows with
+    the groups, not the orders (all orders up to 20 make one group).  An
+    order with q*q >= 2^63 fits no group and maps to None.  e mod L is
+    taken on Python ints, so shifts like 30! never reach int64.
+    """
+    groups: list[tuple[int, list[int]]] = []
+    for q in sorted(orders):
+        joined = math.lcm(groups[-1][0], q) if groups else q
+        if groups and q * joined < 2**63:
+            groups[-1] = (joined, groups[-1][1] + [q])
+        elif q * q < 2**63:
+            groups.append((q, [q]))
+    out = dict.fromkeys(orders)
+    for lcm, members in groups:
+        out.update(dict.fromkeys(members, np.array([e % lcm for e in exps], dtype=np.int64)))
+    return out
+
+
+def _exact_parts(p: int, q: int, reduced: np.ndarray | None, exps: list[int],
+                 tables: dict):
     """cos and sin of 2*pi*p*e/q for every exponent, from turn_to_complex.
 
-    Exponents are reduced mod q in Python ints, so shifts like 30! never
-    reach int64.  Per order q the cache holds the residues and, when it is
-    no longer than the exponent list, the table of turn_to_complex(j/q)
-    shared by all atoms of that order; otherwise only this atom's distinct
-    residues are evaluated.
+    ``reduced`` is this order's entry of ``_reduced_exponents``; without
+    one, the exponents are reduced mod q on Python ints for this atom
+    alone.  Per order q the table of turn_to_complex(j/q) is kept in
+    ``tables`` when q is no longer than the exponent list; otherwise only
+    this atom's distinct residues are evaluated.
     """
-    if q not in cache:
-        residues = np.array([e % q for e in exps],
-                            dtype=np.int64 if q < 2**31 else object)
-        table = (np.array([turn_to_complex(Fraction(j, q)) for j in range(q)])
-                 if q <= len(exps) else None)
-        cache[q] = residues, table
-    residues, table = cache[q]
-    idx = (p * residues) % q
-    if table is not None:
-        vals = table[idx]
+    if reduced is None:
+        reduced = np.array([e % q for e in exps], dtype=object)
+    idx = (p * reduced) % q
+    if q <= len(exps):
+        if q not in tables:
+            tables[q] = np.array([turn_to_complex(Fraction(j, q)) for j in range(q)])
+        vals = tables[q][idx]
     else:
         uniq, inverse = np.unique(idx, return_inverse=True)
         vals = np.array([turn_to_complex(Fraction(int(j), q)) for j in uniq])[inverse]
@@ -218,11 +254,14 @@ def moments(m: PoleMeasure, exps: Sequence[int]) -> np.ndarray:
     """
     exps = [int(e) for e in exps]
     tr, ti = np.zeros(len(exps)), np.zeros(len(exps))
-    cache: dict = {}
+    reduced = _reduced_exponents({p.angle.denominator for p in m.points if p.is_exact},
+                                 exps)
+    tables: dict = {}
     exps_f = None
     for p, w in m.atoms:
         if p.is_exact:
-            lr, li = _exact_parts(p.angle.numerator, p.angle.denominator, exps, cache)
+            q = p.angle.denominator
+            lr, li = _exact_parts(p.angle.numerator, q, reduced[q], exps, tables)
         else:
             if exps_f is None:
                 try:

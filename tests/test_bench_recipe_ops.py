@@ -15,7 +15,7 @@ import pytest
 
 from rrl_lab.boundary import ARC_POINTS_CAP, DEFAULT_RADII
 from rrl_lab.diophantine import BALANCE_M_CAP
-from rrl_lab.dynamics import ITINERARY_N_CAP, PRODUCT_N_CAP, ZERO_N_CAP
+from rrl_lab.dynamics import HECKE_N_CAP, ITINERARY_N_CAP, PRODUCT_N_CAP, ZERO_N_CAP
 from rrl_lab.psp import PoleMeasure, uniform_roots_measure
 from rrl_lab.recipes import RecipeConfig, parse_angles, parse_shift_spec, recipe_defaults
 from rrl_lab.right_limits import (
@@ -46,8 +46,9 @@ def reached_caps(recipe: str, p: dict) -> list[tuple[str, int, int]]:
         rows = len(parse_shift_spec(p["shifts"], m.points)) + 1
         return [("verify exponents", rows * (2 * p["w"] + 1), VERIFY_CELLS_CAP)]
     if recipe in ("hecke-unique", "hecke-two"):
+        depth = [("hecke depth", p["n"], HECKE_N_CAP)] if recipe == "hecke-unique" else []
         return [("k_max", p["k_max"], SEARCH_K_CAP),
-                ("search block", SEARCH_BLOCK + 2 * p["w"], SEARCH_CELLS_CAP)]
+                ("search block", SEARCH_BLOCK + 2 * p["w"], SEARCH_CELLS_CAP), *depth]
     if recipe == "kneading-entropy":
         first = PRODUCT_N_CAP if p["map"] == "feigenbaum-product" else ITINERARY_N_CAP
         return [("coefficients", p["n"], first), ("zero scan", p["n"], ZERO_N_CAP)]

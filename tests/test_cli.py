@@ -13,7 +13,7 @@ from rrl_lab import recipes, right_limits
 from rrl_lab.boundary import ARC_POINTS_CAP
 from rrl_lab.circle import CirclePoint
 from rrl_lab.cli import PARAM_KEYS, main
-from rrl_lab.dynamics import ITINERARY_N_CAP, ZERO_N_CAP
+from rrl_lab.dynamics import HECKE_N_CAP, ITINERARY_N_CAP, ZERO_N_CAP
 from rrl_lab.errors import ValidationError
 from rrl_lab.psp import PoleMeasure, uniform_roots_measure
 from rrl_lab.recipes import hecke_direct_sum, parse_shift_spec
@@ -195,6 +195,10 @@ def test_unparsable_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     ["run", "--recipe", "psp-rrl", "--shifts", "factorial:1:2", "--w", "333333"],
     # arc_l1_growth: one radius of quadrature_n + 1 = ARC_POINTS_CAP + 1 points
     ["run", "--recipe", "probe-arc", "--radii", "0.5", "--quadrature-n", str(ARC_POINTS_CAP)],
+    # the Hecke depth, checked before the continuation loop and the direct sum
+    ["hecke", "-n", str(HECKE_N_CAP + 1)],
+    ["hecke", "--check-identity", "-n", str(HECKE_N_CAP + 1)],
+    ["run", "--recipe", "hecke-unique", "--n", str(HECKE_N_CAP + 1)],
 ])
 def test_caps_exit_3(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -227,6 +231,20 @@ def test_runs_at_the_caps_fit_in_512_mb(tmp_path, argv):
     proc = cli_under_512_mb(*argv)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] in ("ok", "no-zero")
+
+
+def test_psp_rrl_on_many_orders_fits_in_512_mb(tmp_path):
+    # all 128 reduced fractions of order <= 20 at the verify cap: the moment
+    # kernel's memory must not grow with the number of distinct orders
+    m = PoleMeasure([(CirclePoint.exact(p, q), complex(1.0 / q**2, 0.5 / q))
+                     for q in range(1, 21) for p in range(q) if math.gcd(p, q) == 1])
+    assert len(m) == 128
+    path = tmp_path / "orders20.json"
+    path.write_text(m.dumps())
+    proc = cli_under_512_mb("run", "--recipe", "psp-rrl", "--measure", str(path),
+                            "--w", "142856", "--out", str(tmp_path / "out.json"))
+    assert proc.returncode in (0, 3), proc.stderr
+    assert len(proc.stdout.strip().splitlines()) == 1
 
 
 def test_quadratic_range_ends_accepted(capsys):

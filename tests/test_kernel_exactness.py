@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrl_lab.boundary import arc_l1_growth
-from rrl_lab import circle
+from rrl_lab import circle, psp
 from rrl_lab.circle import CirclePoint, frac_array, turn_to_complex
 from rrl_lab.diophantine import PIGEONHOLE_J_CAP, moment_sequence
 from rrl_lab.errors import PoleCollision, ValidationError
@@ -137,11 +137,18 @@ def test_verify_rrl_bitwise(m, shifts, w):
 
 
 def test_huge_denominator_and_shift_stay_exact():
-    # an order beyond int64 products and a shift beyond int64: Python ints throughout
+    # orders beyond int64 products, shifts beyond int64, and seven primes near
+    # 1000 whose lcm passes 2^63, so their exponents are reduced in two groups
+    primes = [1009, 1013, 1019, 1021, 1031, 1033, 1039]
     m = PoleMeasure([(CirclePoint(Fraction(7, 10**12 + 39)), 1 - 2j),
                      (CirclePoint(Fraction(3, 2**61 - 1)), 0.5j),
-                     (CirclePoint.exact(1, 5), -0.25)])
-    exps = [-1, 0, 3, math.factorial(30) + 1, -(10**40)]
+                     (CirclePoint.exact(1, 5), -0.25),
+                     *[(CirclePoint.exact(j, q), complex(j, -q) / q) for j, q in
+                       enumerate(primes, 1)]])
+    exps = [-1, 0, 3, 1500, -2040, math.factorial(30) + 1, -(10**40)]
+    reduced = psp._reduced_exponents({5, *primes, 10**12 + 39, 2**61 - 1}, exps)
+    assert reduced[10**12 + 39] is None and reduced[2**61 - 1] is None
+    assert len({id(reduced[q]) for q in [5, *primes]}) == 2
     assert same_bits(moments(m, exps), [moment_oracle(m, e) for e in exps])
 
 
@@ -177,6 +184,28 @@ def test_psp_eval_array_bitwise_equal_to_scalar(m, zs):
     assert same_bits(scalars, want)
 
 
+@SETTINGS
+@given(measures(), st.lists(points, min_size=1, max_size=40), st.integers(1, 7),
+       st.none() | st.integers(0, 10**6))
+# 2 points a block: the point on the pole 1 is in block 25
+@example(PoleMeasure([(CirclePoint.exact(j, 3), 1.0) for j in range(3)]),
+         [0.5j] * 49 + [1.0], 7, None)
+def test_psp_eval_in_small_blocks_bitwise_equal_to_scalar(m, zs, block, hit):
+    # blocks of a few cells: one draw spans several blocks, most with a
+    # partial last one, and a point put on a pole may sit in any block
+    if hit is not None and m.atoms:
+        zs[hit % len(zs)] = m.atoms[hit % len(m.atoms)][0].value()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(psp, "EVAL_BLOCK", block)
+        try:
+            want = [eval_oracle(m, z) for z in zs]
+        except PoleCollision:
+            with pytest.raises(PoleCollision):
+                psp_eval(m, np.array(zs, dtype=complex))
+            return
+        assert same_bits(psp_eval(m, np.array(zs, dtype=complex)), want)
+
+
 def test_psp_eval_keeps_shape_and_collides_like_scalar():
     m = PoleMeasure([(CirclePoint.exact(0, 1), 1.0), (CirclePoint.real(0.3), -0.5j)])
     zs = np.array([[0.5, -0.0], [2.0, 0.25j]])
@@ -204,8 +233,9 @@ def test_boundary_probes_bitwise_equal_to_scalar_loops(m, omega1, span):
 
 
 def test_probe_evaluator_receives_points_of_scalar_product():
-    # one array of z per radius, each z bit-equal to r * complex(cos, sin),
-    # zero signs included (the last omega is -0.0, where sin gives -0.0)
+    # one call with a (radii, quadrature_n + 1) array whose row i is bit-equal
+    # to r_i * complex(cos, sin), zero signs included (the last omega is -0.0,
+    # where sin gives -0.0)
     seen = []
 
     def g(z):
@@ -214,8 +244,9 @@ def test_probe_evaluator_receives_points_of_scalar_product():
 
     radii = np.array([0.5, 0.9])
     arc_l1_growth(g, -1.0, -0.0, radii, quadrature_n=64)
+    assert len(seen) == 1 and seen[0].shape == (2, 65)
     omegas = np.linspace(-1.0, -0.0, 65)
-    for r, z in zip(radii, seen):
+    for r, z in zip(radii, seen[0]):
         assert same_bits(z, [r * complex(np.cos(o), np.sin(o)) for o in omegas])
 
 
@@ -295,7 +326,17 @@ def test_smith_division_equals_python_division():
     br = rng.normal(size=n) * 10.0 ** rng.integers(-150, 150, n)
     bi = rng.normal(size=n) * 10.0 ** rng.integers(-150, 150, n)
     br[:100], bi[100:200] = 0.0, -0.0  # both branches at an exact zero part
-    for a in (complex(0.7, -1.3), complex(-0.0, 2.5), complex(1e200, 1e-200)):
+    # ties |br| = |bi| in all four sign pairs, signed zeros in either part,
+    # and infinite parts
+    ties = np.abs(br[200:300])
+    signs = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])[np.arange(100) % 4]
+    br[200:300], bi[200:300] = signs[:, 0] * ties, signs[:, 1] * ties
+    edge = [0.0, -0.0, 1.5, -1.5, 1e-300, -1e300, math.inf, -math.inf]
+    pairs = [(x, y) for x in edge for y in edge if abs(x) + abs(y)]  # no zero divisor
+    br[300:300 + len(pairs)], bi[300:300 + len(pairs)] = np.array(pairs).T
+    for a in (complex(0.7, -1.3), complex(-0.0, 2.5), complex(1e200, 1e-200),
+              complex(0.0, -0.0), complex(-0.0, 0.0), complex(-2.0, -0.0), complex(1.0, 1.0),
+              complex(math.inf, 1.0)):
         qr, qi = _smith_quot(a.real, a.imag, br, bi)
         want = [a / complex(x, y) for x, y in zip(br.tolist(), bi.tolist())]
         assert np.array_equal(qr.view(np.uint64), np.array([v.real for v in want]).view(np.uint64))
