@@ -26,7 +26,8 @@ PRODUCT_N_CAP = 2 * 10**8
 # about 18 B a step, 2 s and 190 MB at the cap
 ITINERARY_N_CAP = 10**7
 # largest degree of the smallest-real-zero scan, which holds the coefficients
-# as floats and as Horner blocks, about 20 B each: 5 s and 240 MB at the cap
+# as floats and as Horner blocks, about 20 B each: memory binds it (240 MB at
+# the cap), not time (under 1 s on feigenbaum-product)
 ZERO_N_CAP = 10**7
 # deepest Hecke continuation: hecke_outer_eval and the direct sum it is
 # checked against are Python loops, about 0.4 s and 0.2 s per 10^6 terms
@@ -191,6 +192,7 @@ class RealZeroResult:
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_TINY = np.finfo(float).tiny
 
 
 def _tail_bound(r: float, n: int) -> float:
@@ -206,9 +208,13 @@ def _series_values(c: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, int]:
     Vandermonde columns r^0 .. r^(B-1), and the blocks are summed by Horner
     in R = r^B.  A term meets at most B - 2 roundings in its power, B in the
     dot product (any summation order, with or without FMA), B - 1 in R and 2
-    per outer step, so K = 2B - 2 + (J - 1)(B + 1) and, for rs >= 0,
-    |error| <= gamma_K * sum |c_k| rs^k.  The dot products run in BLAS, whose
-    last bits may differ between builds; only the bound is relied on.
+    per outer step, so K = 2B - 2 + (J - 1)(B + 1).  Powers and R below
+    ``_TINY``, the smallest normal float, are set to 0 first: subnormal
+    operands slow the matrix product several times over.  Each term dropped
+    so is below tiny for |c_k| <= 1, so for 0 <= rs < 1
+    |error| <= gamma_K * sum |c_k| rs^k + (n + 2) tiny / (1 - rs).  The dot
+    products run in BLAS, whose last bits may differ between builds; only the
+    bound is relied on.
     """
     n = len(c) - 1
     B = math.isqrt(n) + 1  # ceil(sqrt(n + 1))
@@ -216,8 +222,12 @@ def _series_values(c: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, int]:
     blocks = np.zeros(J * B)
     blocks[: n + 1] = c
     powers = np.vander(rs, B, increasing=True)
+    # each row falls, so its powers below tiny are a suffix: zero it in place
+    for i in np.flatnonzero(powers[:, -1] < _TINY):
+        powers[i, B - np.searchsorted(powers[i, ::-1], _TINY) :] = 0.0
     parts = blocks.reshape(J, B) @ powers.T
     big_r = powers[:, -1] * rs
+    big_r[big_r < _TINY] = 0.0
     vals = parts[-1]
     for j in range(J - 2, -1, -1):
         vals = vals * big_r + parts[j]
@@ -232,7 +242,8 @@ def _certified_signs(vals: np.ndarray, rs: np.ndarray, roundings: int,
     at most gamma_roundings / (1 - r) for |c_k| <= 1 (Higham, Accuracy and
     Stability of Numerical Algorithms, eq. 5.3, for Horner's 2n);
     ``tail / (1 - r)`` bounds the terms left out of the series, so with
-    tail = r^(n+1) the sign holds for the full series.
+    tail = r^(n+1) the sign holds for the full series.  The (n + 2) tiny of
+    ``_series_values``' flushed powers goes into tail as well.
     """
     nu = roundings * _UNIT_ROUNDOFF
     return np.where(np.abs(vals) > (nu / (1.0 - nu) + tail) / (1.0 - rs), np.sign(vals), 0.0)
@@ -286,11 +297,13 @@ def smallest_real_zero(coeffs: Sequence[float], tol: float) -> RealZeroResult:
     inner = np.linspace(0.0, r_max, 513)
     rs = np.concatenate((inner, np.linspace(r_max, 1.0 - 1e-9, 257)))
     vals, roundings = _series_values(c, rs)
-    flip = _first_flip(_certified_signs(vals[: inner.size], inner, roundings, inner ** (n + 1)))
+    flushed = (n + 2) * _TINY
+    flip = _first_flip(_certified_signs(vals[: inner.size], inner, roundings,
+                                        inner ** (n + 1) + flushed))
     if flip is None:
         # a sign change of the truncated series alone, on [0, r_max] where the
         # tail hides it or beyond r_max, is a zero this depth cannot place
-        bare = _certified_signs(vals, rs, roundings, 0.0)
+        bare = _certified_signs(vals, rs, roundings, flushed)
         if any(_first_flip(part) is not None for part in (bare[: inner.size], bare[inner.size :])):
             raise InsufficientDepth(
                 f"uncertified sign change (r_max = {r_max}); deepen the truncation")
@@ -310,12 +323,13 @@ def smallest_real_zero(coeffs: Sequence[float], tol: float) -> RealZeroResult:
 
 
 def thue_morse(n_max: int, start: int = 0) -> np.ndarray:
-    """Bits tau_start .. tau_N: parity of the binary popcount of n, int64."""
+    """Bits tau_start .. tau_N: parity of the binary popcount of n, int8."""
     if not 0 <= start <= n_max:
         raise ValidationError(f"need 0 <= start <= n_max, got start {start}, n_max {n_max}")
-    tau = np.arange(start, n_max + 1)
-    # in place: one int64 array, no uint8 temporaries
-    return np.bitwise_and(np.bitwise_count(tau, out=tau), 1, out=tau)
+    ns = np.arange(start, n_max + 1, dtype=np.uint32 if n_max < 2**32 else np.int64)
+    # one uint8 popcount, its parity taken in place
+    tau = np.bitwise_count(ns)
+    return np.bitwise_and(tau, 1, out=tau).view(np.int8)
 
 
 def feigenbaum_product(n_max: int) -> np.ndarray:

@@ -41,7 +41,7 @@ from .errors import CapExceeded, ValidationError
 from .psp import PoleMeasure, uniform_roots_measure
 from .right_limits import renascent_shift_search, report_to_csv, verify_rrl_on_psp, window_cluster
 
-# Thue-Morse bits per block of the thue-morse-product check (512 KB of int64)
+# Thue-Morse bits per block of the thue-morse-product check (64 KB of int8)
 THUE_MORSE_BLOCK = 1 << 16
 
 NAMED_THETAS = {
@@ -294,9 +294,15 @@ def recipe_thue_morse_product(n: int = 1023) -> tuple[dict, Table]:
     block of THUE_MORSE_BLOCK bits at a time, so the run holds the int8
     product and one block; the first mismatch ends the check."""
     product = feigenbaum_product(n)
-    # (-1)^tau = 1 - 2 tau
-    match = all(np.array_equal(product[lo : lo + THUE_MORSE_BLOCK],
-                               1 - 2 * thue_morse(min(lo + THUE_MORSE_BLOCK - 1, n), lo))
+
+    def signs(lo: int) -> np.ndarray:
+        # (-1)^tau = 1 - 2 tau, formed in place in the int8 bits
+        tau = thue_morse(min(lo + THUE_MORSE_BLOCK - 1, n), lo)
+        tau *= -2
+        tau += 1
+        return tau
+
+    match = all(np.array_equal(product[lo : lo + THUE_MORSE_BLOCK], signs(lo))
                 for lo in range(0, n + 1, THUE_MORSE_BLOCK))
     return {"n": n, "match": match}, lambda: _rows_csv(["n", "match"], [[n, match]])
 

@@ -415,6 +415,8 @@ def test_shallow_and_deep_results_agree(c, n):
 @example(0, False, 0, [0.0, 0.5, 1.0 - 1e-9])  # K = 0: the value must be c_0 exactly
 @example(3000, True, 1, [0.999, 1.0 - 1e-9])
 @example(2, False, 2, [0.7])
+# r^173 < tiny: rows of powers and R = r^174 are set to 0
+@example(30000, True, 3, [0.0, 0.001, 0.01, 0.5])
 def test_series_values_within_gamma_k(n, unimodular, seed, rs):
     # against 60-digit mpmath: |p_hat(r) - p(r)| <= gamma_K / (1 - r) for |c_k| <= 1
     rng = np.random.default_rng(seed)
@@ -440,6 +442,7 @@ def test_series_values_within_gamma_k(n, unimodular, seed, rs):
     ("quadratic", 20000, "no-zero", None),
     ("feigenbaum-product", 2000, "no-zero", None),
     ("feigenbaum-product", 20000, "no-zero", None),
+    ("feigenbaum-product", 200000, "no-zero", None),
 ])
 def test_deep_scan_keeps_horner_results(spec, n, status, bracket):
     res = smallest_real_zero(kneading_coeffs(spec, n).astype(float), 1e-6)
@@ -494,7 +497,7 @@ def test_thue_morse_recurrence():
 def test_thue_morse_matches_substitution_oracle():
     word = substitution_thue_morse(10)  # length 1024
     tm = thue_morse(1023)
-    assert tm.dtype == np.int64 and list(tm) == word
+    assert tm.dtype == np.int8 and list(tm) == word
 
 
 def test_feigenbaum_product_small():
@@ -525,7 +528,15 @@ def test_feigenbaum_product_equals_thue_morse_signs():
 @pytest.mark.parametrize("start,n_max", [(0, 0), (5, 5), (3, 100), (SEARCH_BLOCK, 3 * SEARCH_BLOCK)])
 def test_thue_morse_from_start_is_a_slice(start, n_max):
     tm = thue_morse(n_max, start)
-    assert tm.dtype == np.int64 and np.array_equal(tm, thue_morse(n_max)[start:])
+    assert tm.dtype == np.int8 and np.array_equal(tm, thue_morse(n_max)[start:])
+
+
+# uint32 indices up to 2^32 - 1, int64 from n_max = 2^32 on
+@pytest.mark.parametrize("start,n_max", [(2**32 - 8, 2**32 - 1), (2**32 - 3, 2**32 + 3)])
+def test_thue_morse_on_both_sides_of_the_index_switch(start, n_max):
+    tm = thue_morse(n_max, start)
+    assert tm.dtype == np.int8
+    assert tm.tolist() == [bin(k).count("1") & 1 for k in range(start, n_max + 1)]
 
 
 @pytest.mark.parametrize("start,n_max", [(-1, 5), (6, 5), (0, -1)])

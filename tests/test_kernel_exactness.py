@@ -4,8 +4,9 @@ the scalar loops they replaced.
 The oracles below are the scalar per-atom sums, written out in plain Python
 on CirclePoint powers and turn_to_complex.  The kernels must agree with them
 in every bit, so results are compared through ``.view(np.uint64)``, which
-also tells 0.0 from -0.0.  The last tests pin the facts about this host's
-numpy that the kernels rely on.
+also tells 0.0 from -0.0.  The zero scan's values are pinned the same way
+against its blocked product with no power flushed.  The last tests pin the
+facts about this host's numpy that the kernels rely on.
 """
 
 import math
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrl_lab.boundary import arc_l1_growth
-from rrl_lab import circle, psp
+from rrl_lab import circle, dynamics, psp
 from rrl_lab.circle import CirclePoint, frac_array, turn_to_complex
 from rrl_lab.diophantine import PIGEONHOLE_J_CAP, moment_sequence
 from rrl_lab.errors import PoleCollision, ValidationError
@@ -29,6 +30,7 @@ from rrl_lab.psp import (
     taylor_coefficient,
     taylor_inner,
 )
+from rrl_lab.recipes import kneading_coeffs
 from rrl_lab.right_limits import verify_rrl_on_psp
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -248,6 +250,44 @@ def test_probe_evaluator_receives_points_of_scalar_product():
     omegas = np.linspace(-1.0, -0.0, 65)
     for r, z in zip(radii, seen[0]):
         assert same_bits(z, [r * complex(np.cos(o), np.sin(o)) for o in omegas])
+
+
+# -- the zero scan's flushed powers -------------------------------------------
+
+
+def series_values_oracle(c: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    # the blocked product with every power kept, subnormals included
+    n = len(c) - 1
+    b = math.isqrt(n) + 1
+    j = -(-(n + 1) // b)
+    blocks = np.zeros(j * b)
+    blocks[: n + 1] = c
+    powers = np.vander(rs, b, increasing=True)
+    parts = blocks.reshape(j, b) @ powers.T
+    big_r = powers[:, -1] * rs
+    vals = parts[-1]
+    for i in range(j - 2, -1, -1):
+        vals = vals * big_r + parts[i]
+    return vals
+
+
+@pytest.mark.parametrize("spec", ["feigenbaum-product", "tent", "quadratic:-1.75"])
+def test_flushed_series_values_bitwise_equal_to_unflushed(monkeypatch, spec):
+    # on the scan's own 770-point grid at n = 2e5, setting the powers below
+    # tiny to 0 moves no bit of the values
+    calls = []
+    series_values = dynamics._series_values
+
+    def spy(c, rs):
+        vals, k = series_values(c, rs)
+        calls.append((c, rs, vals))
+        return vals, k
+
+    monkeypatch.setattr(dynamics, "_series_values", spy)
+    dynamics.smallest_real_zero(kneading_coeffs(spec, 200_000), 1e-6)
+    [(c, rs, vals)] = calls
+    assert rs.size == 770 and rs[1] ** (math.isqrt(200_000)) < np.finfo(float).tiny
+    assert np.array_equal(vals.view(np.uint64), series_values_oracle(c, rs).view(np.uint64))
 
 
 # -- host facts the kernels rely on -------------------------------------------
