@@ -110,8 +110,10 @@ def parse_number(kind: type, raw: Any, name: str):
 
 
 def hecke_direct_sum(theta: float, z: complex, n: int, gamma: float = 0.0) -> complex:
-    """Direct partial sum -sum_{-N<=n<0} {gamma + n*theta} z^n, unsnapped mod 1."""
-    return -sum(((theta * nn + gamma) % 1.0) * z**nn for nn in range(-n, 0))
+    """Direct partial sum -sum_{-N<=n<0} {gamma + n*theta} z^n, unsnapped mod 1,
+    in powers of 1/z (CPython's z**n, n < 0, is NaN once z**-n overflows)."""
+    zinv = 1.0 / complex(z)
+    return -sum(((theta * nn + gamma) % 1.0) * zinv**-nn for nn in range(-n, 0))
 
 
 def hecke_identity(theta: float, z: complex, n: int, gamma: float = 0.0
@@ -241,7 +243,7 @@ def recipe_hecke_unique(theta: str = "golden", n: int = 200, w: int = 10,
         "theta": theta,
         "n_terms": n,
         "shift_count": len(report),
-        "shifts_head": report.shifts[:16],
+        "shifts_head": report.shifts[:16].tolist(),
         "cluster_count": len(clusters),
         "identity_residual": residual,
         "identity_bound": 2.0 * bound,

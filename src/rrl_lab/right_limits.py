@@ -20,12 +20,15 @@ from .psp import PoleMeasure, moments
 from .psp import taylor_coefficient  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .streams import CoeffStream
 
-# shifts per block of the search: one stream read of SEARCH_BLOCK + 2W values
-SEARCH_BLOCK = 1 << 16
+# values per block of the search and of window_cluster: 2^14 float64 are
+# 128 KB, glibc's default mmap threshold, so a block's temporaries come from
+# the heap, not from a fresh mmap and its page faults each time
+SEARCH_BLOCK = 1 << 14
 # largest k_max searched: about 30 s of n = 0 passes on a desk machine
 SEARCH_K_CAP = 10**9
-# values the search may hold at once, one block read plus the hits' windows
-# (8 B each for a real stream, 16 B for a complex one)
+# values held at once: one block plus 2 per hit (shift, residual) for the
+# search; 2 per hit, 2W + 1 per cluster and W per hit of one block for
+# window_cluster (8 B each for a real stream, 16 B for a complex one)
 SEARCH_CELLS_CAP = 10**7
 # exponents verify_rrl_on_psp may sum at once, (shifts + 1) * (2W + 1): about
 # 130 B each on one order of roots of unity, 1 s and 290 MB at the cap
@@ -51,19 +54,13 @@ class Window:
 
 @dataclass(frozen=True)
 class ShiftReport:
-    """All shifts in (W, K_max] whose nonnegative side reproduces the stream.
-
-    Row i of ``values`` is the window b_{-W..W} of ``shifts[i]``, and
-    ``residuals[i]`` its residual; ``window(i)`` views row i as a ``Window``.
-    """
+    """Shifts in (W, K_max] (int64, ascending) whose nonnegative side reproduces
+    the stream, and residuals; window i is stream.take(2W + 1, start=shifts[i] - W)."""
 
     half_width: int
-    shifts: list[int]
+    shifts: np.ndarray
     residuals: np.ndarray
-    values: np.ndarray
-
-    def window(self, i: int) -> Window:
-        return Window(half_width=self.half_width, values=self.values[i])
+    stream: CoeffStream
 
     def __len__(self) -> int:
         return len(self.shifts)
@@ -73,16 +70,15 @@ def renascent_shift_search(a: CoeffStream, half_width: int, k_max: int,
                            tol: float) -> ShiftReport:
     """Find every shift k in (W, K_max] with |a_{n+k} - a_n| <= tol for 0 <= n <= W.
 
-    Each hit carries its induced two-sided window b_n := a_{n+k},
-    -W <= n <= W.  An empty report is a valid outcome: it is evidence (not
-    proof) that no renascent right limit exists.
+    A hit's window b_n := a_{n+k}, -W <= n <= W, stays in the stream.  An
+    empty report is a valid outcome: it is evidence (not proof) that no
+    renascent right limit exists.
 
     Shifts are scanned in blocks of SEARCH_BLOCK, each read from the stream
-    with its 2W neighbours, so the search holds one block plus the hits'
-    windows: SEARCH_BLOCK + 2W + hits*(2W+1) values, whatever K_max is.
-    K_max above SEARCH_K_CAP, or a count above SEARCH_CELLS_CAP (checked
-    before the scan and before each block's windows are kept), is
-    CapExceeded.
+    with the W values past its last shift, so the search holds
+    SEARCH_BLOCK + W + 2*hits values, whatever K_max is.  K_max above
+    SEARCH_K_CAP, or a count above SEARCH_CELLS_CAP (checked before the
+    scan and after each block), is CapExceeded.
     """
     w = int(half_width)
     if w < 1:
@@ -93,47 +89,38 @@ def renascent_shift_search(a: CoeffStream, half_width: int, k_max: int,
         raise ValidationError("tol must be >= 0")
     if k_max > SEARCH_K_CAP:
         raise CapExceeded(f"k_max = {k_max} exceeds cap {SEARCH_K_CAP}")
-    span = 2 * w + 1
-    cells = SEARCH_BLOCK + 2 * w
+    cells = SEARCH_BLOCK + w
     if cells > SEARCH_CELLS_CAP:
         raise CapExceeded(f"a block of the search holds {cells} values, over the "
                           f"cap {SEARCH_CELLS_CAP}")
     head = a.take(w + 1)
-    shifts, residuals = [], []
-    # one hits x (2W+1) array, grown in place block by block (ndarray.resize
-    # reallocates it; no view of it lives across a resize), so the windows
-    # are never held twice
-    values = np.empty((0, span), dtype=head.dtype)
+    shifts, residuals = [np.empty(0, dtype=np.int64)], [np.empty(0)]  # + one per block with hits
     for lo in range(w + 1, k_max + 1, SEARCH_BLOCK):
         size = min(SEARCH_BLOCK, k_max + 1 - lo)
-        block = a.take(size + 2 * w, start=lo - w)  # block[i + W + n] = a_{lo+i+n}
+        block = a.take(size + w, start=lo)  # block[i + n] = a_{lo+i+n}
         # n = 0 over every shift of the block, then the survivors only, c
-        # values of n at a time with c * survivors <= size (one pass per n
-        # would cost blocks * W numpy calls): the residual
-        # max_n |a_{n+k} - a_n| is the same in any order
-        res = np.abs(block[w : w + size] - head[0])
+        # values of n at a time with c * survivors <= size + W, the block's
+        # length (one pass per n would cost blocks * W numpy calls): the
+        # residual max_n |a_{n+k} - a_n| is the same in any order
+        res = np.abs(block[:size] - head[0])
         cand = np.flatnonzero(res <= tol)
         res = res[cand]
         n = 1
         while n <= w and cand.size:
-            c = min(w + 1 - n, max(1, size // cand.size))
-            d = np.abs(sliding_window_view(block, c)[cand + (w + n)] - head[n : n + c])
-            d = d.max(axis=1)
+            c = min(w + 1 - n, max(1, (size + w) // cand.size))
+            d = np.abs(sliding_window_view(block, c)[cand + n] - head[n : n + c]).max(axis=1)
             keep = d <= tol
             cand, res = cand[keep], np.maximum(res[keep], d[keep])
             n += c
-        cells += cand.size * span
+        cells += 2 * cand.size
         if cells > SEARCH_CELLS_CAP:
-            raise CapExceeded(f"the windows of the shifts up to {lo + size - 1} "
-                              f"bring the search to {cells} values, over the cap "
-                              f"{SEARCH_CELLS_CAP}")
-        shifts.append(cand + lo)
-        residuals.append(res)
-        hits = len(values)
-        values.resize((hits + cand.size, span), refcheck=False)
-        values[hits:] = sliding_window_view(block, span)[cand]
-    return ShiftReport(half_width=w, shifts=np.concatenate(shifts).tolist(),
-                       residuals=np.concatenate(residuals), values=values)
+            raise CapExceeded(f"the hits up to shift {lo + size - 1} hold {cells} values, "
+                              f"over the cap {SEARCH_CELLS_CAP}")
+        if cand.size:
+            shifts.append(cand + lo)
+            residuals.append(res)
+    return ShiftReport(half_width=w, shifts=np.concatenate(shifts),
+                       residuals=np.concatenate(residuals), stream=a)
 
 
 @dataclass(frozen=True)
@@ -151,27 +138,37 @@ def window_cluster(report: ShiftReport, tol: float) -> list[WindowCluster]:
     """Group windows by sup-distance <= tol on the negative side only.
 
     The nonnegative side is pinned to the stream by the search, so
-    multiplicity of completions shows up purely in b_{-W..-1}.  Leader
-    clustering: the first unassigned window (ascending shift) represents a
-    new cluster of itself and every unassigned window within tol of it;
-    clusters are returned in first-seen order; an empty report has none.
+    multiplicity of completions shows up purely in b_{-W..-1}.  In ascending
+    shift, a window joins the first cluster whose representative is within
+    tol (a NaN distance joins none), else it represents a new one.  The
+    negative sides are read back SEARCH_BLOCK // W hits at a time; holding
+    over SEARCH_CELLS_CAP values is CapExceeded.
     """
     if not tol >= 0:
         raise ValidationError("tol must be >= 0")
-    neg = report.values[:, : report.half_width]
-    unassigned = np.ones(len(neg), dtype=bool)
-    clusters = []
-    while (idx := np.flatnonzero(unassigned)).size:
-        dist = np.max(np.abs(neg[idx] - neg[idx[0]]), axis=1)
-        # the representative joins even when its own distance is NaN
-        joins = dist <= tol
-        joins[0] = True
-        members = idx[joins]
-        unassigned[members] = False
-        clusters.append(WindowCluster(
-            representative=report.window(idx[0]),
-            member_shifts=[report.shifts[i] for i in members],
-            distances=dist[joins].tolist()))
+    w = report.half_width
+    step = max(1, SEARCH_BLOCK // w)
+    clusters: list[WindowCluster] = []
+    for lo in range(0, len(report), step):
+        ks = report.shifts[lo : lo + step]
+        cells = 2 * len(report) + (2 * w + 1) * len(clusters) + w * ks.size
+        if cells > SEARCH_CELLS_CAP:
+            raise CapExceeded(f"the clusters hold {cells} values, over the cap {SEARCH_CELLS_CAP}")
+        neg = report.stream.take(w, start=ks - w)  # neg[i] = b_{-W..-1} of ks[i]
+        left, j = np.arange(ks.size), 0  # the block's windows not yet assigned
+        while left.size:
+            if new := j == len(clusters):
+                rep = report.stream.take(2 * w + 1, start=ks[left[0]] - w)
+                clusters.append(WindowCluster(Window(w, rep), [], []))
+            cl = clusters[j]
+            with np.errstate(invalid="ignore"):  # inf - inf: a NaN distance
+                dist = np.max(np.abs(neg[left] - cl.representative.values[:w]), axis=1)
+            joins = dist <= tol
+            joins[0] |= new  # a new representative joins even at a NaN distance
+            cl.member_shifts.extend(ks[left[joins]].tolist())
+            cl.distances.extend(dist[joins].tolist())
+            left, j = left[~joins], j + 1
+        del neg  # before the next block's read, so one block is held at a time
     return clusters
 
 
@@ -262,7 +259,7 @@ def report_to_csv(report: ShiftReport, clusters: Sequence[WindowCluster]) -> str
     }
     rows = ["shift,residual_pos,residual_neg_vs_cluster,cluster_id\n"]
     # ints and float reprs never need CSV quoting
-    for shift, residual in zip(report.shifts, report.residuals.tolist()):
+    for shift, residual in zip(report.shifts.tolist(), report.residuals.tolist()):
         cid, d = assignment[shift]
         rows.append(f"{shift},{residual!r},{d!r},{cid}\n")
     return "".join(rows)

@@ -47,11 +47,12 @@ class CoeffStream:
             )
         return arr
 
-    def take(self, n: int, start: int = 0) -> np.ndarray:
-        """Materialize a_start .. a_{start+n-1} (float64 for a real rule, else complex)."""
-        if start < 0:
+    def take(self, n: int, start: int | np.ndarray = 0) -> np.ndarray:
+        """a_start .. a_{start+n-1}, or for an array of starts a row per start."""
+        if np.any(np.asarray(start) < 0):
             raise ValidationError("stream index must be >= 0")
-        return self._read(np.arange(start, start + n))
+        ks = np.add.outer(start, np.arange(n))
+        return self._read(ks.ravel()).reshape(ks.shape)
 
     def __repr__(self) -> str:
         return f"CoeffStream({self.name!r}, bound={self.bound})"

@@ -48,7 +48,7 @@ def reached_caps(recipe: str, p: dict) -> list[tuple[str, int, int]]:
     if recipe in ("hecke-unique", "hecke-two"):
         depth = [("hecke depth", p["n"], HECKE_N_CAP)] if recipe == "hecke-unique" else []
         return [("k_max", p["k_max"], SEARCH_K_CAP),
-                ("search block", SEARCH_BLOCK + 2 * p["w"], SEARCH_CELLS_CAP), *depth]
+                ("search block", SEARCH_BLOCK + p["w"], SEARCH_CELLS_CAP), *depth]
     if recipe == "kneading-entropy":
         first = PRODUCT_N_CAP if p["map"] == "feigenbaum-product" else ITINERARY_N_CAP
         return [("coefficients", p["n"], first), ("zero scan", p["n"], ZERO_N_CAP)]

@@ -180,7 +180,7 @@ def test_unparsable_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     # L is a product of two primes near 1e9: trial division stops at 1e5
     ["balance", "--angles", "1/1000000007,499122177/998244353"],
     # the right-limit search: k_max over SEARCH_K_CAP, and a block read of
-    # SEARCH_BLOCK + 2W values over SEARCH_CELLS_CAP
+    # SEARCH_BLOCK + W values over SEARCH_CELLS_CAP
     ["run", "--recipe", "hecke-unique", "--k-max", "1000000000000"],
     ["run", "--recipe", "hecke-two", "--w", "100000000", "--k-max", "100000001"],
     # the itinerary loop (ITINERARY_N_CAP + 1 steps)
@@ -538,6 +538,34 @@ def test_hecke_identity_floor_is_the_recipes(tmp_path, monkeypatch, capsys, offs
                       "--out", str(out))
     assert code == 0
     assert tool["status"] == json.loads(out.read_text())["status"] == status
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(math.log(2.0), math.log(1e300)), st.floats(0.0, 2 * math.pi),
+       st.booleans())
+def test_hecke_identity_prints_strict_json_for_large_z(log_r, phase, real):
+    # the direct sum runs in powers of 1/z: z**n for n < 0 used to be NaN once
+    # |z|^|n| overflowed (z = 1e5 at the default depth 200)
+    z = complex(math.exp(log_r)) if real else math.exp(log_r) * complex(
+        math.cos(phase), math.sin(phase))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["hecke", f"-z={z!r}", "--check-identity"]) == 0
+    obj = json.loads(buf.getvalue(), parse_constant=reject_constant)
+    assert obj["status"] == "ok"
+
+
+def test_hecke_unique_artifact_at_z_1e5_is_strict_json(tmp_path, capsys):
+    out = tmp_path / "unique.json"
+    code, _ = run_cli(capsys, "run", "--recipe", "hecke-unique", "--z", "1e5",
+                      "--k-max", "100", "--out", str(out))
+    assert code == 0
+    obj = json.loads(out.read_text(), parse_constant=reject_constant)
+    assert obj["status"] == "ok"
 
 
 def test_hecke_tool_gamma_resonant_exits_3(capsys):

@@ -92,3 +92,20 @@ def test_hecke_stream_single_reads_are_unsnapped():
     prefix = s.take(2000)
     assert s.take(1, start=90)[0] == prefix[90] == np.mod(90 * 0.7, 1.0)
     assert np.array_equal(bits([s.take(1, start=k)[0] for k in range(2000)]), bits(prefix))
+
+
+@settings(max_examples=200, deadline=None)
+@given(STREAMS, st.integers(0, 40), st.lists(st.integers(0, 3000), max_size=20))
+def test_array_of_starts_reads_rows_of_scalar_takes_bitwise(stream, n, starts):
+    # window_cluster reads the negative sides of a block of hits in one take
+    rows = stream.take(n, start=np.array(starts, dtype=np.int64))
+    assert rows.shape == (len(starts), n)
+    for row, k in zip(rows, starts):
+        assert np.array_equal(bits(row), bits(stream.take(n, start=k)))
+
+
+def test_one_negative_start_in_an_array_rejected():
+    s = preperiodic([], [1.0])
+    with pytest.raises(ValidationError):
+        s.take(3, start=np.array([4, 0, -1, 7]))
+    assert s.take(3, start=np.array([4, 0, 7])).shape == (3, 3)
