@@ -55,9 +55,8 @@ from .psp import (
     uniform_roots_measure,
 )
 from .right_limits import (
+    Clusters,
     ShiftReport,
-    Window,
-    WindowCluster,
     generating_functions,
     renascent_shift_search,
     report_to_csv,

@@ -1,7 +1,7 @@
 """Named batch experiments driven by the CLI.
 
 Every recipe is a function of keyword parameters with defaults that returns
-a summary dict and a zero-argument callable rendering its CSV table;
+a summary dict and a callable writing its CSV table to an open text file;
 ``RecipeConfig`` parses each given value by the type of its default.
 ``run_recipe`` is the one writer: sorted-key JSON of the summary, or the
 table.  Fixed summation orders and no timestamps make reruns with one
@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, TextIO
 
 import numpy as np
 
-from .boundary import DEFAULT_RADII, arc_l1_growth
+from .boundary import arc_l1_growth
 from .circle import CirclePoint
 from .diophantine import balance_completion, factorial_shifts, pigeonhole_shift
 from .dynamics import (
@@ -190,11 +190,10 @@ class RecipeConfig:
         self.params = recipe_kwargs(self.recipe, self.params)
 
 
-def _rows_csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
+def _rows_csv(out: TextIO, header: list[str], rows) -> None:
+    out.write(",".join(header) + "\n")
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+        out.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _load_measure(path: str, default_order: int) -> PoleMeasure:
@@ -207,7 +206,7 @@ def _load_measure(path: str, default_order: int) -> PoleMeasure:
     return PoleMeasure.loads(text)
 
 
-Table = Callable[[], str]
+Table = Callable[[TextIO], None]
 
 
 def recipe_psp_rrl(measure: str = "", w: int = 32, shifts: str = "factorial:6"
@@ -222,7 +221,7 @@ def recipe_psp_rrl(measure: str = "", w: int = 32, shifts: str = "factorial:6"
         ],
         "max_residual": max((max(rp, rn) for _, rp, rn in rows), default=0.0),
     }
-    return summary, lambda: _rows_csv(["shift", "residual_pos", "residual_neg"], rows)
+    return summary, lambda out: _rows_csv(out, ["shift", "residual_pos", "residual_neg"], rows)
 
 
 def _hecke_search(theta: float, gamma: float, w: int, k_max: int, tol: float):
@@ -230,7 +229,7 @@ def _hecke_search(theta: float, gamma: float, w: int, k_max: int, tol: float):
     once at the search tol: (report, clusters, CSV table)."""
     report = renascent_shift_search(hecke_stream(theta, gamma), w, k_max, tol)
     clusters = window_cluster(report, tol)
-    return report, clusters, lambda: report_to_csv(report, clusters)
+    return report, clusters, lambda out: report_to_csv(report, clusters, out)
 
 
 def recipe_hecke_unique(theta: str = "golden", n: int = 200, w: int = 10,
@@ -257,14 +256,14 @@ def recipe_hecke_two(theta: str = "golden", w: int = 10, k_max: int = 100_000,
     theta = parse_theta(theta)
     report, clusters, table = _hecke_search(theta, theta, w, k_max, tol)  # a_k = {(k+1) theta}
     diff_at_minus_1 = None
-    if len(clusters) == 2:
-        r0, r1 = clusters[0].representative, clusters[1].representative
-        diff_at_minus_1 = abs(r0[-1] - r1[-1])
+    if len(clusters) == 2:  # b_{-1} of the two representatives
+        b = report.stream.take(1, start=report.shifts[clusters.leaders] - 1)
+        diff_at_minus_1 = float(abs(b[0, 0] - b[1, 0]))
     summary = {
         "theta": theta,
         "shift_count": len(report),
         "cluster_count": len(clusters),
-        "cluster_sizes": [len(c.member_shifts) for c in clusters],
+        "cluster_sizes": np.bincount(clusters.labels, minlength=len(clusters)).tolist(),
         "diff_at_minus_1": diff_at_minus_1,
         "status": "ok" if len(clusters) == 2 else "unexpected-cluster-count",
     }
@@ -287,8 +286,8 @@ def recipe_kneading_entropy(map: str = "tent", n: int = 2047, tol: float = 1e-6
     }
     row = [map, res.status, "" if res.root is None else res.root, res.entropy,
            *("" if v is None else v for v in res.entropy_interval or (None, None)), res.r_max]
-    return summary, lambda: _rows_csv(
-        ["map", "status", "root", "entropy", "entropy_lo", "entropy_hi", "r_max"], [row])
+    return summary, lambda out: _rows_csv(
+        out, ["map", "status", "root", "entropy", "entropy_lo", "entropy_hi", "r_max"], [row])
 
 
 def recipe_thue_morse_product(n: int = 1023) -> tuple[dict, Table]:
@@ -306,7 +305,7 @@ def recipe_thue_morse_product(n: int = 1023) -> tuple[dict, Table]:
 
     match = all(np.array_equal(product[lo : lo + THUE_MORSE_BLOCK], signs(lo))
                 for lo in range(0, n + 1, THUE_MORSE_BLOCK))
-    return {"n": n, "match": match}, lambda: _rows_csv(["n", "match"], [[n, match]])
+    return {"n": n, "match": match}, lambda out: _rows_csv(out, ["n", "match"], [[n, match]])
 
 
 def recipe_balance(angles: str = "sqrt2", eps: float = 0.5) -> tuple[dict, Table]:
@@ -319,14 +318,13 @@ def recipe_balance(angles: str = "sqrt2", eps: float = 0.5) -> tuple[dict, Table
         "status": "certified",
     }
     header = ["epsilon", "defect", "n_roots", "set_size"]
-    return summary, lambda: _rows_csv(header, [[summary[key] for key in header]])
+    return summary, lambda out: _rows_csv(out, header, [[summary[key] for key in header]])
 
 
 def recipe_probe_arc(measure: str = "", omega1: float = 0.0, omega2: float = math.pi / 4.0,
                      quadrature_n: int = 512, radii: str = "") -> tuple[dict, Table]:
     m = _load_measure(measure, 16)
-    rs = ([parse_number(float, x, "radii") for x in radii.split(",")] if radii
-          else list(DEFAULT_RADII))
+    rs = [parse_number(float, x, "radii") for x in radii.split(",")] if radii else None
 
     from .psp import psp_eval  # looked up per run, so a wrapper on rrl_lab.psp is seen
 
@@ -341,7 +339,7 @@ def recipe_probe_arc(measure: str = "", omega1: float = 0.0, omega2: float = mat
         "ratio": probe.ratio,
     }
     rows = [[r, v, v / integrals[0]] for r, v in zip(rs, integrals)]
-    return summary, lambda: _rows_csv(["radius", "integral", "ratio_to_first"], rows)
+    return summary, lambda out: _rows_csv(out, ["radius", "integral", "ratio_to_first"], rows)
 
 
 RECIPES: dict[str, Callable[..., tuple[dict, Table]]] = {
@@ -360,7 +358,10 @@ def run_recipe(cfg: RecipeConfig) -> dict:
     or its CSV table.  Returns the summary, with the recipe name."""
     summary, table = RECIPES[cfg.recipe](**cfg.params)
     result = {"recipe": cfg.recipe, **summary}
-    text = table() if cfg.fmt == "csv" else json.dumps(result, sort_keys=True, indent=2) + "\n"
     cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    cfg.out.write_text(text)
+    with cfg.out.open("w") as out:
+        if cfg.fmt == "csv":
+            table(out)
+        else:
+            out.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
     return result

@@ -10,7 +10,7 @@ every output here is evidence quantified by residuals, not proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,29 +27,15 @@ SEARCH_BLOCK = 1 << 14
 # largest k_max searched: about 30 s of n = 0 passes on a desk machine
 SEARCH_K_CAP = 10**9
 # values held at once: one block plus 2 per hit (shift, residual) for the
-# search; 2 per hit, 2W + 1 per cluster and W per hit of one block for
-# window_cluster (8 B each for a real stream, 16 B for a complex one)
+# search; 2 per hit (label, distance), W per cluster and W per hit of one
+# block for window_cluster (8 B each for a real stream, 16 B for a complex one)
 SEARCH_CELLS_CAP = 10**7
+# window_cluster's passes, one block's unassigned windows against one
+# representative: up to about 90 us each (SEARCH_BLOCK values), 3 s in all
+CLUSTER_PASSES_CAP = 3 * 10**4
 # exponents verify_rrl_on_psp may sum at once, (shifts + 1) * (2W + 1): about
 # 130 B each on one order of roots of unity, 1 s and 290 MB at the cap
 VERIFY_CELLS_CAP = 2 * 10**6
-
-
-@dataclass(frozen=True)
-class Window:
-    """Two-sided candidate window b_{-W..W} induced by one shift k.
-
-    ``values[n + half_width]`` holds b_n = a_{n+k}.
-    """
-
-    half_width: int
-    values: np.ndarray
-
-    def __getitem__(self, n: int) -> complex:
-        if abs(n) > self.half_width:
-            raise ValidationError(f"window index {n} outside [-{self.half_width}, "
-                                  f"{self.half_width}]")
-        return complex(self.values[n + self.half_width])
 
 
 @dataclass(frozen=True)
@@ -124,52 +110,63 @@ def renascent_shift_search(a: CoeffStream, half_width: int, k_max: int,
 
 
 @dataclass(frozen=True)
-class WindowCluster:
-    """Windows grouped under a representative, the window of
-    ``member_shifts[0]``; ``distances[i]`` is the negative-side sup-distance
-    of ``member_shifts[i]`` to the representative."""
+class Clusters:
+    """A clustering of a report's hits: ``leaders`` (int64) holds the hit
+    index of each cluster's representative, in first-seen order, ``labels``
+    (int64) the cluster of each hit and ``distances`` (float64) each hit's
+    negative-side sup-distance to its representative."""
 
-    representative: Window
-    member_shifts: list[int]
-    distances: list[float]
+    leaders: np.ndarray
+    labels: np.ndarray
+    distances: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.leaders)
 
 
-def window_cluster(report: ShiftReport, tol: float) -> list[WindowCluster]:
+def window_cluster(report: ShiftReport, tol: float) -> Clusters:
     """Group windows by sup-distance <= tol on the negative side only.
 
     The nonnegative side is pinned to the stream by the search, so
     multiplicity of completions shows up purely in b_{-W..-1}.  In ascending
     shift, a window joins the first cluster whose representative is within
     tol (a NaN distance joins none), else it represents a new one.  The
-    negative sides are read back SEARCH_BLOCK // W hits at a time; holding
-    over SEARCH_CELLS_CAP values is CapExceeded.
+    negative sides are read back SEARCH_BLOCK // W hits at a time, and a
+    representative's is copied from its block.  Holding over SEARCH_CELLS_CAP
+    values, or more than CLUSTER_PASSES_CAP passes, is CapExceeded.
     """
     if not tol >= 0:
         raise ValidationError("tol must be >= 0")
     w = report.half_width
     step = max(1, SEARCH_BLOCK // w)
-    clusters: list[WindowCluster] = []
+    labels = np.empty(len(report), dtype=np.int64)
+    distances = np.empty(len(report))
+    leaders: list[int] = []
+    reps: list[np.ndarray] = []  # reps[j] = b_{-W..-1} of leader j
+    passes = 0
     for lo in range(0, len(report), step):
         ks = report.shifts[lo : lo + step]
-        cells = 2 * len(report) + (2 * w + 1) * len(clusters) + w * ks.size
+        cells = 2 * len(report) + w * (len(reps) + ks.size)
         if cells > SEARCH_CELLS_CAP:
             raise CapExceeded(f"the clusters hold {cells} values, over the cap {SEARCH_CELLS_CAP}")
         neg = report.stream.take(w, start=ks - w)  # neg[i] = b_{-W..-1} of ks[i]
         left, j = np.arange(ks.size), 0  # the block's windows not yet assigned
         while left.size:
-            if new := j == len(clusters):
-                rep = report.stream.take(2 * w + 1, start=ks[left[0]] - w)
-                clusters.append(WindowCluster(Window(w, rep), [], []))
-            cl = clusters[j]
+            if (passes := passes + 1) > CLUSTER_PASSES_CAP:
+                raise CapExceeded(f"clustering the hits up to shift {ks[-1]} takes over "
+                                  f"{CLUSTER_PASSES_CAP} passes")
+            if new := j == len(reps):
+                leaders.append(lo + left[0])
+                reps.append(neg[left[0]].copy())
             with np.errstate(invalid="ignore"):  # inf - inf: a NaN distance
-                dist = np.max(np.abs(neg[left] - cl.representative.values[:w]), axis=1)
+                dist = np.max(np.abs(neg[left] - reps[j]), axis=1)
             joins = dist <= tol
             joins[0] |= new  # a new representative joins even at a NaN distance
-            cl.member_shifts.extend(ks[left[joins]].tolist())
-            cl.distances.extend(dist[joins].tolist())
+            labels[lo + left[joins]] = j
+            distances[lo + left[joins]] = dist[joins]
             left, j = left[~joins], j + 1
         del neg  # before the next block's read, so one block is held at a time
-    return clusters
+    return Clusters(np.array(leaders, dtype=np.int64), labels, distances)
 
 
 @dataclass(frozen=True)
@@ -197,20 +194,21 @@ class WindowSeries:
         return self.bound * r ** (-n - 1) / (1.0 - 1.0 / r) if r > 1.0 else float("inf")
 
 
-def generating_functions(w: Window, bound: float | None = None
+def generating_functions(values: np.ndarray, bound: float | None = None
                          ) -> tuple[WindowSeries, WindowSeries]:
-    """(inner, outer) truncated generating functions of a window.
+    """(inner, outer) truncated generating functions of a window, the 2W + 1
+    values b_{-W..W}.
 
     inner(z)  = sum_{0<=n<=W} b_n z^n          on |z| < 1,
     outer(z)  = -sum_{-W<=n<0} b_n z^n         on |z| > 1.
 
     ``bound`` defaults to the window's own sup-norm.
     """
-    b = float(bound) if bound is not None else float(np.max(np.abs(w.values)))
-    inner = WindowSeries(coeffs=w.values[w.half_width :].copy(), side="inner", bound=b)
+    w = len(values) // 2
+    b = float(bound) if bound is not None else float(np.max(np.abs(values)))
+    inner = WindowSeries(coeffs=values[w:].copy(), side="inner", bound=b)
     # outer stores b_{-1}, b_{-2}, ... so coeffs[k-1] multiplies z^{-k}
-    outer = WindowSeries(coeffs=w.values[: w.half_width][::-1].copy(),
-                         side="outer", bound=b)
+    outer = WindowSeries(coeffs=values[:w][::-1].copy(), side="outer", bound=b)
     return inner, outer
 
 
@@ -244,22 +242,18 @@ def verify_rrl_on_psp(m: PoleMeasure, shifts: Sequence[int],
     return [(k, max(row[w:]), max(row[:w])) for k, row in zip(ks, dist)]
 
 
-def report_to_csv(report: ShiftReport, clusters: Sequence[WindowCluster]) -> str:
-    """CSV rendering: shift, residual_pos, residual_neg_vs_cluster, cluster_id.
+def report_to_csv(report: ShiftReport, clusters: Clusters, out: TextIO) -> None:
+    """Write the CSV rows shift, residual_pos, residual_neg_vs_cluster,
+    cluster_id to ``out``, SEARCH_BLOCK rows at a time.
 
     ``clusters`` is a clustering of the report's windows (``window_cluster``
-    at any tol), numbered in its order; ``residual_neg_vs_cluster`` is the
-    sup-distance of the window's negative side to its cluster representative
-    (0 for the representative itself).
+    at any tol); ``residual_neg_vs_cluster`` is a window's negative-side
+    sup-distance to its representative (0 for the representative itself).
     """
-    assignment = {
-        shift: (cid, d)
-        for cid, cl in enumerate(clusters)
-        for shift, d in zip(cl.member_shifts, cl.distances)
-    }
-    rows = ["shift,residual_pos,residual_neg_vs_cluster,cluster_id\n"]
-    # ints and float reprs never need CSV quoting
-    for shift, residual in zip(report.shifts.tolist(), report.residuals.tolist()):
-        cid, d = assignment[shift]
-        rows.append(f"{shift},{residual!r},{d!r},{cid}\n")
-    return "".join(rows)
+    out.write("shift,residual_pos,residual_neg_vs_cluster,cluster_id\n")
+    for lo in range(0, len(report), SEARCH_BLOCK):
+        part = slice(lo, lo + SEARCH_BLOCK)
+        columns = (report.shifts[part].tolist(), report.residuals[part].tolist(),
+                   clusters.distances[part].tolist(), clusters.labels[part].tolist())
+        # ints and float reprs never need CSV quoting
+        out.writelines(f"{k},{r!r},{d!r},{c}\n" for k, r, d, c in zip(*columns))

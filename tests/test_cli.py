@@ -247,6 +247,29 @@ def test_psp_rrl_on_many_orders_fits_in_512_mb(tmp_path):
     assert len(proc.stdout.strip().splitlines()) == 1
 
 
+def test_hecke_two_with_every_shift_a_hit_fits_in_512_mb(tmp_path):
+    # at tol 1 every one of the 4 899 990 shifts is a hit, just under the
+    # cells cap, and all fall in one cluster: the clustering may hold only
+    # the 2 values per hit that the cap counts (a label and a distance)
+    out = tmp_path / "two.json"
+    proc = cli_under_512_mb("run", "--recipe", "hecke-two", "--tol", "1", "--k-max", "4900000",
+                            "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    assert data["shift_count"] == 4_899_990 and data["cluster_sizes"] == [4_899_990]
+
+
+def test_hecke_unique_csv_of_every_shift_fits_in_512_mb(tmp_path):
+    # 1 999 990 rows, written SEARCH_BLOCK rows at a time
+    out = tmp_path / "unique.csv"
+    proc = cli_under_512_mb("run", "--recipe", "hecke-unique", "--format", "csv", "--tol", "1",
+                            "--k-max", "2000000", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    with out.open() as lines:
+        assert next(lines) == "shift,residual_pos,residual_neg_vs_cluster,cluster_id\n"
+        assert sum(1 for _ in lines) == 1_999_990
+
+
 def test_quadratic_range_ends_accepted(capsys):
     for c in ("-2", "0.25"):
         code, obj = run_cli(capsys, "kneading", "--map", f"quadratic:{c}", "-n", "40")

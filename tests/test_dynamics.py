@@ -299,8 +299,7 @@ def test_thue_morse_two_renascent_completions_evidence():
     report = renascent_shift_search(preperiodic(signs, [0]), 8, n - 9, 0.0)
     clusters = window_cluster(report, 0.0)
     assert len(clusters) == 2
-    a = clusters[0].representative.values[:8]
-    b = clusters[1].representative.values[:8]
+    a, b = report.stream.take(8, start=report.shifts[clusters.leaders] - 8)  # b_{-8..-1}
     assert np.array_equal(a, -b)
 
 

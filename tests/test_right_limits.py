@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -18,11 +19,11 @@ from rrl_lab.dynamics import hecke_stream
 from rrl_lab.errors import CapExceeded, ValidationError
 from rrl_lab.psp import PoleMeasure, psp_eval, uniform_roots_measure
 from rrl_lab.right_limits import (
+    CLUSTER_PASSES_CAP,
     SEARCH_BLOCK,
     SEARCH_CELLS_CAP,
     SEARCH_K_CAP,
     ShiftReport,
-    Window,
     generating_functions,
     renascent_shift_search,
     report_to_csv,
@@ -40,17 +41,19 @@ def windows(report) -> np.ndarray:
     return report.stream.take(2 * w + 1, start=report.shifts - w)
 
 
-def window(report, i: int) -> Window:
-    return Window(half_width=report.half_width, values=windows(report)[i])
+def csv_text(report, clusters) -> str:
+    out = io.StringIO()
+    report_to_csv(report, clusters, out)
+    return out.getvalue()
 
 
 def test_periodic_search_finds_exact_multiples():
     report = renascent_shift_search(preperiodic([], [0.0, 1.0]), 5, 20, 0.0)
     assert report.shifts.dtype == np.int64
     assert report.shifts.tolist() == [6, 8, 10, 12, 14, 16, 18, 20]
-    w = window(report, 0)
+    values = windows(report)[0]  # values[n + W] = b_n
     for n in range(-5, 6):
-        assert w[n] == (n % 2)
+        assert values[n + 5] == (n % 2)
 
 
 def test_preperiodic_has_no_renascent_shift():
@@ -129,9 +132,8 @@ def test_cluster_two_continuations_for_shifted_rotation():
     report = renascent_shift_search(stream, 10, 100_000, 5e-3)
     clusters = window_cluster(report, 2 * 5e-3)
     assert len(clusters) == 2
-    r0 = clusters[0].representative
-    r1 = clusters[1].representative
-    diff = np.abs(r0.values - r1.values)
+    r0, r1 = windows(report)[clusters.leaders]
+    diff = np.abs(r0 - r1)
     assert abs(diff[10 - 1] - 1.0) <= 2 * 5e-3  # index n = -1
     mask = np.ones(21, dtype=bool)
     mask[10 - 1] = False
@@ -142,18 +144,20 @@ def test_cluster_constant_stream():
     report = renascent_shift_search(preperiodic([], [1.0]), 3, 30, 0.0)
     clusters = window_cluster(report, 1e-12)
     assert len(clusters) == 1
-    assert np.all(clusters[0].representative.values == 1.0)
-    assert len(clusters[0].member_shifts) == len(report)
+    assert np.all(windows(report)[clusters.leaders[0]] == 1.0)
+    assert clusters.labels.tolist() == [0] * len(report)
 
 
 def test_cluster_empty_report_has_no_clusters():
     report = renascent_shift_search(preperiodic([5.0], [0.0]), 2, 50, 1e-9)
-    assert len(report) == 0 and window_cluster(report, 0.1) == []
+    clusters = window_cluster(report, 0.1)
+    assert len(report) == 0 and len(clusters) == 0
+    assert clusters.labels.size == clusters.distances.size == 0
 
 
 def test_generating_functions_constant_window():
     report = renascent_shift_search(preperiodic([], [1.0]), 6, 20, 0.0)
-    inner, outer = generating_functions(window(report, 0))
+    inner, outer = generating_functions(windows(report)[0])
     w = 6
     assert abs(inner(0.5) - (2.0 - 2.0 * 0.5 ** (w + 1))) < 1e-15
     assert abs(outer(2.0) - -(1.0 - 2.0**-w)) < 1e-15
@@ -166,7 +170,7 @@ def test_generating_functions_constant_window():
 
 def test_generating_functions_alternating_window():
     report = renascent_shift_search(preperiodic([], [1.0, -1.0]), 8, 40, 0.0)
-    inner, _ = generating_functions(window(report, 0))
+    inner, _ = generating_functions(windows(report)[0])
     # geometric oracle: 1/(1+z) at z = 0.5
     assert abs(inner(0.5) - 2.0 / 3.0) <= inner.truncation_bound(0.5) + 1e-15
 
@@ -177,8 +181,7 @@ def test_generating_functions_match_pole_series():
 
     w = 12
     values = np.array([taylor_coefficient(m, n) for n in range(-w, w + 1)])
-    window = Window(half_width=w, values=values)
-    inner, outer = generating_functions(window)
+    inner, outer = generating_functions(values)
     assert abs(inner(0.5) - psp_eval(m, 0.5)) <= inner.truncation_bound(0.5) + 1e-12
     assert abs(outer(2.0) - psp_eval(m, 2.0)) <= outer.truncation_bound(2.0) + 1e-12
 
@@ -236,28 +239,24 @@ def test_verify_rrl_rejects_empty_shifts_and_width():
 
 
 def test_report_csv_bytes_unchanged_by_shift_lookup():
-    # rendering with the linear scan for each cluster member, as before the
-    # dict lookup, gives the same bytes on a two-cluster report
+    # rendering the batch oracle's clusters with a linear scan for each
+    # member gives the same bytes as the per-hit arrays on a two-cluster report
     report = renascent_shift_search(hecke_stream(GOLDEN, gamma=GOLDEN), 10, 30_000, 5e-3)
+    hits = oracle_search(report.stream, 10, 30_000, 5e-3)
     clusters = window_cluster(report, 5e-3)
     assert len(clusters) == 2 and len(report) > 100
     lines = ["shift,residual_pos,residual_neg_vs_cluster,cluster_id"]
-    rows = list(zip(report.shifts.tolist(), report.residuals.tolist(), windows(report)))
-    assignment = {}
-    for cid, cl in enumerate(clusters):
-        rep_neg = cl.representative.values[:10]
-        for shift in cl.member_shifts:
-            values = next(v for k, _, v in rows if k == shift)
-            assignment[shift] = (cid, float(np.max(np.abs(values[:10] - rep_neg))))
-    for shift, residual, _ in rows:
-        cid, d = assignment[shift]
+    expected = oracle_clusters(hits, 10, 5e-3)
+    for shift, residual, _ in hits:
+        cid = next(c for c, (_, ks, _) in enumerate(expected) if shift in ks)
+        d = expected[cid][2][expected[cid][1].index(shift)]
         lines.append(f"{shift},{residual!r},{d!r},{cid}")
-    assert report_to_csv(report, clusters) == "\n".join(lines) + "\n"
+    assert csv_text(report, clusters) == "\n".join(lines) + "\n"
 
 
 def test_report_csv_shape():
     report = renascent_shift_search(preperiodic([], [0.0, 1.0]), 3, 12, 0.0)
-    text = report_to_csv(report, window_cluster(report, 0.0))
+    text = csv_text(report, window_cluster(report, 0.0))
     lines = text.strip().split("\n")
     assert lines[0] == "shift,residual_pos,residual_neg_vs_cluster,cluster_id"
     assert len(lines) == 1 + len(report)
@@ -265,9 +264,20 @@ def test_report_csv_shape():
     assert first[0] == "4" and first[3] == "0"
 
 
+def test_report_csv_rows_span_writer_blocks():
+    # the writer renders SEARCH_BLOCK rows at a time: the even shifts up to
+    # 4 SEARCH_BLOCK + 7 are three blocks of rows, the last one partial
+    k_max = 4 * SEARCH_BLOCK + 7
+    report = renascent_shift_search(preperiodic([], [0.0, 1.0]), 2, k_max, 0.0)
+    assert SEARCH_BLOCK * 2 < len(report) < SEARCH_BLOCK * 3
+    rows = "".join(f"{k},0.0,0.0,0\n" for k in range(4, k_max + 1, 2))
+    assert csv_text(report, window_cluster(report, 0.0)) == \
+        "shift,residual_pos,residual_neg_vs_cluster,cluster_id\n" + rows
+
+
 def test_report_csv_empty_report():
     report = renascent_shift_search(preperiodic([5.0], [0.0]), 2, 40, 1e-9)
-    text = report_to_csv(report, window_cluster(report, 1e-9))
+    text = csv_text(report, window_cluster(report, 1e-9))
     assert text.strip() == "shift,residual_pos,residual_neg_vs_cluster,cluster_id"
 
 
@@ -277,9 +287,9 @@ def test_report_csv_writes_the_clusters_it_is_given():
     report = ShiftReport(half_width=1, shifts=np.array([2, 3, 4]), residuals=np.zeros(3),
                          stream=preperiodic([0.0, 0.0, 0.15, -0.15], [0.0]))
     header = "shift,residual_pos,residual_neg_vs_cluster,cluster_id\n"
-    assert report_to_csv(report, window_cluster(report, 0.1)) == \
+    assert csv_text(report, window_cluster(report, 0.1)) == \
         header + "2,0.0,0.0,0\n3,0.0,0.0,1\n4,0.0,0.0,2\n"
-    assert report_to_csv(report, window_cluster(report, 0.2)) == \
+    assert csv_text(report, window_cluster(report, 0.2)) == \
         header + "2,0.0,0.0,0\n3,0.0,0.15,0\n4,0.0,0.15,0\n"
 
 
@@ -297,9 +307,9 @@ def test_cluster_nan_window_forms_its_own_cluster():
     report = ShiftReport(half_width=2, shifts=np.array([3, 6, 9]), residuals=np.zeros(3),
                          stream=stream)
     clusters = window_cluster(report, 0.1)
-    assert [c.member_shifts for c in clusters] == [[3, 9], [6]]
-    assert np.isinf(clusters[1].representative.values[0])
-    assert math.isnan(clusters[1].distances[0])
+    assert clusters.leaders.tolist() == [0, 1] and clusters.labels.tolist() == [0, 1, 0]
+    assert np.isinf(windows(report)[clusters.leaders[1]][0])
+    assert math.isnan(clusters.distances[1])
 
 
 def as_complex(stream):
@@ -393,15 +403,16 @@ def bits(x) -> np.ndarray:
 
 def clusters_match_oracle(report, hits, tol):
     """Assert that window_cluster(report, tol) is the oracle's leader
-    clustering of ``hits``, bit for bit; return the clusters."""
+    clustering of ``hits``: leaders, labels and distance bits; return the
+    clusters."""
     clusters = window_cluster(report, tol)
     expected = oracle_clusters(hits, report.half_width, tol)
-    assert [c.member_shifts for c in clusters] == [ks for _, ks, _ in expected]
-    assert [c.member_shifts[0] for c in clusters] == [rep for rep, _, _ in expected]
-    by_shift = {k: values for k, _, values in hits}
-    for c, (rep, _, dists) in zip(clusters, expected):
-        assert np.array_equal(bits(c.representative.values), bits(by_shift[rep]))
-        assert np.array_equal(bits(c.distances), bits(dists))
+    assert report.shifts[clusters.leaders].tolist() == [rep for rep, _, _ in expected]
+    cluster_of = {k: (cid, d) for cid, (_, ks, ds) in enumerate(expected)
+                  for k, d in zip(ks, ds)}
+    labels, dists = zip(*(cluster_of[k] for k, _, _ in hits)) if hits else ((), ())
+    assert clusters.labels.tolist() == list(labels)
+    assert np.array_equal(bits(clusters.distances), bits(np.array(dists, dtype=float)))
     return clusters
 
 
@@ -431,11 +442,10 @@ def test_real_stream_matches_its_complex_cast_bitwise(stream, w, extra, tol, gro
     assert np.array_equal(real.shifts, cplx.shifts)
     assert np.array_equal(bits(real.residuals), bits(cplx.residuals))
     assert np.array_equal(bits(real_windows.astype(complex)), bits(cplx_windows))
-    clusters = [window_cluster(r, group_tol) for r in (real, cplx)]
-    assert report_to_csv(real, clusters[0]) == report_to_csv(cplx, clusters[1])
-    for a, b in zip(*clusters):
-        assert a.member_shifts == b.member_shifts
-        assert np.array_equal(bits(a.distances), bits(b.distances))
+    a, b = (window_cluster(r, group_tol) for r in (real, cplx))
+    assert csv_text(real, a) == csv_text(cplx, b)
+    assert np.array_equal(a.leaders, b.leaders) and np.array_equal(a.labels, b.labels)
+    assert np.array_equal(bits(a.distances), bits(b.distances))
 
 
 def test_online_clusters_across_blocks_match_batch_oracle():
@@ -450,10 +460,10 @@ def test_online_clusters_across_blocks_match_batch_oracle():
     clusters = clusters_match_oracle(report, oracle_search(stream, w, k_max, math.inf), 0.5)
     step = SEARCH_BLOCK // w
     assert len(report) > 5 * step and len(clusters) == 8
-    assert clusters[1].member_shifts[0] == 10_001 > report.shifts[step]
-    assert clusters[0].member_shifts[-1] == k_max
+    assert report.shifts[clusters.leaders[1]] == 10_001 > report.shifts[step]
+    assert report.shifts[clusters.labels == 0][-1] == k_max
     # the all-ones cluster spans several blocks too
-    assert len(clusters[4].member_shifts) > 2 * step
+    assert np.count_nonzero(clusters.labels == 4) > 2 * step
 
 
 def test_online_clusters_keep_the_nan_rule():
@@ -466,22 +476,14 @@ def test_online_clusters_keep_the_nan_rule():
     report = renascent_shift_search(stream, w, k_max, 0.0)
     clusters = clusters_match_oracle(report, oracle_search(stream, w, k_max, 0.0), 0.5)
     with_inf = [k for k in report.shifts.tolist() if k % 10 in (8, 9)]
-    assert [c.member_shifts for c in clusters[1:]] == [[k] for k in with_inf]
-    assert all(math.isnan(c.distances[0]) for c in clusters[1:])
+    assert report.shifts[clusters.leaders[1:]].tolist() == with_inf
+    assert np.bincount(clusters.labels)[1:].tolist() == [1] * len(with_inf)
+    assert np.all(np.isnan(clusters.distances[clusters.leaders[1:]]))
 
 
 def test_hecke_stream_is_float64():
     assert hecke_stream(GOLDEN).take(50).dtype == np.float64
     assert hecke_stream(0.3, gamma=0.1).take(1).dtype == np.float64
-
-
-def test_window_index_outside_half_width_rejected():
-    report = renascent_shift_search(preperiodic([], [0.0, 1.0, 2.0, 3.0, 4.0]), 2, 20, 0.0)
-    w = window(report, 0)
-    assert [w[n] for n in range(-2, 3)] == [3, 4, 0, 1, 2]
-    for n in (-3, 3, -100):
-        with pytest.raises(ValidationError):
-            w[n]
 
 
 # -- block edges: hits on the first and last shift of a block ---------------
@@ -583,20 +585,20 @@ def traced_cluster_transient(report, tol) -> int:
 
 @pytest.mark.parametrize("cast", [lambda s: s, as_complex], ids=["real", "complex"])
 def test_cluster_memory_does_not_follow_the_hits(cast):
-    # window_cluster reads one block of negative sides at a time, so past its
-    # output lists 10 times the hits take no more memory.  The peak comes at
-    # a block's read, and the output still grows after it by at most a block
-    # of members: a Python int and float and their two list slots each.
-    # Holding every hit's negative side would add 80 B (real) or 160 B
-    # (complex) for each of the 18 000 extra hits.
+    # window_cluster reads one block of negative sides at a time, and its
+    # output (a label and a distance per hit) is allocated once, so past it
+    # 10 times the hits take no more memory.  The peak comes at a block's
+    # read, and the small report's last block is partial, so a full block's
+    # temporaries may add up to 16 B a hit of one block.  Holding every hit's
+    # negative side would add 80 B (real) or 160 B (complex) for each of the
+    # 18 000 extra hits.
     w, tol = 10, 1e-2
     stream = cast(hecke_stream(GOLDEN))
     small = renascent_shift_search(stream, w, 200_000, tol)
     large = renascent_shift_search(stream, w, 2_000_000, tol)
     assert len(large) > 9 * len(small) > 9 * SEARCH_BLOCK // w
-    per_member = 32 + 24 + 2 * 8
     assert traced_cluster_transient(large, tol) <= (traced_cluster_transient(small, tol)
-                                                    + SEARCH_BLOCK // w * per_member)
+                                                    + SEARCH_BLOCK // w * 16)
 
 
 def search_under_512_mb(stream: str, w: int, k_max: int, tol: str
@@ -624,8 +626,9 @@ def search_under_512_mb(stream: str, w: int, k_max: int, tol: str
         print(json.dumps({{
             "hits": len(report),
             "max_residual": float(report.residuals.max(initial=0.0)),
-            "sizes": [len(c.member_shifts) for c in clusters],
-            "windows": [c.representative.values.tolist() for c in clusters]}}))
+            "sizes": np.bincount(clusters.labels, minlength=len(clusters)).tolist(),
+            "windows": report.stream.take(2 * {w} + 1,
+                                          start=report.shifts[clusters.leaders] - {w}).tolist()}}))
     """)
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -644,11 +647,24 @@ def test_every_shift_a_hit_exits_3_under_a_memory_limit():
 
 
 def test_window_cluster_cap_exits_3_under_a_memory_limit():
-    # W = 10^6 at tol inf: 12 hits, each window its own cluster at tol 0, and
-    # the fifth cluster's window of 2W + 1 values passes the cells cap
+    # W = 10^6 at tol inf: 12 hits, each window its own cluster at tol 0, read
+    # one hit per block.  Before the tenth hit's block the count is 2 * 12
+    # labels and distances plus W * (9 representatives + 1 hit) =
+    # 10 000 024 values, over the cells cap
     proc = search_under_512_mb("hecke_stream(0.5 ** 0.5)", 10**6, 10**6 + 12, "math.inf")
     assert proc.returncode == 3, proc.stderr
-    assert "over the cap" in proc.stdout and "clusters" in proc.stdout
+    assert proc.stdout.startswith(f"the clusters hold 10000024 values, over the cap "
+                                  f"{SEARCH_CELLS_CAP}")
+
+
+def test_window_cluster_passes_cap_exits_3():
+    # golden rotation, W = 10, k_max = 2 * 10^4 at search tol inf: 19 990
+    # hits, each its own cluster at tol 0.  Every block of SEARCH_BLOCK // W
+    # hits is compared with every earlier representative, about 1.5e5 passes
+    # and 12 s in all, so the passes pass the cap in the sixth block
+    proc = search_under_512_mb("hecke_stream((5 ** 0.5 - 1) / 2)", 10, 20_000, "math.inf")
+    assert proc.returncode == 3, proc.stderr
+    assert f"takes over {CLUSTER_PASSES_CAP} passes" in proc.stdout
 
 
 def test_thue_morse_search_at_w_64_keeps_two_clusters_under_a_memory_limit():
