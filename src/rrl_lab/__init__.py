@@ -36,8 +36,7 @@ from .dynamics import (
 )
 from .errors import (
     CapExceeded,
-    DuplicatePole,
-    DuplicateRoot,
+    DuplicatePoint,
     EvalFailure,
     InsufficientDepth,
     NotARoot,

@@ -31,9 +31,11 @@ class ArcProbeResult:
     quadrature_n: int
 
     @property
-    def ratio(self) -> float:
-        """integrals[last] / integrals[first]; the blow-up indicator."""
-        return float(self.integrals[-1] / self.integrals[0])
+    def ratio(self) -> float | None:
+        """integrals[last] / integrals[first]; the blow-up indicator, None
+        when the first integral is 0."""
+        first = self.integrals[0]
+        return float(self.integrals[-1] / first) if first else None
 
 
 def _abs_eval(g: Callable, z: np.ndarray) -> np.ndarray:

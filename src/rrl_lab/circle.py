@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DuplicatePoint, ValidationError
 
 Angle = Union[Fraction, float]
 
@@ -126,7 +126,7 @@ class CirclePoint:
     def exact(cls, p: int, q: int) -> "CirclePoint":
         """Root-of-unity point at p/q turns (reduced to lowest terms)."""
         if q <= 0:
-            raise ValueError("denominator must be positive")
+            raise ValidationError("denominator must be positive")
         return cls(Fraction(p, q) % 1)
 
     @classmethod
@@ -151,6 +151,18 @@ class CirclePoint:
         if self.is_exact:
             return f"CirclePoint({self.angle.numerator}/{self.angle.denominator})"
         return f"CirclePoint({self.angle!r})"
+
+
+def sorted_distinct(points: Iterable[CirclePoint]) -> list[CirclePoint]:
+    """The points in angle order; DuplicatePoint when two share an angle.
+
+    An exact p/q and a float equal to it are the same angle.
+    """
+    pts = sorted(points, key=lambda p: p.angle)
+    for a, b in zip(pts, pts[1:]):
+        if a.angle == b.angle:
+            raise DuplicatePoint(f"repeated point at angle {a.angle}")
+    return pts
 
 
 def roots_of_unity(q: int) -> list[CirclePoint]:

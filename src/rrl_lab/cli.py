@@ -123,7 +123,7 @@ def _cmd_hecke(args: argparse.Namespace) -> dict:
         value = hecke_outer_eval(theta, z, args.n, gamma)
         return {"value": [value.real, value.imag],
                 "bound": hecke_outer_truncation_bound(z, args.n), "status": "ok"}
-    value, residual, bound, status = hecke_identity(theta, z, args.n, gamma)
+    value, residual, bound, _, status = hecke_identity(theta, z, args.n, gamma)
     return {
         "value": [value.real, value.imag],
         "bound": bound,
@@ -220,12 +220,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         _emit(args.handler(args))
         return EXIT_OK
-    except ValidationError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_VALIDATION
     except RrlLabError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_COMPUTATION
+        return EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_COMPUTATION
 
 
 if __name__ == "__main__":

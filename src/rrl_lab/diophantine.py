@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import cyclotomic as cyc
-from .circle import CirclePoint, frac_part, power_turns
-from .errors import CapExceeded, DuplicateRoot, NotARoot, RrlLabError, ValidationError
+from .circle import CirclePoint, frac_part, power_turns, sorted_distinct
+from .errors import CapExceeded, NotARoot, RrlLabError, ValidationError
 from .psp import PoleMeasure, moments
 
 PIGEONHOLE_J_CAP = 8
@@ -157,14 +157,6 @@ class CPoly:
         return complex(out) if out.ndim == 0 else out
 
 
-def _sorted_distinct(points: Sequence[CirclePoint]) -> list[CirclePoint]:
-    pts = sorted(points, key=lambda p: p.angle)
-    for a, b in zip(pts, pts[1:]):
-        if a.angle == b.angle:
-            raise DuplicateRoot(f"repeated root at angle {a.angle}")
-    return pts
-
-
 def _divide_root(coeffs: np.ndarray, root: complex) -> np.ndarray:
     """Quotient of P(X) / (X - root) by synthetic division (remainder dropped)."""
     d = len(coeffs) - 1
@@ -235,7 +227,7 @@ def poly_from_roots(points: Sequence[CirclePoint]) -> CPoly:
     of the orders), so coefficients that cancel are exactly 0.0, rational
     coefficients are exact, and either route gives the same bits.
     """
-    return CPoly(_coeffs(_sorted_distinct(points)))
+    return CPoly(_coeffs(sorted_distinct(points)))
 
 
 def q_poly(point: CirclePoint, points: Sequence[CirclePoint]) -> CPoly:
@@ -246,7 +238,7 @@ def q_poly(point: CirclePoint, points: Sequence[CirclePoint]) -> CPoly:
     member of F at lambda's angle, so a float lambda equal to an exact
     member divides as that member.
     """
-    pts = _sorted_distinct(points)
+    pts = sorted_distinct(points)
     member = next((p for p in pts if p.angle == point.angle), None)
     if member is None:
         raise NotARoot(f"{point} is not in the root set")
@@ -298,7 +290,7 @@ def balance_completion(points_g: Sequence[CirclePoint], eps: float = 0.5) -> Bal
     astronomically larger than what the certificate needs).  A rung that
     repeats an (N, replaced roots) pair already tried is skipped.
     """
-    g = _sorted_distinct(points_g)
+    g = sorted_distinct(points_g)
     if not g:
         raise ValidationError("G must be nonempty")
     if len(g) > BALANCE_M_CAP:
@@ -316,15 +308,11 @@ def balance_completion(points_g: Sequence[CirclePoint], eps: float = 0.5) -> Bal
         if (n, replaced) in tried or len(set(replaced)) < m:
             continue
         tried.add((n, replaced))
-        keep = [CirclePoint(Fraction(i, n)) for i in range(n) if i not in replaced]
-        angles_kept = {p.angle for p in keep}
-        if any(p.angle in angles_kept for p in g):
-            continue
-        f = g + keep
+        f = g + [CirclePoint(Fraction(i, n)) for i in range(n) if i not in replaced]
         ok, defect = is_eps_balanced(f, eps)
         if ok:
             return BalancedSet(
-                points=sorted(f, key=lambda p: p.angle),
+                points=sorted_distinct(f),
                 epsilon=float(eps),
                 defect=defect,
                 n_roots=n,

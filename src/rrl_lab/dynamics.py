@@ -60,7 +60,8 @@ def hecke_outer_eval(theta: float, z: complex, n_terms: int, gamma: float = 0.0)
     |z|^(-N) / (|z| - 1).  A nonzero gamma must stay off the orbit lattice
     Z + theta*Z at the offsets the sum reads: gamma + n*theta is checked to
     1e-10 for -N <= n <= -1, and a violated offset raises ResonantGamma.
-    A depth above HECKE_N_CAP is CapExceeded, before any loop runs.
+    A depth above HECKE_N_CAP is CapExceeded, and a theta whose N*theta
+    overflows is a ValidationError, before any loop runs.
     """
     if n_terms < 1:
         raise ValidationError(f"Hecke depth must be >= 1, got {n_terms}")
@@ -70,6 +71,9 @@ def hecke_outer_eval(theta: float, z: complex, n_terms: int, gamma: float = 0.0)
     if abs(z) < 1.0 + 1e-6:
         raise ValidationError("need |z| >= 1 + 1e-6")
     th, ga = float(theta), float(gamma)
+    # ga - N*th is exactly -(N*th - ga), so one check covers ga + n*th at n = -N
+    if not math.isfinite(n_terms * th - ga):
+        raise ValidationError(f"{n_terms}*theta overflows for theta = {th!r}")
     if ga != 0.0:
         for n in range(-n_terms, 0):
             f = frac_part(ga + n * th)

@@ -13,12 +13,8 @@ class PoleCollision(RrlLabError):
     """Evaluation point fell inside the exclusion radius of a pole."""
 
 
-class DuplicatePole(RrlLabError):
-    """Two constructed poles coincide on the circle."""
-
-
-class DuplicateRoot(RrlLabError):
-    """A root set meant to be distinct contains a repeated point."""
+class DuplicatePoint(ValidationError):
+    """Two points of a set meant to be distinct share an angle on the circle."""
 
 
 class NotARoot(RrlLabError):

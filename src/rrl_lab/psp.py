@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .circle import CirclePoint, power_turns, turn_to_complex
-from .errors import DuplicatePole, PoleCollision, ValidationError
+from .circle import CirclePoint, power_turns, sorted_distinct, turn_to_complex
+from .errors import PoleCollision, ValidationError
 
 DEFAULT_EXCLUSION = 1e-12
 # atom-point cells of one psp_eval block: its dozen float64 temporaries stay
@@ -46,12 +46,9 @@ class PoleMeasure:
                  tail_mass: float = 0.0):
         if not 0 <= tail_mass < math.inf:
             raise ValidationError(f"tail_mass must be finite and nonnegative, got {tail_mass!r}")
-        pts = [a[0] for a in atoms]
-        if len(set(p.angle for p in pts)) != len(pts):
-            raise DuplicatePole("atom points must be pairwise distinct")
-        self.atoms: list[tuple[CirclePoint, complex]] = sorted(
-            ((p, complex(w)) for p, w in atoms), key=lambda a: a[0].angle
-        )
+        weights = {p.angle: complex(w) for p, w in atoms}
+        self.atoms: list[tuple[CirclePoint, complex]] = [
+            (p, weights[p.angle]) for p in sorted_distinct(p for p, _ in atoms)]
         for p, w in self.atoms:
             if not cmath.isfinite(w):
                 raise ValidationError(f"weight at {p} must be finite, got {w!r}")
@@ -293,7 +290,7 @@ def fourier_psp(fhat: Sequence[tuple[int, complex]], theta: float) -> PoleMeasur
     """Pole measure whose inner coefficients are b_n = sum_j fhat_j e^{2 pi i j n theta}.
 
     Pole for frequency j sits at angle {-j*theta} with weight
-    -lambda_j * fhat_j.  Raises DuplicatePole when two supplied frequencies
+    -lambda_j * fhat_j.  Raises DuplicatePoint when two supplied frequencies
     collide on the circle (rational theta).
     """
     atoms = []

@@ -53,6 +53,7 @@ NAMED_THETAS = {
 
 def parse_theta(text: str) -> float:
     """A named theta (golden, sqrt2, sqrt3) or a finite float."""
+    text = text.strip()
     return parse_number(float, NAMED_THETAS.get(text, text), "theta")
 
 
@@ -117,17 +118,18 @@ def hecke_direct_sum(theta: float, z: complex, n: int, gamma: float = 0.0) -> co
 
 
 def hecke_identity(theta: float, z: complex, n: int, gamma: float = 0.0
-                   ) -> tuple[complex, float, float, str]:
-    """(value, residual, bound, status) of the continuation formula at z.
+                   ) -> tuple[complex, float, float, float, str]:
+    """(value, residual, bound, tol, status) of the continuation formula at z.
 
     The residual is its distance to ``hecke_direct_sum``; both truncations
     are within ``bound`` = |z|^(-N) / (|z| - 1), so the status is "ok" when
-    the residual is at most max(2 * bound, 1e-10), else "mismatch".
+    the residual is at most tol = max(2 * bound, 1e-10), else "mismatch".
     """
     value = hecke_outer_eval(theta, z, n, gamma)
     residual = abs(value - hecke_direct_sum(theta, z, n, gamma))
     bound = hecke_outer_truncation_bound(z, n)
-    return value, residual, bound, "ok" if residual <= max(2.0 * bound, 1e-10) else "mismatch"
+    tol = max(2.0 * bound, 1e-10)
+    return value, residual, bound, tol, "ok" if residual <= tol else "mismatch"
 
 
 def kneading_coeffs(map_spec: str, n: int) -> np.ndarray:
@@ -236,7 +238,7 @@ def recipe_hecke_unique(theta: str = "golden", n: int = 200, w: int = 10,
                         k_max: int = 10_000, tol: float = 1e-2, z: complex = 2 + 0j
                         ) -> tuple[dict, Table]:
     theta = parse_theta(theta)
-    _, residual, bound, status = hecke_identity(theta, z, n)
+    _, residual, _, identity_tol, status = hecke_identity(theta, z, n)
     report, clusters, table = _hecke_search(theta, 0.0, w, k_max, tol)
     summary = {
         "theta": theta,
@@ -245,7 +247,7 @@ def recipe_hecke_unique(theta: str = "golden", n: int = 200, w: int = 10,
         "shifts_head": report.shifts[:16].tolist(),
         "cluster_count": len(clusters),
         "identity_residual": residual,
-        "identity_bound": 2.0 * bound,
+        "identity_bound": identity_tol,
         "status": status,
     }
     return summary, table
@@ -338,7 +340,7 @@ def recipe_probe_arc(measure: str = "", omega1: float = 0.0, omega2: float = mat
         "integrals": integrals,
         "ratio": probe.ratio,
     }
-    rows = [[r, v, v / integrals[0]] for r, v in zip(rs, integrals)]
+    rows = [[r, v, "" if probe.ratio is None else v / integrals[0]] for r, v in zip(rs, integrals)]
     return summary, lambda out: _rows_csv(out, ["radius", "integral", "ratio_to_first"], rows)
 
 

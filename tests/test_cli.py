@@ -160,6 +160,9 @@ def one_json_line(capsys, *argv):
     # k * theta overflows to inf, so the stream reads NaN past a_1
     ["run", "--recipe", "hecke-unique", "--theta", "1e308"],
     ["run", "--recipe", "hecke-two", "--theta", "1e308"],
+    # the continuation loop's k * theta overflows: refused before it runs
+    ["hecke", "--theta", "1e308"],
+    ["hecke", "--theta", "1e308", "--check-identity"],
 ])
 def test_unparsable_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -311,6 +314,24 @@ def test_bad_measure_files_exit_2(tmp_path, capsys, recipe, text):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["balance", "--angles", "1/3,1/3"],
+    ["balance", "--angles", "1/2,0.5"],
+    ["run", "--recipe", "psp-rrl", "--measure", "dup.json"],
+])
+def test_repeated_point_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # 1/3 and 2/6 are one pole; an exact 1/2 and the float 0.5 one root
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dup.json").write_text(
+        '[{"angle": {"p": 1, "q": 3}, "re": 1.0}, {"angle": {"p": 2, "q": 6}, "re": 1.0}]')
+    if argv[0] == "run":
+        argv = [*argv, "--out", "out.json"]
+    code, obj = one_json_line(capsys, *argv)
+    assert code == 2
+    assert obj["error"]["type"] == "DuplicatePoint"
+    assert not (tmp_path / "out.json").exists()
+
+
 # Malformed angle text or float angles only, with at most one finite float, so
 # that no case starts a large exact completion, or a long ladder for two
 # nearly equal points.
@@ -422,6 +443,21 @@ def test_probe_arc_recipe_csv(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "radius,integral,ratio_to_first"
     assert len(lines) == 6
+
+
+def test_probe_arc_on_zero_integrals_writes_no_ratio(tmp_path, capsys):
+    # g = 0 on the empty measure: the ratio to the first integral is None
+    measure = tmp_path / "empty.json"
+    measure.write_text("[]")
+    args = ["run", "--recipe", "probe-arc", "--measure", str(measure), "--quadrature-n", "64"]
+    code, _ = run_cli(capsys, *args, "--out", str(tmp_path / "arc.json"))
+    assert code == 0
+    data = json.loads((tmp_path / "arc.json").read_text(), parse_constant=reject_constant)
+    assert data["ratio"] is None and data["integrals"] == [0.0] * 5
+    code, _ = run_cli(capsys, *args, "--format", "csv", "--out", str(tmp_path / "arc.csv"))
+    assert code == 0
+    lines = (tmp_path / "arc.csv").read_text().strip().split("\n")
+    assert lines[1:] == [f"{r!r},0.0," for r in data["radii"]]
 
 
 def test_kneading_entropy_recipe_feigenbaum(tmp_path, capsys):
@@ -537,6 +573,22 @@ def test_dirichlet_tool(capsys):
     assert all(e <= obj["bound"] + 1e-12 for e in obj["errors"])
 
 
+@pytest.mark.parametrize("spaced, plain", [
+    (["dirichlet", "--thetas", "golden, sqrt2", "-M", "100"],
+     ["dirichlet", "--thetas", "golden,sqrt2", "-M", "100"]),
+    (["dirichlet", "--thetas", " 0.25 ,sqrt3 ", "-M", "100"],
+     ["dirichlet", "--thetas", "0.25,sqrt3", "-M", "100"]),
+    (["hecke", "--theta", " golden"], ["hecke", "--theta", "golden"]),
+    (["hecke", "--theta", "sqrt3 ", "--check-identity"],
+     ["hecke", "--theta", "sqrt3", "--check-identity"]),
+])
+def test_theta_text_is_stripped_as_angle_text_is(capsys, spaced, plain):
+    # parse_theta strips its text, as parse_angle does for --angles
+    code, obj = one_json_line(capsys, *spaced)
+    assert code == 0 and obj["status"] == "ok"
+    assert one_json_line(capsys, *plain) == (code, obj)
+
+
 def test_hecke_tool_identity(capsys):
     code, obj = run_cli(
         capsys, "hecke", "--theta", "golden", "--check-identity", "-n", "120"
@@ -560,7 +612,10 @@ def test_hecke_identity_floor_is_the_recipes(tmp_path, monkeypatch, capsys, offs
     code, _ = run_cli(capsys, "run", "--recipe", "hecke-unique", "--k-max", "100",
                       "--out", str(out))
     assert code == 0
-    assert tool["status"] == json.loads(out.read_text())["status"] == status
+    artifact = json.loads(out.read_text())
+    assert tool["status"] == artifact["status"] == status
+    # the artifact's identity_bound is the tolerance the verdict compared against
+    assert (artifact["identity_residual"] <= artifact["identity_bound"]) == (status == "ok")
 
 
 def reject_constant(name):

@@ -21,7 +21,7 @@ from rrl_lab.diophantine import (
     poly_from_roots,
     q_poly,
 )
-from rrl_lab.errors import CapExceeded, DuplicateRoot, NotARoot, ValidationError
+from rrl_lab.errors import CapExceeded, DuplicatePoint, NotARoot, ValidationError
 from rrl_lab.psp import PoleMeasure
 
 
@@ -260,7 +260,7 @@ def test_poly_quarter_pair_is_x_squared_plus_one():
 
 
 def test_poly_duplicate_root_rejected():
-    with pytest.raises(DuplicateRoot):
+    with pytest.raises(DuplicatePoint):
         poly_from_roots([CirclePoint.exact(1, 4), CirclePoint.exact(2, 8)])
 
 
@@ -315,7 +315,7 @@ def test_q_poly_norm_inequality_property():
         pts = [CirclePoint.real(float(a)) for a in angles]
         try:
             p = poly_from_roots(pts)
-        except DuplicateRoot:
+        except DuplicatePoint:
             continue
         for lam in pts:
             q = q_poly(lam, pts)

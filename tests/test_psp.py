@@ -6,7 +6,7 @@ import pytest
 
 from conftest import QC, rational_function_of_measure, series_divide
 from rrl_lab.circle import CirclePoint
-from rrl_lab.errors import DuplicatePole, PoleCollision, ValidationError
+from rrl_lab.errors import DuplicatePoint, PoleCollision, ValidationError
 from rrl_lab.psp import (
     PoleMeasure,
     fourier_psp,
@@ -140,7 +140,7 @@ def test_fourier_rational_theta_single_pole():
 
 
 def test_fourier_duplicate_pole():
-    with pytest.raises(DuplicatePole):
+    with pytest.raises(DuplicatePoint):
         fourier_psp([(0, 1.0), (4, 1.0)], theta=0.25)
 
 
@@ -164,7 +164,7 @@ def test_moment_vector_nonzero_small_sample():
 
 
 def test_measure_rejects_duplicates_and_bad_tail():
-    with pytest.raises(DuplicatePole):
+    with pytest.raises(DuplicatePoint):
         PoleMeasure([(CirclePoint.exact(0, 1), 1.0), (CirclePoint.exact(2, 2), 2.0)])
     with pytest.raises(ValidationError):
         PoleMeasure([(CirclePoint.exact(0, 1), 1.0)], tail_mass=-1.0)
