@@ -69,7 +69,8 @@ def arc_l1_growth(
 ) -> ArcProbeResult:
     """Composite-trapezoid arc integrals of |g| over an increasing radius grid.
 
-    ``quadrature_n`` is the panel count (>= 64).  ``g`` is called once, on a
+    ``quadrature_n`` is the panel count (>= 64); a panel narrower than the
+    smallest normal float is a ValidationError.  ``g`` is called once, on a
     (radii, quadrature_n + 1) array whose row i holds the quadrature points
     of radius i.  The returned ratio of the last to the first integral
     indicates blow-up; it is evidence only.  More than ARC_POINTS_CAP points
@@ -82,6 +83,9 @@ def arc_l1_growth(
         raise ValidationError("radii must be increasing inside (0, 1)")
     if quadrature_n < 64:
         raise ValidationError("quadrature_n must be >= 64")
+    if (omega2 - omega1) / quadrature_n < np.finfo(float).tiny:
+        raise ValidationError(f"a panel of the arc ({omega1!r}, {omega2!r}) is below the "
+                              f"smallest normal float")
     points = (quadrature_n + 1) * len(rs)
     if points > ARC_POINTS_CAP:
         raise CapExceeded(f"(quadrature_n + 1) * len(radii) = {points} points, over the "

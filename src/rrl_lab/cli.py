@@ -9,7 +9,6 @@ as one-line JSON objects on stdout.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import sys
 from pathlib import Path
@@ -52,6 +51,8 @@ def _read_config(path: str | None) -> dict:
     """key=value sections; [run] holds recipe/out/format, [params] the rest."""
     if not path:
         return {}
+    import configparser  # here, not at the top: no other command pays its import
+
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:

@@ -49,6 +49,10 @@ class CoeffStream:
 
     def take(self, n: int, start: int | np.ndarray = 0) -> np.ndarray:
         """a_start .. a_{start+n-1}, or for an array of starts a row per start."""
+        if isinstance(start, (int, np.integer)):  # one range, the common read
+            if start < 0:
+                raise ValidationError("stream index must be >= 0")
+            return self._read(np.arange(start, start + n))
         if np.any(np.asarray(start) < 0):
             raise ValidationError("stream index must be >= 0")
         ks = np.add.outer(start, np.arange(n))

@@ -163,6 +163,8 @@ def one_json_line(capsys, *argv):
     # the continuation loop's k * theta overflows: refused before it runs
     ["hecke", "--theta", "1e308"],
     ["hecke", "--theta", "1e308", "--check-identity"],
+    # an arc whose panels are below the smallest normal float
+    ["run", "--recipe", "probe-arc", "--omega2", "1e-320"],
 ])
 def test_unparsable_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

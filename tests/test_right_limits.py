@@ -417,7 +417,7 @@ def clusters_match_oracle(report, hits, tol):
 
 
 @settings(max_examples=300, deadline=None)
-@given(SEARCH_STREAMS, st.integers(1, 6), st.integers(1, 400), TOLS, TOLS)
+@given(SEARCH_STREAMS, st.integers(1, 24), st.integers(1, 400), TOLS, TOLS)
 def test_search_and_clusters_match_matrix_oracle(stream, w, extra, tol, group_tol):
     k_max = w + extra
     report = renascent_shift_search(stream, w, k_max, tol)

@@ -51,8 +51,9 @@ def test_real_tables_stay_real_and_complex_ones_complex():
 
 
 def test_negative_index_rejected():
-    with pytest.raises(ValidationError):
-        preperiodic([], [1.0]).take(3, start=-1)
+    for start in (-1, np.int64(-1)):
+        with pytest.raises(ValidationError):
+            preperiodic([], [1.0]).take(3, start=start)
 
 
 def test_zero_cycle_pads_a_finite_sequence_with_zeros():
@@ -102,6 +103,7 @@ def test_array_of_starts_reads_rows_of_scalar_takes_bitwise(stream, n, starts):
     assert rows.shape == (len(starts), n)
     for row, k in zip(rows, starts):
         assert np.array_equal(bits(row), bits(stream.take(n, start=k)))
+        assert np.array_equal(bits(row), bits(stream.take(n, start=np.int64(k))))
 
 
 def test_one_negative_start_in_an_array_rejected():
