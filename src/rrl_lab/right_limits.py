@@ -93,19 +93,19 @@ def renascent_shift_search(a: CoeffStream, half_width: int, k_max: int,
         n = 1
         while n <= w and cand.size:
             c = min(w + 1 - n, max(1, (size + w) // cand.size))
-            # one gather whose contiguous rows run along its longer side: for
-            # many survivors row j holds block[cand + n + j] and d is c
-            # elementwise maxima across rows, not one short reduction per
-            # survivor; for few (large W), row i holds survivor i's c values
-            if c <= cand.size:
-                d = np.abs(block[np.add.outer(np.arange(n, n + c), cand)]
-                           - head[n : n + c, None]).max(axis=0)
-            else:
-                d = np.abs(block[np.add.outer(cand + n, np.arange(c))]
-                           - head[n : n + c]).max(axis=1)
+            # one (c, survivors) gather, row j holding block[cand + n + j]: d is
+            # c elementwise maxima across rows, not one short reduction per survivor
+            d = np.abs(block[np.add.outer(np.arange(n, n + c), cand)]
+                       - head[n : n + c, None]).max(axis=0)
             keep = d <= tol
             cand, res = cand[keep], np.maximum(res[keep], d[keep])
             n += c
+        # freed before the next read, so at most three arrays of a block's
+        # length are alive at once.  With the old block held through the read
+        # there are four, and in some heap layouts glibc trims the heap top
+        # after each block and faults it back in on the next (about 4100
+        # minor faults per 2*10^6 shifts)
+        del block
         cells += 2 * cand.size
         if cells > SEARCH_CELLS_CAP:
             raise CapExceeded(f"the hits up to shift {lo + size - 1} hold {cells} values, "
