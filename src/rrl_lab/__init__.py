@@ -37,7 +37,6 @@ from .dynamics import (
 from .errors import (
     CapExceeded,
     DuplicatePoint,
-    EvalFailure,
     InsufficientDepth,
     NotARoot,
     PoleCollision,

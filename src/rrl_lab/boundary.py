@@ -9,11 +9,12 @@ ratio indicator, never a divergence claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, EvalFailure, ValidationError
+from . import psp
+from .errors import CapExceeded, ValidationError
 
 # default radius schedule 1 - 10^(-k/2), k = 2..6
 DEFAULT_RADII = tuple(1.0 - 10.0 ** (-k / 2.0) for k in range(2, 7))
@@ -38,19 +39,6 @@ class ArcProbeResult:
         return float(self.integrals[-1] / first) if first else None
 
 
-def _abs_eval(g: Callable, z: np.ndarray) -> np.ndarray:
-    """|g| on an array of points; g must return an array of z's shape or a
-    scalar that broadcasts to it."""
-    try:
-        vals = np.broadcast_to(np.asarray(g(z), dtype=complex), z.shape)
-    except Exception as exc:  # propagate as a typed probe failure
-        raise EvalFailure(
-            f"evaluator failed on {z.size} points from z = {complex(z.flat[0])}: {exc}"
-        ) from exc
-    # np.hypot is bit-equal to abs() of a Python complex; np.abs is not
-    return np.hypot(vals.real, vals.imag)
-
-
 def _scale(r: float | np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """r * (c + s*i) as the complex product (r + 0i) * (c + s*i), zero signs
     included, in the shape that r and c broadcast to."""
@@ -61,18 +49,20 @@ def _scale(r: float | np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def arc_l1_growth(
-    g: Callable[[np.ndarray], np.ndarray],
+    m: psp.PoleMeasure,
     omega1: float,
     omega2: float,
-    radii: Sequence[float] | None = None,
-    quadrature_n: int = 256,
+    radii: Sequence[float] | None,
+    quadrature_n: int,
 ) -> ArcProbeResult:
-    """Composite-trapezoid arc integrals of |g| over an increasing radius grid.
+    """Composite-trapezoid arc integrals of |g| over an increasing radius
+    grid, g the pole series of ``m``; ``radii=None`` is DEFAULT_RADII.
 
     ``quadrature_n`` is the panel count (>= 64); a panel narrower than the
-    smallest normal float is a ValidationError.  ``g`` is called once, on a
-    (radii, quadrature_n + 1) array whose row i holds the quadrature points
-    of radius i.  The returned ratio of the last to the first integral
+    smallest normal float is a ValidationError.  ``psp.psp_eval`` is called
+    once, on a (radii, quadrature_n + 1) array whose row i holds the
+    quadrature points of radius i, and raises PoleCollision for a point
+    too near a pole.  The returned ratio of the last to the first integral
     indicates blow-up; it is evidence only.  More than ARC_POINTS_CAP points
     in all is CapExceeded, before any is built.
     """
@@ -92,6 +82,8 @@ def arc_l1_growth(
                           f"cap {ARC_POINTS_CAP}")
     omegas = np.linspace(omega1, omega2, quadrature_n + 1)
     cos, sin = np.cos(omegas), np.sin(omegas)
-    ints = np.trapezoid(_abs_eval(g, _scale(rs[:, None], cos, sin)), omegas, axis=-1)
+    vals = psp.psp_eval(m, _scale(rs[:, None], cos, sin))
+    # np.hypot is bit-equal to abs() of a Python complex; np.abs is not
+    ints = np.trapezoid(np.hypot(vals.real, vals.imag), omegas, axis=-1)
     return ArcProbeResult(radii=rs, integrals=ints, quadrature_n=int(quadrature_n))
 

@@ -84,8 +84,6 @@ def turn_to_complex(t: Angle) -> complex:
         u = t % 1.0
         quadrant = int(4.0 * u) % 4
         r_f = u - quadrant * 0.25
-        if r_f < 0.0:
-            r_f = 0.0
     if r_f <= 0.125:
         x = math.cos(2.0 * math.pi * r_f)
         y = math.sin(2.0 * math.pi * r_f)
@@ -124,14 +122,15 @@ class CirclePoint:
 
     @classmethod
     def exact(cls, p: int, q: int) -> "CirclePoint":
-        """Root-of-unity point at p/q turns (reduced to lowest terms)."""
-        if q <= 0:
-            raise ValidationError("denominator must be positive")
-        return cls(Fraction(p, q) % 1)
+        """Root-of-unity point at p/q turns (reduced to lowest terms); a
+        negative q denotes the same rational, q = 0 is a ValidationError."""
+        if q == 0:
+            raise ValidationError(f"angle {p}/{q}: denominator must be nonzero")
+        return cls(Fraction(p, q))
 
     @classmethod
     def real(cls, t: float) -> "CirclePoint":
-        return cls(frac_part(float(t)))
+        return cls(float(t))
 
     @property
     def is_exact(self) -> bool:

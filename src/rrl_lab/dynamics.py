@@ -135,6 +135,10 @@ class UnimodalMap:
 
     @classmethod
     def quadratic(cls, c: float = FEIGENBAUM_C) -> "UnimodalMap":
+        """x^2 + c on [-beta, beta], -2 <= c <= 1/4."""
+        if not -2.0 <= c <= 0.25:
+            # outside this range x^2 + c maps no interval to itself
+            raise ValidationError(f"quadratic c must be in [-2, 1/4], got {c!r}")
         return cls(
             fn=lambda x: x * x + c,
             critical=0.0,

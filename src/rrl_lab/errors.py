@@ -31,7 +31,3 @@ class CapExceeded(RrlLabError):
 
 class InsufficientDepth(RrlLabError):
     """A sign change lies in the zone where the truncation tail bound explodes."""
-
-
-class EvalFailure(RrlLabError):
-    """A user-supplied evaluator raised while being probed."""

@@ -97,11 +97,11 @@ class PoleMeasure:
             for rec in obj:
                 ang = rec["angle"]
                 if isinstance(ang, dict):
-                    pt = CirclePoint(Fraction(int(ang["p"]), int(ang["q"])))
+                    pt = CirclePoint.exact(int(ang["p"]), int(ang["q"]))
                 else:
                     pt = CirclePoint.real(float(ang))
                 atoms.append((pt, complex(rec["re"], rec.get("im", 0.0))))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed measure: {type(exc).__name__}: {exc}") from exc
         return cls(atoms, tail_mass=tail)
 
@@ -229,7 +229,7 @@ def _float_parts(angle: float, exps_f: np.ndarray):
     """
     u = power_turns(angle, exps_f)
     quadrant = np.floor(4.0 * u)
-    r = np.maximum(u - quadrant * 0.25, 0.0)
+    r = u - quadrant * 0.25
     low = r <= 0.125
     t = 2.0 * math.pi * np.where(low, r, 0.25 - r)
     c, s = np.cos(t), np.sin(t)

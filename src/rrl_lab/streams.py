@@ -62,8 +62,7 @@ class CoeffStream:
         return f"CoeffStream({self.name!r}, bound={self.bound})"
 
 
-def preperiodic(head: Sequence[complex], cycle: Sequence[complex],
-                name: str = "preperiodic") -> CoeffStream:
+def preperiodic(head: Sequence[complex], cycle: Sequence[complex]) -> CoeffStream:
     """head, then cycle repeated forever; the one stream backed by a table.
 
     A finite sequence v is ``preperiodic(v, [0])``, a periodic one c is
@@ -82,5 +81,5 @@ def preperiodic(head: Sequence[complex], cycle: Sequence[complex],
         out[small] = h[ks[small]]
         return out
 
-    return CoeffStream(name, rule, float(np.max(np.abs(both))))
+    return CoeffStream("preperiodic", rule, float(np.max(np.abs(both))))
 

@@ -90,6 +90,10 @@ def test_angle_normalization():
     assert CirclePoint.exact(6, 4).angle == Fraction(1, 2)
     assert CirclePoint.real(1.25).angle == 0.25
     assert CirclePoint.real(-0.25).angle == 0.75
+    # a negative denominator denotes the same rational
+    assert CirclePoint.exact(1, -3) == CirclePoint.exact(2, 3)
+    with pytest.raises(ValidationError, match="denominator must be nonzero"):
+        CirclePoint.exact(1, 0)
 
 
 def test_exact_and_float_same_point_compare_equal():
@@ -118,5 +122,5 @@ def test_bad_angle_type_rejected():
 
 def test_non_finite_angle_rejected():
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=f"got {bad!r}$"):
             CirclePoint.real(bad)

@@ -30,6 +30,8 @@ def run_cli(capsys, *argv):
 def test_run_requires_recipe_and_out(capsys):
     code, obj = run_cli(capsys, "run", "--out", "x.json")
     assert code == 2 and "error" in obj
+    code, obj = run_cli(capsys, "run", "--recipe", "balance")
+    assert code == 2 and "no output path" in obj["error"]["message"]
 
 
 def test_unknown_recipe_rejected(tmp_path, capsys):
@@ -153,6 +155,8 @@ def one_json_line(capsys, *argv):
     # a pigeonhole count or a kneading depth below 1
     ["shifts", "--pigeonhole", "0", "--angles", "sqrt2"],
     ["shifts", "--pigeonhole", "-3", "--angles", "sqrt2"],
+    ["shifts", "--pigeonhole", "3"],
+    ["run", "--recipe", "psp-rrl", "--shifts", "bogus:3"],
     ["kneading", "-n", "0"],
     ["kneading", "-n", "0", "--entropy"],
     ["run", "--recipe", "kneading-entropy", "--n", "0"],
@@ -462,6 +466,16 @@ def test_probe_arc_on_zero_integrals_writes_no_ratio(tmp_path, capsys):
     assert lines[1:] == [f"{r!r},0.0," for r in data["radii"]]
 
 
+def test_probe_arc_point_on_a_pole_exits_3(tmp_path, monkeypatch, capsys):
+    # the default measure has a pole at z = 1, and the probe point at omega 0
+    # of radius 1 - 5e-13 lies within psp_eval's exclusion radius of it
+    monkeypatch.chdir(tmp_path)
+    code, obj = one_json_line(capsys, "run", "--recipe", "probe-arc",
+                              "--radii", "0.9,0.9999999999995", "--out", "arc.json")
+    assert code == 3 and obj["error"]["type"] == "PoleCollision"
+    assert not (tmp_path / "arc.json").exists()
+
+
 def test_kneading_entropy_recipe_feigenbaum(tmp_path, capsys):
     out = tmp_path / "ent.json"
     code, _ = run_cli(
@@ -492,7 +506,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["k-max = 50", "thetaa = 0.3", "gamma = 0.1",
-                                  "angles = 1/3"])
+                                  "angles = 1/3", "format = xml"])
 def test_unknown_config_key_exits_2(tmp_path, capsys, line):
     # a misspelt key used to be dropped, and the run went on at the defaults
     out = tmp_path / "typo.json"

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import SQRT2_M1, SQRT3_M1
 from rrl_lab import diophantine
-from rrl_lab.circle import FRAC_SNAP, CirclePoint, frac_array, power_turns, roots_of_unity
+from rrl_lab.circle import (
+    FRAC_SNAP,
+    CirclePoint,
+    frac_array,
+    frac_part,
+    power_turns,
+    roots_of_unity,
+)
 from rrl_lab.diophantine import (
     FACTORIAL_J_CAP,
     balance_completion,
@@ -219,6 +226,19 @@ def test_dirichlet_pair():
     assert 1 <= n <= 100
     for t, p in zip((SQRT2_M1, SQRT3_M1), ps):
         assert abs(n * t - p) <= bound + 1e-12
+
+
+def test_dirichlet_fallback_scan_returns_the_first_witness():
+    # M = 2 on two thetas: 4 cells of side 2^(-1/2) for the 3 points
+    # N' = 0, 1, 2, and no two share a cell, so the fallback scan answers
+    thetas, big_m = [SQRT2_M1, SQRT3_M1], 2
+    side = big_m ** -0.5
+    cells = {tuple(int(frac_part(n * t) / side) for t in thetas) for n in range(big_m + 1)}
+    assert len(cells) == big_m + 1
+    first = next(n for n in range(1, big_m + 1)
+                 if all(abs(n * t - round(n * t)) <= side for t in thetas))
+    assert dirichlet_approx(thetas, big_m) == (first, [round(first * t) for t in thetas])
+    assert (first, [round(first * t) for t in thetas]) == (1, [0, 1])
 
 
 def test_dirichlet_exhaustive_oracle_property():

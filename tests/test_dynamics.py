@@ -196,12 +196,22 @@ def test_itinerary_tent_critical_orbit():
 
 def test_itinerary_rejects_escaping_orbit():
     # x^2 + 2.5 sends the critical orbit to inf in a few steps
+    escaping = UnimodalMap(fn=lambda x: x * x + 2.5, critical=0.0, increasing_side="right")
     with pytest.raises(ValidationError):
-        kneading_sequence(UnimodalMap.quadratic(2.5), 200)
+        kneading_sequence(escaping, 200)
     nan_map = UnimodalMap(fn=lambda x: math.nan, critical=0.0, increasing_side="left")
     with pytest.raises(ValidationError):
         itinerary(nan_map, 0.0, 3)
     assert itinerary(nan_map, 0.0, 0).tolist() == [1]
+
+
+@pytest.mark.parametrize("c", [-2.0000001, 0.3, 2.5, math.nan])
+def test_quadratic_rejects_c_outside_range(c):
+    # outside -2 <= c <= 1/4 no interval is mapped to itself; the critical
+    # orbit of x^2 + 0.3 still stays finite for 20 steps, so the itinerary's
+    # escape check alone would give it twenty +1 signs
+    with pytest.raises(ValidationError, match="quadratic c must be in"):
+        UnimodalMap.quadratic(c)
 
 
 def test_itinerary_values_are_signs():

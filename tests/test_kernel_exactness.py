@@ -230,22 +230,24 @@ def test_boundary_probes_bitwise_equal_to_scalar_loops(m, omega1, span):
                                        for o in omegas]), omegas) for r in radii]
     except PoleCollision:
         return
-    got = arc_l1_growth(lambda z: psp_eval(m, z), omega1, omega1 + span, radii, 64)
+    got = arc_l1_growth(m, omega1, omega1 + span, radii, 64)
     assert np.array_equal(got.integrals.view(np.uint64), np.array(want).view(np.uint64))
 
 
-def test_probe_evaluator_receives_points_of_scalar_product():
-    # one call with a (radii, quadrature_n + 1) array whose row i is bit-equal
-    # to r_i * complex(cos, sin), zero signs included (the last omega is -0.0,
+def test_probe_evaluator_receives_points_of_scalar_product(monkeypatch):
+    # one psp_eval call, looked up on rrl_lab.psp at run time, with a
+    # (radii, quadrature_n + 1) array whose row i is bit-equal to
+    # r_i * complex(cos, sin), zero signs included (the last omega is -0.0,
     # where sin gives -0.0)
     seen = []
 
-    def g(z):
+    def spy(m, z):
         seen.append(np.array(z))
-        return 1.0
+        return psp_eval(m, z)
 
+    monkeypatch.setattr(psp, "psp_eval", spy)
     radii = np.array([0.5, 0.9])
-    arc_l1_growth(g, -1.0, -0.0, radii, quadrature_n=64)
+    arc_l1_growth(PoleMeasure([]), -1.0, -0.0, radii, quadrature_n=64)
     assert len(seen) == 1 and seen[0].shape == (2, 65)
     omegas = np.linspace(-1.0, -0.0, 65)
     for r, z in zip(radii, seen[0]):

@@ -56,6 +56,13 @@ def test_negative_index_rejected():
             preperiodic([], [1.0]).take(3, start=start)
 
 
+def test_empty_cycle_and_negative_bound_rejected():
+    with pytest.raises(ValidationError, match="cycle must be nonempty"):
+        preperiodic([], [])
+    with pytest.raises(ValidationError, match="bound must be nonnegative"):
+        CoeffStream("negative", lambda ks: ks * 0.0, bound=-1)
+
+
 def test_zero_cycle_pads_a_finite_sequence_with_zeros():
     s = preperiodic([3.0, 4.0], [0])
     assert s.take(1, start=1)[0] == 4.0 and s.take(1, start=10)[0] == 0.0
