@@ -29,8 +29,8 @@ from .circle import CirclePoint, power_turns, sorted_distinct, turn_to_complex
 from .errors import PoleCollision, ValidationError
 
 DEFAULT_EXCLUSION = 1e-12
-# atom-point cells of one psp_eval block: its dozen float64 temporaries stay
-# near 1 MB, whatever the number of points
+# points of one psp_eval block: its dozen float64 temporaries stay near
+# 1 MB, whatever the number of points or atoms
 EVAL_BLOCK = 2**13
 
 
@@ -97,13 +97,21 @@ class PoleMeasure:
             for rec in obj:
                 ang = rec["angle"]
                 if isinstance(ang, dict):
-                    pt = CirclePoint.exact(int(ang["p"]), int(ang["q"]))
+                    pt = CirclePoint.exact(_json_int(ang["p"]), _json_int(ang["q"]))
                 else:
                     pt = CirclePoint.real(float(ang))
                 atoms.append((pt, complex(rec["re"], rec.get("im", 0.0))))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed measure: {type(exc).__name__}: {exc}") from exc
         return cls(atoms, tail_mass=tail)
+
+
+def _json_int(x) -> int:
+    """x if it is a JSON integer (a bool is not one), else ValidationError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValidationError(f"malformed measure: exact angle parts must be integers, "
+                              f"got {x!r}")
+    return x
 
 
 def uniform_roots_measure(q: int) -> PoleMeasure:
@@ -127,11 +135,31 @@ def _smith_quot(ar, ai, br: np.ndarray, bi: np.ndarray):
     big, small = np.where(by_real, br, bi), np.where(by_real, bi, br)
     with np.errstate(all="ignore"):
         ratio = small / big
-        denom = big + small * ratio
+        denom = small
+        denom *= ratio
+        denom += big
         ar_r, ai_r = ar * ratio, ai * ratio
-        qr = (np.where(by_real, ar, ar_r) + np.where(by_real, ai_r, ai)) / denom
-        qi = (np.where(by_real, ai, ai_r) - np.where(by_real, ar_r, ar)) / denom
+        qr = np.where(by_real, ar, ar_r)
+        qr += np.where(by_real, ai_r, ai)
+        qr /= denom
+        qi = np.where(by_real, ai, ai_r)
+        qi -= np.where(by_real, ar_r, ar)
+        qi /= denom
     return qr, qi
+
+
+def _collision_message(m: PoleMeasure, z: np.ndarray) -> str:
+    """PoleCollision's message for the first point of z within
+    DEFAULT_EXCLUSION of an atom, naming the first such atom in angle order."""
+    first = None
+    for k, (p, _) in enumerate(m.atoms):
+        lam = p.value()
+        hit = np.flatnonzero(np.hypot(z.real - lam.real, z.imag - lam.imag)
+                             <= DEFAULT_EXCLUSION)
+        if hit.size and (first is None or hit[0] < first[0]):
+            first = hit[0], k
+    j, k = first
+    return f"z = {complex(z[j])} within {DEFAULT_EXCLUSION} of pole {m.atoms[k][0]}"
 
 
 def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
@@ -139,34 +167,34 @@ def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
 
     A scalar z goes through the same code as a length-1 array and comes
     back as a complex; an array comes back as a complex array of its shape.
-    The points are taken in blocks of at most EVAL_BLOCK atom-point cells:
-    each block's differences z - lambda, collision test and Smith division
-    are single numpy passes over atoms x points, and its rows are then
-    added to the accumulators in angle order, so each point sees the float
-    operations of the scalar sum ``total += w / (z - lambda)`` and results
-    are bit-equal to it.  Raises PoleCollision, before returning any sum,
-    when a point is within DEFAULT_EXCLUSION of an atom.
+    The points are taken in blocks of at most EVAL_BLOCK, and each block
+    runs the atoms in angle order: numpy passes over the block form
+    z - lambda, divide the weight by it and add the quotient to the block's
+    accumulators, so each point sees the float operations of the scalar
+    sum ``total += w / (z - lambda)`` and results are bit-equal to it.
+    Raises PoleCollision, before returning any sum, when a point is within
+    DEFAULT_EXCLUSION of an atom, naming the first such point in
+    ``z.ravel()`` order and its first such atom.  The distance is taken
+    only where both parts of z - lambda are within DEFAULT_EXCLUSION, as
+    they are at every colliding point.
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
-    zr, zi = flat.real, flat.imag
     tr, ti = np.zeros(flat.size), np.zeros(flat.size)
-    if m.atoms:
-        lam = np.array([p.value() for p, _ in m.atoms])[:, None]
-        wts = np.array([w for _, w in m.atoms])[:, None]
-        step = max(1, EVAL_BLOCK // len(m.atoms))
-        for lo in range(0, flat.size, step):
-            dr, di = zr[lo:lo + step] - lam.real, zi[lo:lo + step] - lam.imag
-            hit = np.hypot(dr, di) <= DEFAULT_EXCLUSION
-            if hit.any():
-                k, j = np.unravel_index(np.argmax(hit), hit.shape)
-                raise PoleCollision(f"z = {complex(flat[lo + j])} within "
-                                    f"{DEFAULT_EXCLUSION} of pole {m.atoms[k][0]}")
-            qr, qi = _smith_quot(wts.real, wts.imag, dr, di)
-            acc_r, acc_i = tr[lo:lo + step], ti[lo:lo + step]
-            for row_r, row_i in zip(qr, qi):
-                acc_r += row_r
-                acc_i += row_i
+    atoms = [(p.value(), w) for p, w in m.atoms]
+    for lo in range(0, flat.size, EVAL_BLOCK):
+        block = slice(lo, lo + EVAL_BLOCK)
+        zr, zi = flat.real[block], flat.imag[block]
+        acc_r, acc_i = tr[block], ti[block]
+        for lam, w in atoms:
+            dr, di = zr - lam.real, zi - lam.imag
+            near = np.abs(dr) <= DEFAULT_EXCLUSION
+            near &= np.abs(di) <= DEFAULT_EXCLUSION
+            if near.any() and np.any(np.hypot(dr[near], di[near]) <= DEFAULT_EXCLUSION):
+                raise PoleCollision(_collision_message(m, flat[block]))
+            qr, qi = _smith_quot(w.real, w.imag, dr, di)
+            acc_r += qr
+            acc_i += qi
     if zs.ndim == 0:
         return complex(tr[0], ti[0])
     out = np.empty(zs.shape, dtype=complex)

@@ -301,6 +301,8 @@ def test_kneading_tool_takes_feigenbaum_product(capsys):
     "{not json",
     '[{"angle": {"p": 1, "q": 0}, "re": 1.0}]',
     '[{"angle": {"p": "x", "q": 3}, "re": 1.0}]',
+    '[{"angle": {"p": 1.9, "q": 3}, "re": 1.0}]',
+    '[{"angle": {"p": true, "q": 3.7}, "re": 1.0}]',
     '[{"angle": 0.25}]',
     '{"tail_mass": 0.1}',
     "[1, 2]",

@@ -189,11 +189,15 @@ def test_psp_eval_array_bitwise_equal_to_scalar(m, zs):
 @SETTINGS
 @given(measures(), st.lists(points, min_size=1, max_size=40), st.integers(1, 7),
        st.none() | st.integers(0, 10**6))
-# 2 points a block: the point on the pole 1 is in block 25
+# 7 points a block: the point on the pole 1 is in block 8
 @example(PoleMeasure([(CirclePoint.exact(j, 3), 1.0) for j in range(3)]),
          [0.5j] * 49 + [1.0], 7, None)
+# more atoms than points in a block
+@example(PoleMeasure([(CirclePoint.exact(j, 7), complex(j, -1.0)) for j in range(7)]
+                     + [(CirclePoint.real(0.05 + j / 5), -0.5j) for j in range(5)]),
+         [0.5j, -0.0, complex(-0.0, -0.0), 2.0, complex(-1.2, -0.9), 0.25, 1.5j], 3, None)
 def test_psp_eval_in_small_blocks_bitwise_equal_to_scalar(m, zs, block, hit):
-    # blocks of a few cells: one draw spans several blocks, most with a
+    # blocks of a few points: one draw spans several blocks, most with a
     # partial last one, and a point put on a pole may sit in any block
     if hit is not None and m.atoms:
         zs[hit % len(zs)] = m.atoms[hit % len(m.atoms)][0].value()
@@ -218,6 +222,26 @@ def test_psp_eval_keeps_shape_and_collides_like_scalar():
         psp_eval(m, np.array([0.5, 1.0 + 1e-14]))
     with pytest.raises(PoleCollision):
         psp_eval(m, 1.0)
+
+
+def test_psp_eval_collision_message_does_not_depend_on_block():
+    # point 4 is within 1e-12 of the poles 0.1 and 0.1 + 1e-13, 6.3e-13
+    # apart, and point 11 is on the pole 1, first in angle order: at blocks
+    # of 1, 2 and 7 points they sit in different blocks, at the default in one
+    near = CirclePoint.real(0.1), CirclePoint.real(0.1 + 1e-13)
+    m = PoleMeasure([(CirclePoint.exact(0, 1), 1.0), (near[0], 0.5j), (near[1], -0.5j),
+                     (CirclePoint.exact(1, 2), 2.0)])
+    zs = np.full(15, 0.5j)
+    zs[4] = (near[0].value() + near[1].value()) / 2
+    zs[11] = 1.0
+    messages = set()
+    for block in (1, 2, 7, psp.EVAL_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(psp, "EVAL_BLOCK", block)
+            with pytest.raises(PoleCollision) as err:
+                psp_eval(m, zs)
+        messages.add(str(err.value))
+    assert messages == {f"z = {complex(zs[4])} within 1e-12 of pole {near[0]}"}
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from conftest import QC, rational_function_of_measure, series_divide
 from rrl_lab.circle import CirclePoint
 from rrl_lab.errors import DuplicatePoint, PoleCollision, ValidationError
 from rrl_lab.psp import (
+    EVAL_BLOCK,
     PoleMeasure,
     fourier_psp,
     moments,
@@ -50,6 +52,32 @@ def test_eval_pole_collision():
         psp_eval(ATOM_1, 1.0 + 1e-14)
     with pytest.raises(PoleCollision):
         psp_eval(ATOM_1, 1.0)
+
+
+def eval_peak(m, z) -> int:
+    """Traced peak bytes of psp_eval(m, z), the smaller of two runs (an
+    interpreter allocation can land in either)."""
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            psp_eval(m, z)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+def test_eval_memory_bounded_by_output_and_block_temporaries():
+    # two float64 accumulators and the complex output take 32 B a point;
+    # the rest is a fixed set of temporaries over one block of points,
+    # whatever the number of points or atoms
+    n = 2 * 10**5
+    z = 0.5 * np.exp(1j * np.linspace(0.0, 6.0, n))
+    block_temps = 16 * 8 * EVAL_BLOCK
+    peak = eval_peak(uniform_roots_measure(46), z)
+    assert peak < 32 * n + block_temps
+    assert eval_peak(uniform_roots_measure(92), z) - peak < block_temps
 
 
 def test_taylor_inner_single_pole():
