@@ -55,7 +55,8 @@ from .psp import (
 from .right_limits import (
     Clusters,
     ShiftReport,
-    generating_functions,
+    outer_sum,
+    outer_tail_bound,
     renascent_shift_search,
     report_to_csv,
     verify_rrl_on_psp,

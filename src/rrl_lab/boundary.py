@@ -19,7 +19,7 @@ from .errors import CapExceeded, ValidationError
 # default radius schedule 1 - 10^(-k/2), k = 2..6
 DEFAULT_RADII = tuple(1.0 - 10.0 ** (-k / 2.0) for k in range(2, 7))
 # evaluation points of one probe, (quadrature_n + 1) per radius: the probe
-# holds about 70 B a point, and psp_eval on 16 atoms takes about 0.17 s per
+# holds about 60 B a point, and psp_eval on 16 atoms takes about 0.17 s per
 # 10^6 points
 ARC_POINTS_CAP = 10**6
 

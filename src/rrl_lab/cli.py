@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .diophantine import dirichlet_approx, factorial_shifts, pigeonhole_shift
-from .dynamics import hecke_outer_eval, hecke_outer_truncation_bound, thue_morse
+from .dynamics import hecke_outer_eval, thue_morse
 from .errors import CapExceeded, RrlLabError, ValidationError
 from .recipes import (
     RECIPES,
@@ -30,6 +30,7 @@ from .recipes import (
     recipe_kwargs,
     run_recipe,
 )
+from .right_limits import outer_tail_bound
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -48,19 +49,23 @@ def _emit(obj) -> None:
 
 
 def _read_config(path: str | None) -> dict:
-    """key=value sections; [run] holds recipe/out/format, [params] the rest."""
+    """key=value sections; [run] holds recipe/out/format, [params] the rest.
+
+    A file that configparser cannot parse, or that is not UTF-8, is a
+    ValidationError."""
     if not path:
         return {}
     import configparser  # here, not at the top: no other command pays its import
 
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        merged = {key: value for section in parser.sections()
+                  for key, value in parser.items(section)}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"bad config file {path!r}: {exc}") from exc
     if not read:
         raise ValidationError(f"config file {path!r} not found")
-    merged: dict = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            merged[key] = value
     return merged
 
 
@@ -123,7 +128,7 @@ def _cmd_hecke(args: argparse.Namespace) -> dict:
     if not args.check_identity:
         value = hecke_outer_eval(theta, z, args.n, gamma)
         return {"value": [value.real, value.imag],
-                "bound": hecke_outer_truncation_bound(z, args.n), "status": "ok"}
+                "bound": outer_tail_bound(z, args.n), "status": "ok"}
     value, residual, bound, _, status = hecke_identity(theta, z, args.n, gamma)
     return {
         "value": [value.real, value.imag],

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,9 +29,11 @@ ITINERARY_N_CAP = 10**7
 # as floats and as Horner blocks, about 20 B each: memory binds it (240 MB at
 # the cap), not time (under 1 s on feigenbaum-product)
 ZERO_N_CAP = 10**7
-# deepest Hecke continuation: hecke_outer_eval and the direct sum it is
-# checked against are Python loops, about 0.4 s and 0.2 s per 10^6 terms
+# deepest Hecke continuation: hecke_outer_eval and the outer_sum it is
+# checked against are Python loops, about 0.4 s and 0.3 s per 10^6 terms
 HECKE_N_CAP = 10**7
+# values per read of hecke_negative_side (128 KB of float64, then a list)
+HECKE_BLOCK = 1 << 14
 
 
 def hecke_stream(theta: float, gamma: float = 0.0) -> CoeffStream:
@@ -49,6 +51,21 @@ def hecke_stream(theta: float, gamma: float = 0.0) -> CoeffStream:
             return frac_array(x)
 
     return CoeffStream(f"hecke(theta={th!r}, gamma={ga!r})", rule, 1.0)
+
+
+def hecke_negative_side(theta: float, gamma: float, n: int) -> Iterator[float]:
+    """{gamma + k*theta} for k = -N .. -1, in that order, as Python floats.
+
+    Read from ``hecke_stream(-theta, gamma)``, HECKE_BLOCK values at a time
+    from the far end, so one block is held at once.  Its a_j = {gamma - j*theta}
+    is bit-equal to Python's ``(theta*k + gamma) % 1.0`` at k = -j: negation
+    and the int-to-float conversion are exact, and ``frac_array`` gives
+    ``% 1.0``'s bits.
+    """
+    stream = hecke_stream(-float(theta), gamma)
+    for hi in range(n, 0, -HECKE_BLOCK):
+        lo = max(1, hi - HECKE_BLOCK + 1)
+        yield from stream.take(hi + 1 - lo, start=lo)[::-1].tolist()
 
 
 def hecke_outer_eval(theta: float, z: complex, n_terms: int, gamma: float = 0.0) -> complex:
@@ -75,8 +92,8 @@ def hecke_outer_eval(theta: float, z: complex, n_terms: int, gamma: float = 0.0)
     if not math.isfinite(n_terms * th - ga):
         raise ValidationError(f"{n_terms}*theta overflows for theta = {th!r}")
     if ga != 0.0:
-        for n in range(-n_terms, 0):
-            f = frac_part(ga + n * th)
+        # unsnapped: a value FRAC_SNAP would snap to 0 is within 1e-10 of 1
+        for n, f in zip(range(-n_terms, 0), hecke_negative_side(th, ga, n_terms)):
             if min(f, 1.0 - f) <= 1e-10:
                 raise ResonantGamma(
                     f"gamma + {n}*theta is within 1e-10 of an integer"
@@ -86,11 +103,6 @@ def hecke_outer_eval(theta: float, z: complex, n_terms: int, gamma: float = 0.0)
     for k in range(1, n_terms + 1):
         total += frac_part(k * th - ga) * zinv**k
     return total
-
-
-def hecke_outer_truncation_bound(z: complex, n_terms: int) -> float:
-    r = abs(z)
-    return r ** (-n_terms) / (r - 1.0)
 
 
 def occurrence_times(theta: float, g1: float, g2: float, n_max: int) -> np.ndarray:

@@ -171,7 +171,9 @@ def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
     runs the atoms in angle order: numpy passes over the block form
     z - lambda, divide the weight by it and add the quotient to the block's
     accumulators, so each point sees the float operations of the scalar
-    sum ``total += w / (z - lambda)`` and results are bit-equal to it.
+    sum ``total += w / (z - lambda)`` and results are bit-equal to it.  The
+    accumulators are written into the output at the end of their block, so
+    the whole evaluation holds 16 B a point besides one block's temporaries.
     Raises PoleCollision, before returning any sum, when a point is within
     DEFAULT_EXCLUSION of an atom, naming the first such point in
     ``z.ravel()`` order and its first such atom.  The distance is taken
@@ -179,13 +181,13 @@ def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
     they are at every colliding point.
     """
     zs = np.asarray(z, dtype=complex)
-    flat = zs.ravel()
-    tr, ti = np.zeros(flat.size), np.zeros(flat.size)
+    out = np.empty(zs.shape, dtype=complex)
+    flat, flat_out = zs.ravel(), out.reshape(-1)
     atoms = [(p.value(), w) for p, w in m.atoms]
     for lo in range(0, flat.size, EVAL_BLOCK):
         block = slice(lo, lo + EVAL_BLOCK)
         zr, zi = flat.real[block], flat.imag[block]
-        acc_r, acc_i = tr[block], ti[block]
+        acc_r, acc_i = np.zeros(zr.size), np.zeros(zr.size)
         for lam, w in atoms:
             dr, di = zr - lam.real, zi - lam.imag
             near = np.abs(dr) <= DEFAULT_EXCLUSION
@@ -195,11 +197,8 @@ def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
             qr, qi = _smith_quot(w.real, w.imag, dr, di)
             acc_r += qr
             acc_i += qi
-    if zs.ndim == 0:
-        return complex(tr[0], ti[0])
-    out = np.empty(zs.shape, dtype=complex)
-    out.real, out.imag = tr.reshape(zs.shape), ti.reshape(zs.shape)
-    return out
+        flat_out.real[block], flat_out.imag[block] = acc_r, acc_i
+    return complex(out) if zs.ndim == 0 else out
 
 
 def _reduced_exponents(orders: set[int], exps: list[int]) -> dict:

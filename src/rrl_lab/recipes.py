@@ -28,8 +28,8 @@ from .dynamics import (
     ZERO_N_CAP,
     UnimodalMap,
     feigenbaum_product,
+    hecke_negative_side,
     hecke_outer_eval,
-    hecke_outer_truncation_bound,
     hecke_stream,
     kneading_determinant,
     kneading_sequence,
@@ -38,7 +38,8 @@ from .dynamics import (
 )
 from .errors import CapExceeded, ValidationError
 from .psp import PoleMeasure, uniform_roots_measure
-from .right_limits import renascent_shift_search, report_to_csv, verify_rrl_on_psp, window_cluster
+from .right_limits import (outer_sum, outer_tail_bound, renascent_shift_search, report_to_csv,
+                           verify_rrl_on_psp, window_cluster)
 
 # Thue-Morse bits per block of the thue-morse-product check (64 KB of int8)
 THUE_MORSE_BLOCK = 1 << 16
@@ -109,24 +110,19 @@ def parse_number(kind: type, raw: Any, name: str):
     return value
 
 
-def hecke_direct_sum(theta: float, z: complex, n: int, gamma: float = 0.0) -> complex:
-    """Direct partial sum -sum_{-N<=n<0} {gamma + n*theta} z^n, unsnapped mod 1,
-    in powers of 1/z (CPython's z**n, n < 0, is NaN once z**-n overflows)."""
-    zinv = 1.0 / complex(z)
-    return -sum(((theta * nn + gamma) % 1.0) * zinv**-nn for nn in range(-n, 0))
-
-
 def hecke_identity(theta: float, z: complex, n: int, gamma: float = 0.0
                    ) -> tuple[complex, float, float, float, str]:
     """(value, residual, bound, tol, status) of the continuation formula at z.
 
-    The residual is its distance to ``hecke_direct_sum``; both truncations
-    are within ``bound`` = |z|^(-N) / (|z| - 1), so the status is "ok" when
-    the residual is at most tol = max(2 * bound, 1e-10), else "mismatch".
+    The residual is its distance to the direct sum, ``outer_sum`` of the
+    stream's negative side {gamma + k*theta}, k = -N .. -1, unsnapped mod 1.
+    Both truncations are within ``bound`` = ``outer_tail_bound(z, N)``, so
+    the status is "ok" when the residual is at most tol = max(2 * bound,
+    1e-10), else "mismatch".
     """
     value = hecke_outer_eval(theta, z, n, gamma)
-    residual = abs(value - hecke_direct_sum(theta, z, n, gamma))
-    bound = hecke_outer_truncation_bound(z, n)
+    residual = abs(value - outer_sum(hecke_negative_side(theta, gamma, n), n, z))
+    bound = outer_tail_bound(z, n)
     tol = max(2.0 * bound, 1e-10)
     return value, residual, bound, tol, "ok" if residual <= tol else "mismatch"
 
@@ -350,13 +346,17 @@ RECIPES: dict[str, Callable[..., tuple[dict, Table]]] = {
 
 def run_recipe(cfg: RecipeConfig) -> dict:
     """Run one recipe and write ``cfg.out``: sorted-key JSON of its summary,
-    or its CSV table.  Returns the summary, with the recipe name."""
+    or its CSV table.  Returns the summary, with the recipe name.  An output
+    path that cannot be made or written is a ValidationError."""
     summary, table = RECIPES[cfg.recipe](**cfg.params)
     result = {"recipe": cfg.recipe, **summary}
-    cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    with cfg.out.open("w") as out:
-        if cfg.fmt == "csv":
-            table(out)
-        else:
-            out.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
+    try:
+        cfg.out.parent.mkdir(parents=True, exist_ok=True)
+        with cfg.out.open("w") as out:
+            if cfg.fmt == "csv":
+                table(out)
+            else:
+                out.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {str(cfg.out)!r}: {exc}") from exc
     return result

@@ -9,8 +9,9 @@ every output here is evidence quantified by residuals, not proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -177,47 +178,25 @@ def window_cluster(report: ShiftReport, tol: float) -> Clusters:
     return Clusters(np.array(leaders, dtype=np.int64), labels, distances)
 
 
-@dataclass(frozen=True)
-class WindowSeries:
-    """Truncated one-sided generating function of a window, with tail bound."""
+def outer_sum(neg: Iterable[complex], n: int, z: complex) -> complex:
+    """Outer series -sum_{k=1..N} b_{-k} z^(-k) of a window, on |z| > 1.
 
-    coeffs: np.ndarray
-    side: str  # "inner" | "outer"
-    bound: float
-
-    def __call__(self, z: complex) -> complex:
-        z = complex(z)
-        if self.side == "inner":
-            powers = z ** np.arange(len(self.coeffs))
-            return complex(np.sum(self.coeffs * powers))
-        powers = z ** (-np.arange(1, len(self.coeffs) + 1))
-        return complex(-np.sum(self.coeffs * powers))
-
-    def truncation_bound(self, z: complex) -> float:
-        """Geometric bound on the discarded tail at z (inf off-domain)."""
-        r = abs(z)
-        n = len(self.coeffs)
-        if self.side == "inner":
-            return self.bound * r**n / (1.0 - r) if r < 1.0 else float("inf")
-        return self.bound * r ** (-n - 1) / (1.0 - 1.0 / r) if r > 1.0 else float("inf")
-
-
-def generating_functions(values: np.ndarray, bound: float | None = None
-                         ) -> tuple[WindowSeries, WindowSeries]:
-    """(inner, outer) truncated generating functions of a window, the 2W + 1
-    values b_{-W..W}.
-
-    inner(z)  = sum_{0<=n<=W} b_n z^n          on |z| < 1,
-    outer(z)  = -sum_{-W<=n<0} b_n z^n         on |z| > 1.
-
-    ``bound`` defaults to the window's own sup-norm.
+    ``neg`` yields the N values b_{-N} .. b_{-1}, in that order, and the sum
+    runs in that order, in powers of 1/z (CPython's z**-k is NaN once z**k
+    overflows); Python floats and complexes give Python complex arithmetic.  On a pole series' own negative side, b_{-k} = -M(k - 1),
+    this is the pole series outside the disc (its rrl-continuation),
+    truncated at N; ``outer_tail_bound`` bounds the rest.
     """
-    w = len(values) // 2
-    b = float(bound) if bound is not None else float(np.max(np.abs(values)))
-    inner = WindowSeries(coeffs=values[w:].copy(), side="inner", bound=b)
-    # outer stores b_{-1}, b_{-2}, ... so coeffs[k-1] multiplies z^{-k}
-    outer = WindowSeries(coeffs=values[:w][::-1].copy(), side="outer", bound=b)
-    return inner, outer
+    zinv = 1.0 / complex(z)
+    return -sum(b * zinv**k for b, k in zip(neg, range(n, 0, -1)))
+
+
+def outer_tail_bound(z: complex, n: int) -> float:
+    """|z|^(-N) / (|z| - 1), the tail sum_{k>N} |z|^(-k) that ``outer_sum``
+    leaves out when every |b_{-k}| <= 1 (inf for |z| <= 1); coefficients
+    bounded by B leave out at most B times this."""
+    r = abs(z)
+    return r ** (-n) / (r - 1.0) if r > 1.0 else math.inf
 
 
 def verify_rrl_on_psp(m: PoleMeasure, shifts: Sequence[int],

@@ -16,7 +16,8 @@ from rrl_lab.cli import PARAM_KEYS, main
 from rrl_lab.dynamics import HECKE_N_CAP, ITINERARY_N_CAP, ZERO_N_CAP
 from rrl_lab.errors import ValidationError
 from rrl_lab.psp import PoleMeasure, uniform_roots_measure
-from rrl_lab.recipes import hecke_direct_sum, parse_shift_spec
+from rrl_lab.recipes import parse_shift_spec
+from rrl_lab.right_limits import outer_sum
 
 
 def run_cli(capsys, *argv):
@@ -548,6 +549,32 @@ def test_missing_config_file(capsys):
     assert code == 2 and "error" in obj
 
 
+@pytest.mark.parametrize("text", [
+    b"recipe = balance\n",
+    b"[run]\nrecipe = balance\nrecipe = psp-rrl\n",
+    b"[run]\nrecipe balance\n",
+    b"[run]\nrecipe = bal\xe9nce\n",
+], ids=["no-section-header", "repeated-key", "no-equals", "not-utf-8"])
+def test_malformed_config_exits_2(tmp_path, capsys, text):
+    # configparser's errors and a non-UTF-8 file exit 2, not with a traceback
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(text)
+    code, obj = one_json_line(capsys, "run", "--config", str(cfg), "--out",
+                              str(tmp_path / "out.json"))
+    assert code == 2 and obj["error"]["type"] == "ValidationError"
+    assert "bad config file" in obj["error"]["message"]
+
+
+@pytest.mark.parametrize("target", ["directory", "under-a-file"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    # IsADirectoryError and FileExistsError exit 2, not with a traceback
+    (tmp_path / "file").write_text("")
+    out = tmp_path if target == "directory" else tmp_path / "file" / "a.json"
+    code, obj = one_json_line(capsys, "run", "--recipe", "balance", "--out", str(out))
+    assert code == 2 and obj["error"]["type"] == "ValidationError"
+    assert obj["error"]["message"].startswith(f"cannot write {str(out)!r}")
+
+
 # ---------------------------------------------------------------- tools
 
 def test_shifts_factorial(capsys):
@@ -621,9 +648,9 @@ def test_hecke_identity_floor_is_the_recipes(tmp_path, monkeypatch, capsys, offs
     # the tool and the hecke-unique recipe read one verdict, recipes.hecke_identity,
     # which accepts a residual up to the floor 1e-10
     def off(*args):
-        return hecke_direct_sum(*args) + offset
+        return outer_sum(*args) + offset
 
-    monkeypatch.setattr(recipes, "hecke_direct_sum", off)
+    monkeypatch.setattr(recipes, "outer_sum", off)
     code, tool = run_cli(capsys, "hecke", "--check-identity")
     assert code == 0 and tool["identity_residual"] < 1e-9
     out = tmp_path / "unique.json"

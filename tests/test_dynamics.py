@@ -9,16 +9,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLDEN, SQRT2_M1, cli_under_512_mb, substitution_thue_morse
-from rrl_lab import recipes
+from rrl_lab import dynamics, recipes
 from rrl_lab.cli import THUE_MORSE_TOOL_N_CAP
+from rrl_lab.circle import frac_part
 from rrl_lab.dynamics import (
     FEIGENBAUM_C,
     PRODUCT_N_CAP,
     UnimodalMap,
     _series_values,
     feigenbaum_product,
+    hecke_negative_side,
     hecke_outer_eval,
-    hecke_outer_truncation_bound,
     hecke_stream,
     itinerary,
     kneading_determinant,
@@ -29,7 +30,7 @@ from rrl_lab.dynamics import (
 )
 from rrl_lab.errors import InsufficientDepth, ResonantGamma, ValidationError
 from rrl_lab.recipes import THUE_MORSE_BLOCK, kneading_coeffs, recipe_thue_morse_product
-from rrl_lab.right_limits import SEARCH_BLOCK
+from rrl_lab.right_limits import SEARCH_BLOCK, outer_sum, outer_tail_bound
 
 
 
@@ -83,7 +84,7 @@ def test_outer_identity_irrational(theta):
     n = 60
     lhs = _direct_outer(theta, 0.0, z, n)
     rhs = hecke_outer_eval(theta, z, n)
-    assert abs(lhs - rhs) < 1e-12 + 2 * hecke_outer_truncation_bound(z, n)
+    assert abs(lhs - rhs) < 1e-12 + 2 * outer_tail_bound(z, n)
 
 
 def test_outer_vanishes_at_large_z():
@@ -101,7 +102,7 @@ def test_outer_identity_on_sample_ring(theta):
     for z in zs:
         lhs = _direct_outer(theta, 0.0, z, n)
         rhs = hecke_outer_eval(theta, z, n)
-        assert abs(lhs - rhs) <= 1e-12 + 2 * hecke_outer_truncation_bound(z, n)
+        assert abs(lhs - rhs) <= 1e-12 + 2 * outer_tail_bound(z, n)
 
 
 def test_outer_rational_theta_known_discrepancy():
@@ -133,7 +134,7 @@ def test_gamma_outer_multiple_sample_points():
     for z in (3.0 + 0j, 1.5 + 1.5j, -2.5 + 0.5j):
         lhs = _direct_outer(GOLDEN, 0.25, z, 80)
         rhs = hecke_outer_eval(GOLDEN, z, 80, 0.25)
-        assert abs(lhs - rhs) < 1e-10 + 2 * hecke_outer_truncation_bound(z, 80)
+        assert abs(lhs - rhs) < 1e-10 + 2 * outer_tail_bound(z, 80)
 
 
 def test_gamma_outer_resonant_rejected():
@@ -143,6 +144,51 @@ def test_gamma_outer_resonant_rejected():
     assert np.array_equal(np.array([got]).view(np.uint64), np.array([plain]).view(np.uint64))
     with pytest.raises(ResonantGamma):
         hecke_outer_eval(GOLDEN, 2.0, 40, (5 * GOLDEN) % 1.0)
+
+
+def _bits(value: complex) -> tuple[int, int]:
+    return tuple(np.array([value.real, value.imag]).view(np.uint64).tolist())
+
+
+def test_outer_sum_of_the_negative_side_is_the_python_direct_sum(monkeypatch):
+    # bit for bit against the direct sum as a Python loop over (theta*k + gamma)
+    # % 1.0, with the reader's blocks cut to 7 values so most sums span several
+    monkeypatch.setattr(dynamics, "HECKE_BLOCK", 7)
+    rng = np.random.default_rng(2701)
+    for _ in range(3000):
+        theta = float(rng.uniform(-1.0, 1.0) * rng.choice([1.0, 1e6]))
+        gamma = float(rng.choice([0.0, rng.uniform(-2.0, 2.0)]))
+        z = complex(np.exp(rng.uniform(0.001, 7.0) + 1j * rng.uniform(0.0, 2 * math.pi)))
+        n = int(rng.integers(1, 60))
+        zinv = 1.0 / complex(z)
+        want = -sum(((theta * k + gamma) % 1.0) * zinv**-k for k in range(-n, 0))
+        assert _bits(outer_sum(hecke_negative_side(theta, gamma, n), n, z)) == _bits(want)
+
+
+def test_resonance_verdict_is_the_snapped_loops(monkeypatch):
+    # the check reads the unsnapped negative side; the reference takes
+    # frac_part (snapped within FRAC_SNAP of 1) of gamma + n*theta.  Both name
+    # the same first n, offsets straddling FRAC_SNAP and the 1e-10 test included
+    monkeypatch.setattr(dynamics, "HECKE_BLOCK", 7)
+    rng = np.random.default_rng(2702)
+    resonant = 0
+    for _ in range(4000):
+        theta, n = float(rng.uniform(0.0, 1.0)), int(rng.integers(1, 40))
+        offset = float(rng.choice([0.0, 1e-16, 5e-14, 1e-13, 2e-13, 5e-11, 1e-10, 2e-10, 1e-3]))
+        j, sign = int(rng.integers(1, 2 * n + 1)), float(rng.choice([-1.0, 1.0]))
+        gamma = (j * theta + sign * offset) % 1.0  # n = -j resonates when j <= N
+        want = next((k for k in range(-n, 0)
+                     if min(f := frac_part(gamma + k * theta), 1.0 - f) <= 1e-10), None)
+        if gamma == 0.0:
+            want = None  # gamma = 0 is the plain continuation, never checked
+        try:
+            hecke_outer_eval(theta, 2.0, n, gamma)
+            got = None
+        except ResonantGamma as exc:
+            got = int(str(exc).split("*")[0].removeprefix("gamma + "))
+        assert got == want, (theta, gamma, n)
+        resonant += want is not None
+    assert resonant > 1000
 
 
 # ---------------------------------------------------------------- occurrence times

@@ -6,7 +6,9 @@ they hold on the reference platform (CPython 3.11, numpy 2.x, x86-64 libm).
 The two kneading-entropy pins were retaken when the zero search became
 certified for the full series and the artifact gained the entropy interval,
 and the hecke-unique JSON pin when its ``identity_bound`` became the
-tolerance the identity verdict compares against.
+tolerance the identity verdict compares against.  The three Hecke pins off
+z = 2 were taken before the continuation's direct sum and tail bound moved
+into ``right_limits.outer_sum`` and ``outer_tail_bound``.
 """
 
 import contextlib
@@ -54,6 +56,18 @@ TOOL_LINES = [
     (["hecke", "--theta", "golden", "--gamma", "0.3", "--check-identity", "-n", "60"],
      '{"bound": 8.673617379884035e-19, "identity_residual": 0.0, "status": "ok", '
      '"value": [-0.49135236562285434, 0.0]}'),
+    # off z = 2, where powers of 1/z and the bound round; 40000 terms span
+    # several blocks of the negative-side reader
+    (["hecke", "--theta", "golden", "--gamma", "0.3", "--check-identity", "-n", "40000",
+      "-z=1.5+0.5j"],
+     '{"bound": 0.0, "identity_residual": 3.236828524569469e-16, "status": "ok", '
+     '"value": [-0.46580509119600283, 0.460876073069207]}'),
+    (["hecke", "-n", "80", "-z=-3+1j"],
+     '{"bound": 4.624752955742621e-41, "status": "ok", '
+     '"value": [0.05448185960052092, -0.00614516868929951]}'),
+    (["hecke", "--check-identity", "-n", "80", "-z=-3+1j"],
+     '{"bound": 4.624752955742621e-41, "identity_residual": 8.182674270850422e-18, '
+     '"status": "ok", "value": [0.05448185960052092, -0.00614516868929951]}'),
     (["kneading", "--map", "quadratic:-1.75", "-n", "64"],
      '{"bound": 1.0, "status": "ok", "value": [1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1, '
      '1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1]}'),

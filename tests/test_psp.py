@@ -69,14 +69,14 @@ def eval_peak(m, z) -> int:
 
 
 def test_eval_memory_bounded_by_output_and_block_temporaries():
-    # two float64 accumulators and the complex output take 32 B a point;
-    # the rest is a fixed set of temporaries over one block of points,
-    # whatever the number of points or atoms
+    # the complex output takes 16 B a point; the accumulators and the rest
+    # are a fixed set of temporaries over one block of points, whatever the
+    # number of points or atoms
     n = 2 * 10**5
     z = 0.5 * np.exp(1j * np.linspace(0.0, 6.0, n))
     block_temps = 16 * 8 * EVAL_BLOCK
     peak = eval_peak(uniform_roots_measure(46), z)
-    assert peak < 32 * n + block_temps
+    assert peak < 16 * n + block_temps
     assert eval_peak(uniform_roots_measure(92), z) - peak < block_temps
 
 

@@ -27,10 +27,6 @@ KEEP = {
     "CPoly.one_norm": "||Q_lambda||_1 in the weight-recovery bound of the psp-uniqueness "
                       "recipe (ROADMAP item 2)",
     "q_poly": "Q_lambda = P_F / (X - lambda) for the psp-uniqueness recipe (ROADMAP item 2)",
-    "WindowSeries.truncation_bound": "the truncation term of the psp-continuation error "
-                                     "bound (ROADMAP item 1)",
-    "generating_functions": "a window's outer series is the continuation that the "
-                            "psp-continuation recipe checks (ROADMAP item 1)",
     "fourier_psp": "the dense-pole measure of the psp-continuation recipe (ROADMAP item 1)",
     "RealZeroResult.bracket": "the certified bracket that the zero-search tests check the "
                               "true zero against; entropy_interval is derived from it",

@@ -17,14 +17,15 @@ from conftest import GOLDEN
 from rrl_lab.circle import CirclePoint
 from rrl_lab.dynamics import hecke_stream
 from rrl_lab.errors import CapExceeded, ValidationError
-from rrl_lab.psp import PoleMeasure, psp_eval, uniform_roots_measure
+from rrl_lab.psp import PoleMeasure, moments, psp_eval, uniform_roots_measure
 from rrl_lab.right_limits import (
     CLUSTER_PASSES_CAP,
     SEARCH_BLOCK,
     SEARCH_CELLS_CAP,
     SEARCH_K_CAP,
     ShiftReport,
-    generating_functions,
+    outer_sum,
+    outer_tail_bound,
     renascent_shift_search,
     report_to_csv,
     verify_rrl_on_psp,
@@ -156,34 +157,51 @@ def test_cluster_empty_report_has_no_clusters():
 
 
 def test_generating_functions_constant_window():
+    # the outer series of b_{-W..-1} = 1 is -sum_{k<=W} z^(-k), which stops
+    # short of -1/(z - 1) by the tail bound |z|^(-W)/(|z| - 1) exactly at z = 2
     report = renascent_shift_search(preperiodic([], [1.0]), 6, 20, 0.0)
-    inner, outer = generating_functions(windows(report)[0])
     w = 6
-    assert abs(inner(0.5) - (2.0 - 2.0 * 0.5 ** (w + 1))) < 1e-15
-    assert abs(outer(2.0) - -(1.0 - 2.0**-w)) < 1e-15
-    # tail bounds: B |z|^(W+1)/(1-|z|) inner, B |z|^(-W-1)/(1-1/|z|) outer
-    assert abs(inner.truncation_bound(0.5) - 0.5**7 / 0.5) < 1e-18
-    assert abs(outer.truncation_bound(2.0) - 2.0**-7 / 0.5) < 1e-18
-    assert math.isinf(inner.truncation_bound(2.0))
-    assert math.isinf(outer.truncation_bound(0.5))
+    value = outer_sum(windows(report)[0][:w].tolist(), w, 2.0)
+    assert value == -(1.0 - 2.0**-w)
+    assert outer_tail_bound(2.0, w) == 2.0**-w == value - -1.0
+    assert outer_tail_bound(-3j, w) == 3.0**-w / 2.0
+    assert math.isinf(outer_tail_bound(1.0, w)) and math.isinf(outer_tail_bound(0.5j, w))
 
 
 def test_generating_functions_alternating_window():
+    # b_{-k} = (-1)^k: geometric oracle -sum_k (-1/z)^k = 1/(1 + z)
     report = renascent_shift_search(preperiodic([], [1.0, -1.0]), 8, 40, 0.0)
-    inner, _ = generating_functions(windows(report)[0])
-    # geometric oracle: 1/(1+z) at z = 0.5
-    assert abs(inner(0.5) - 2.0 / 3.0) <= inner.truncation_bound(0.5) + 1e-15
+    value = outer_sum(windows(report)[0][:8].tolist(), 8, 2.0)
+    assert abs(value - 1.0 / 3.0) <= outer_tail_bound(2.0, 8) + 1e-15
 
 
-def test_generating_functions_match_pole_series():
-    m = PoleMeasure([(CirclePoint.exact(0, 1), -1.0)])  # -1/(z-1) = 1/(1-z)
-    from rrl_lab.psp import taylor_coefficient
+@st.composite
+def small_measures(draw):
+    """1 to 6 atoms, each at an exact angle p/q (q <= 24) or a float one."""
+    atoms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        pt = draw(st.builds(CirclePoint.exact, st.integers(0, 23), st.integers(1, 24))
+                  | st.builds(CirclePoint.real, st.floats(0.0, 1.0, exclude_max=True)))
+        part = st.floats(-2.0, 2.0)
+        atoms[pt.angle] = (pt, draw(st.builds(complex, part, part)))
+    return PoleMeasure(list(atoms.values()))
 
-    w = 12
-    values = np.array([taylor_coefficient(m, n) for n in range(-w, w + 1)])
-    inner, outer = generating_functions(values)
-    assert abs(inner(0.5) - psp_eval(m, 0.5)) <= inner.truncation_bound(0.5) + 1e-12
-    assert abs(outer(2.0) - psp_eval(m, 2.0)) <= outer.truncation_bound(2.0) + 1e-12
+
+# rounding allowed per unit of mass: over 3000 seeded draws like these the
+# error exceeded the tail bound by at most 2.3e-15 per unit of mass
+OUTER_ROUNDING = 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_measures(), st.integers(1, 200), st.floats(1.2, 8.0),
+       st.floats(0.0, 2 * math.pi))
+def test_generating_functions_match_pole_series(m, w, r, phase):
+    # a pole series' outer series, read from its negative side b_{-k} = -M(k - 1),
+    # is the pole series outside the disc within its tail bound
+    z = r * complex(math.cos(phase), math.sin(phase))
+    neg = -moments(m, range(w - 1, -1, -1))  # b_{-W} .. b_{-1}
+    error = abs(outer_sum(neg.tolist(), w, z) - psp_eval(m, z))
+    assert error <= m.total_mass * (outer_tail_bound(z, w) + OUTER_ROUNDING)
 
 
 def test_verify_rrl_roots_of_unity_exact_zero():
