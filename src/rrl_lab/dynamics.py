@@ -32,7 +32,7 @@ ZERO_N_CAP = 10**7
 # deepest Hecke continuation: hecke_outer_eval and the outer_sum it is
 # checked against are Python loops, about 0.4 s and 0.3 s per 10^6 terms
 HECKE_N_CAP = 10**7
-# values per read of hecke_negative_side (128 KB of float64, then a list)
+# values per block of hecke_negative_side (128 KB of float64)
 HECKE_BLOCK = 1 << 14
 
 
@@ -53,8 +53,8 @@ def hecke_stream(theta: float, gamma: float = 0.0) -> CoeffStream:
     return CoeffStream(f"hecke(theta={th!r}, gamma={ga!r})", rule, 1.0)
 
 
-def hecke_negative_side(theta: float, gamma: float, n: int) -> Iterator[float]:
-    """{gamma + k*theta} for k = -N .. -1, in that order, as Python floats.
+def hecke_negative_side(theta: float, gamma: float, n: int) -> Iterator[np.ndarray]:
+    """{gamma + k*theta} for k = -N .. -1, in that order, as float64 blocks.
 
     Read from ``hecke_stream(-theta, gamma)``, HECKE_BLOCK values at a time
     from the far end, so one block is held at once.  Its a_j = {gamma - j*theta}
@@ -65,7 +65,7 @@ def hecke_negative_side(theta: float, gamma: float, n: int) -> Iterator[float]:
     stream = hecke_stream(-float(theta), gamma)
     for hi in range(n, 0, -HECKE_BLOCK):
         lo = max(1, hi - HECKE_BLOCK + 1)
-        yield from stream.take(hi + 1 - lo, start=lo)[::-1].tolist()
+        yield stream.take(hi + 1 - lo, start=lo)[::-1]
 
 
 def hecke_outer_eval(theta: float, z: complex, n_terms: int, gamma: float = 0.0) -> complex:
@@ -76,9 +76,10 @@ def hecke_outer_eval(theta: float, z: complex, n_terms: int, gamma: float = 0.0)
     tails (termwise: -{-x} = {x} - 1 off the integers).  Truncation bound:
     |z|^(-N) / (|z| - 1).  A nonzero gamma must stay off the orbit lattice
     Z + theta*Z at the offsets the sum reads: gamma + n*theta is checked to
-    1e-10 for -N <= n <= -1, and a violated offset raises ResonantGamma.
-    A depth above HECKE_N_CAP is CapExceeded, and a theta whose N*theta
-    overflows is a ValidationError, before any loop runs.
+    1e-10 for -N <= n <= -1, a block of ``hecke_negative_side`` at a time,
+    and the first violated offset raises ResonantGamma.  A depth above
+    HECKE_N_CAP is CapExceeded, and a theta whose N*theta overflows is a
+    ValidationError, before any loop runs.
     """
     if n_terms < 1:
         raise ValidationError(f"Hecke depth must be >= 1, got {n_terms}")
@@ -93,11 +94,14 @@ def hecke_outer_eval(theta: float, z: complex, n_terms: int, gamma: float = 0.0)
         raise ValidationError(f"{n_terms}*theta overflows for theta = {th!r}")
     if ga != 0.0:
         # unsnapped: a value FRAC_SNAP would snap to 0 is within 1e-10 of 1
-        for n, f in zip(range(-n_terms, 0), hecke_negative_side(th, ga, n_terms)):
-            if min(f, 1.0 - f) <= 1e-10:
+        n = -n_terms
+        for f in hecke_negative_side(th, ga, n_terms):
+            hits = np.flatnonzero(np.minimum(f, 1.0 - f) <= 1e-10)
+            if hits.size:
                 raise ResonantGamma(
-                    f"gamma + {n}*theta is within 1e-10 of an integer"
+                    f"gamma + {n + int(hits[0])}*theta is within 1e-10 of an integer"
                 )
+            n += len(f)
     zinv = 1.0 / z
     total = 1.0 / (1.0 - z)
     for k in range(1, n_terms + 1):
@@ -242,9 +246,7 @@ def _series_values(c: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, int]:
     blocks = np.zeros(J * B)
     blocks[: n + 1] = c
     powers = np.vander(rs, B, increasing=True)
-    # each row falls, so its powers below tiny are a suffix: zero it in place
-    for i in np.flatnonzero(powers[:, -1] < _TINY):
-        powers[i, B - np.searchsorted(powers[i, ::-1], _TINY) :] = 0.0
+    powers[powers < _TINY] = 0.0
     parts = blocks.reshape(J, B) @ powers.T
     big_r = powers[:, -1] * rs
     big_r[big_r < _TINY] = 0.0

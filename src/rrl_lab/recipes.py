@@ -15,6 +15,7 @@ import inspect
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
@@ -121,7 +122,8 @@ def hecke_identity(theta: float, z: complex, n: int, gamma: float = 0.0
     1e-10), else "mismatch".
     """
     value = hecke_outer_eval(theta, z, n, gamma)
-    residual = abs(value - outer_sum(hecke_negative_side(theta, gamma, n), n, z))
+    neg = chain.from_iterable(block.tolist() for block in hecke_negative_side(theta, gamma, n))
+    residual = abs(value - outer_sum(neg, n, z))
     bound = outer_tail_bound(z, n)
     tol = max(2.0 * bound, 1e-10)
     return value, residual, bound, tol, "ok" if residual <= tol else "mismatch"
@@ -347,16 +349,24 @@ RECIPES: dict[str, Callable[..., tuple[dict, Table]]] = {
 def run_recipe(cfg: RecipeConfig) -> dict:
     """Run one recipe and write ``cfg.out``: sorted-key JSON of its summary,
     or its CSV table.  Returns the summary, with the recipe name.  An output
-    path that cannot be made or written is a ValidationError."""
+    path that cannot be made or written is a ValidationError: a parent that
+    cannot be made, or a target that is a directory, before the recipe runs;
+    the file itself is opened only once the recipe returns."""
+    unwritable = f"cannot write {str(cfg.out)!r}"
+    try:
+        cfg.out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"{unwritable}: {exc}") from exc
+    if cfg.out.is_dir():
+        raise ValidationError(f"{unwritable}: it is a directory")
     summary, table = RECIPES[cfg.recipe](**cfg.params)
     result = {"recipe": cfg.recipe, **summary}
     try:
-        cfg.out.parent.mkdir(parents=True, exist_ok=True)
         with cfg.out.open("w") as out:
             if cfg.fmt == "csv":
                 table(out)
             else:
                 out.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
-        raise ValidationError(f"cannot write {str(cfg.out)!r}: {exc}") from exc
+        raise ValidationError(f"{unwritable}: {exc}") from exc
     return result

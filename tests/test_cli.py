@@ -153,6 +153,9 @@ def one_json_line(capsys, *argv):
     ["kneading", "--map", "quadratic:2.5", "--entropy"],
     ["kneading", "--map", "quadratic:-2.01"],
     ["run", "--recipe", "kneading-entropy", "--map", "quadratic:2.5"],
+    # map specs that name no known map
+    ["kneading", "--map", "logistic"],
+    ["run", "--recipe", "kneading-entropy", "--map", "tent:3"],
     # a pigeonhole count or a kneading depth below 1
     ["shifts", "--pigeonhole", "0", "--angles", "sqrt2"],
     ["shifts", "--pigeonhole", "-3", "--angles", "sqrt2"],
@@ -566,8 +569,13 @@ def test_malformed_config_exits_2(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("target", ["directory", "under-a-file"])
-def test_unwritable_out_exits_2(tmp_path, capsys, target):
-    # IsADirectoryError and FileExistsError exit 2, not with a traceback
+def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys, target):
+    # a directory target and a parent under a file exit 2, not with a
+    # traceback, and before the recipe runs
+    def never_called(**params):
+        raise AssertionError("the recipe ran before --out was checked")
+
+    monkeypatch.setitem(recipes.RECIPES, "balance", never_called)
     (tmp_path / "file").write_text("")
     out = tmp_path if target == "directory" else tmp_path / "file" / "a.json"
     code, obj = one_json_line(capsys, "run", "--recipe", "balance", "--out", str(out))

@@ -162,7 +162,8 @@ def test_outer_sum_of_the_negative_side_is_the_python_direct_sum(monkeypatch):
         n = int(rng.integers(1, 60))
         zinv = 1.0 / complex(z)
         want = -sum(((theta * k + gamma) % 1.0) * zinv**-k for k in range(-n, 0))
-        assert _bits(outer_sum(hecke_negative_side(theta, gamma, n), n, z)) == _bits(want)
+        neg = [b for block in hecke_negative_side(theta, gamma, n) for b in block.tolist()]
+        assert _bits(outer_sum(neg, n, z)) == _bits(want)
 
 
 def test_resonance_verdict_is_the_snapped_loops(monkeypatch):
@@ -189,6 +190,20 @@ def test_resonance_verdict_is_the_snapped_loops(monkeypatch):
         assert got == want, (theta, gamma, n)
         resonant += want is not None
     assert resonant > 1000
+
+
+@pytest.mark.parametrize("j", [39_990, 20_000, 3])
+def test_resonance_named_in_first_middle_and_last_block(j):
+    # N = 40000 reads three blocks of HECKE_BLOCK = 2^14 from the far end:
+    # n = -39990, -20000 and -3 fall in the first, the middle and the last.
+    # The named n is the first in -N .. -1 order by the scalar rule.
+    theta, n_terms = SQRT2_M1, 40_000
+    gamma = (j * theta + 3e-11) % 1.0
+    want = next(k for k in range(-n_terms, 0)
+                if min(f := (theta * k + gamma) % 1.0, 1.0 - f) <= 1e-10)
+    assert want == -j
+    with pytest.raises(ResonantGamma, match=rf"^gamma \+ {want}\*theta is within 1e-10"):
+        hecke_outer_eval(theta, 2.0, n_terms, gamma)
 
 
 # ---------------------------------------------------------------- occurrence times

@@ -1,9 +1,9 @@
 """Every name a library module imports is used in that module.
 
 No linter is part of the toolchain, so this stdlib-``ast`` check catches
-the imports that a deletion leaves behind.  ``__init__.py`` is skipped (its
-imports are the package's exports), and so is an import on a line marked
-``noqa``.
+the imports that a deletion leaves behind.  An import on a line marked
+``noqa`` is skipped.  The package root imports nothing: each name is read
+from the module that defines it, so the public surface is written once.
 """
 
 import ast
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rrl_lab"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,6 +36,11 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_root_imports_nothing():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
 def test_check_sees_an_unused_import():

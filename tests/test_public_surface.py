@@ -4,10 +4,9 @@ reader outside the tests, or is named in KEEP with the reason it stays.
 Surface that only tests reach is deleted, not kept.  A top-level name is
 reached when a module of ``src/rrl_lab`` or ``perfbench/`` reads it as a
 name, an attribute or an import; a method, or a field (an annotated
-assignment in a class body), is reached when one reads it as an attribute.  ``__init__.py`` is skipped on both sides: its imports are the
-package's exports, not uses.  Each KEEP entry must still be defined and
-still unreached, so the dict cannot go stale.  Like test_imports_used.py,
-this is a stdlib-``ast`` check.
+assignment in a class body), is reached when one reads it as an attribute.
+Each KEEP entry must still be defined and still unreached, so the dict
+cannot go stale.  Like test_imports_used.py, this is a stdlib-``ast`` check.
 """
 
 import ast
@@ -15,7 +14,7 @@ import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LIBRARY = sorted(p for p in (ROOT / "src" / "rrl_lab").glob("*.py") if p.name != "__init__.py")
+LIBRARY = sorted((ROOT / "src" / "rrl_lab").glob("*.py"))
 READERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
 
 KEEP = {

@@ -5,11 +5,21 @@ into exit 3; an exception from outside ``errors.py`` escapes as a traceback
 (exit 1).  This stdlib-``ast`` check fails on a ``raise`` of any other class,
 unless ``INVARIANTS`` names that raise, by module, enclosing function and
 class, with the reason it cannot happen on user input.  A bare ``raise``
-(re-raise) is not checked.
+(re-raise) is not checked.  The library refusals that no CLI test reaches
+are checked for ``ValidationError`` directly.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
+
+from rrl_lab.circle import CirclePoint
+from rrl_lab.diophantine import (dirichlet_approx, is_eps_balanced, moment_sequence,
+                                 pigeonhole_shift)
+from rrl_lab.dynamics import UnimodalMap, feigenbaum_product, itinerary
+from rrl_lab.errors import ValidationError
+from rrl_lab.psp import PoleMeasure, taylor_inner
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rrl_lab"
 
@@ -70,3 +80,25 @@ def test_check_sees_a_foreign_raise():
               "        raise\n"
               "    raise errors.CapExceeded\n")
     assert raised_classes(source) == [("A.f", "ValueError"), ("g", "CapExceeded")]
+
+
+PTS = [CirclePoint.exact(1, 3), CirclePoint.real(0.3)]
+MEASURE = PoleMeasure([(CirclePoint.exact(1, 4), 1.0)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dirichlet_approx([], 10),
+    lambda: dirichlet_approx([0.3], 0),
+    lambda: is_eps_balanced(PTS, 0.0),
+    lambda: is_eps_balanced(PTS, 1.0),
+    lambda: moment_sequence(MEASURE, -1),
+    lambda: taylor_inner(MEASURE, -1),
+    lambda: itinerary(UnimodalMap.tent(), 0.1, -1),
+    lambda: feigenbaum_product(-1),
+    lambda: pigeonhole_shift(PTS, 0),
+], ids=["dirichlet-no-theta", "dirichlet-m-0", "balanced-eps-0", "balanced-eps-1",
+        "moments-n-neg", "taylor-n-neg", "itinerary-n-neg", "product-n-neg",
+        "pigeonhole-j-0"])
+def test_library_refusals_are_validation_errors(call):
+    with pytest.raises(ValidationError):
+        call()
