@@ -70,8 +70,8 @@ def arc_l1_growth(
     if not omega1 < omega2:
         raise ValidationError("need omega1 < omega2")
     rs = np.asarray(list(radii) if radii is not None else DEFAULT_RADII, dtype=float)
-    if np.any(rs <= 0) or np.any(rs >= 1) or np.any(np.diff(rs) <= 0):
-        raise ValidationError("radii must be increasing inside (0, 1)")
+    if not rs.size or np.any(rs <= 0) or np.any(rs >= 1) or np.any(np.diff(rs) <= 0):
+        raise ValidationError("radii must be a nonempty increasing list inside (0, 1)")
     if quadrature_n < 64:
         raise ValidationError("quadrature_n must be >= 64")
     if (omega2 - omega1) / quadrature_n < np.finfo(float).tiny:

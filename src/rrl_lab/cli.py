@@ -21,11 +21,13 @@ from .recipes import (
     RecipeConfig,
     hecke_identity,
     kneading_coeffs,
-    parse_angles,
+    parse_angle,
+    parse_list,
     parse_number,
     parse_theta,
     recipe_balance,
     recipe_defaults,
+    recipe_hecke_unique,
     recipe_kneading_entropy,
     recipe_kwargs,
     run_recipe,
@@ -41,7 +43,7 @@ EXIT_COMPUTATION = 3
 THUE_MORSE_TOOL_N_CAP = 10**7
 
 # recipe parameters that may arrive from the config file or flags
-PARAM_KEYS = sorted({key for recipe in RECIPES for key in recipe_defaults(recipe)})
+PARAM_KEYS = sorted({key for recipe in RECIPES.values() for key in recipe_defaults(recipe)})
 
 
 def _emit(obj) -> None:
@@ -92,15 +94,14 @@ def _cmd_shifts(args: argparse.Namespace) -> dict:
     if args.factorial is not None:
         return {"mode": "factorial", "shifts": factorial_shifts(args.factorial),
                 "status": "ok"}
-    if args.pigeonhole is None:
-        raise ValidationError("need --factorial J or --pigeonhole J")
     if args.pigeonhole < 1:
         raise ValidationError(f"--pigeonhole needs J >= 1, got {args.pigeonhole}")
     if not args.angles:
         raise ValidationError("--pigeonhole needs --angles")
-    points = parse_angles(args.angles)
-    ks = [pigeonhole_shift(points, j) for j in range(1, args.pigeonhole + 1)]
-    return {"mode": "pigeonhole", "shifts": ks, "status": "ok"}
+    points = parse_list(args.angles, parse_angle)
+    # j = J first, so J's cap is checked before any scan
+    ks = [pigeonhole_shift(points, j) for j in range(args.pigeonhole, 0, -1)]
+    return {"mode": "pigeonhole", "shifts": ks[::-1], "status": "ok"}
 
 
 def _cmd_balance(args: argparse.Namespace) -> dict:
@@ -110,7 +111,7 @@ def _cmd_balance(args: argparse.Namespace) -> dict:
 
 
 def _cmd_dirichlet(args: argparse.Namespace) -> dict:
-    thetas = [parse_theta(t) for t in args.thetas.split(",") if t.strip()]
+    thetas = parse_list(args.thetas, parse_theta)
     n, ps = dirichlet_approx(thetas, args.big_m)
     return {
         "N": n,
@@ -122,14 +123,14 @@ def _cmd_dirichlet(args: argparse.Namespace) -> dict:
 
 
 def _cmd_hecke(args: argparse.Namespace) -> dict:
-    theta = parse_theta(args.theta)
+    kw = recipe_kwargs("hecke-unique", {"theta": args.theta, "n": args.n, "z": args.z})
+    theta, n, z = parse_theta(kw["theta"]), kw["n"], kw["z"]
     gamma = parse_number(float, args.gamma, "gamma")
-    z = parse_number(complex, args.z, "z")
     if not args.check_identity:
-        value = hecke_outer_eval(theta, z, args.n, gamma)
+        value = hecke_outer_eval(theta, z, n, gamma)
         return {"value": [value.real, value.imag],
-                "bound": outer_tail_bound(z, args.n), "status": "ok"}
-    value, residual, bound, _, status = hecke_identity(theta, z, args.n, gamma)
+                "bound": outer_tail_bound(z, n), "status": "ok"}
+    value, residual, bound, _, status = hecke_identity(theta, z, n, gamma)
     return {
         "value": [value.real, value.imag],
         "bound": bound,
@@ -139,14 +140,14 @@ def _cmd_hecke(args: argparse.Namespace) -> dict:
 
 
 def _cmd_kneading(args: argparse.Namespace) -> dict:
+    kw = recipe_kwargs("kneading-entropy", {"map": args.map, "n": args.n, "tol": args.tol})
     if not args.entropy:
-        d = kneading_coeffs(args.map, args.n)
+        d = kneading_coeffs(kw["map"], kw["n"])
         return {"value": [int(x) for x in d[:32]], "bound": 1.0, "status": "ok"}
-    summary, _ = recipe_kneading_entropy(**recipe_kwargs(
-        "kneading-entropy", {"map": args.map, "n": args.n, "tol": args.tol}))
+    summary, _ = recipe_kneading_entropy(**kw)
     return {
         "value": summary["entropy"],
-        "bound": args.tol,
+        "bound": kw["tol"],
         "status": summary["status"],
         "root": summary["root"],
         "r_max": summary["r_max"],
@@ -183,14 +184,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(handler=_cmd_run)
 
     p_shifts = sub.add_parser("shifts", help="factorial or pigeonhole shifts")
-    p_shifts.add_argument("--factorial", type=int)
-    p_shifts.add_argument("--pigeonhole", type=int)
+    mode = p_shifts.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--factorial", type=int)
+    mode.add_argument("--pigeonhole", type=int)
     p_shifts.add_argument("--angles")
     p_shifts.set_defaults(handler=_cmd_shifts)
 
     p_bal = sub.add_parser("balance", help="complete angles to a balanced set")
     p_bal.add_argument("--angles", required=True)
-    p_bal.add_argument("--eps", type=float, default=0.5)
+    p_bal.add_argument("--eps", default=recipe_defaults(recipe_balance)["eps"])
     p_bal.set_defaults(handler=_cmd_balance)
 
     p_dir = sub.add_parser("dirichlet", help="simultaneous approximation")
@@ -198,19 +200,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_dir.add_argument("-M", "--big-m", dest="big_m", type=int, required=True)
     p_dir.set_defaults(handler=_cmd_dirichlet)
 
+    hecke = recipe_defaults(recipe_hecke_unique)
     p_hecke = sub.add_parser("hecke", help="rotation-stream continuation values")
-    p_hecke.add_argument("--theta", default="golden")
+    p_hecke.add_argument("--theta", default=hecke["theta"])
     p_hecke.add_argument("--gamma", default="0.0")
     p_hecke.add_argument("--check-identity", action="store_true")
-    p_hecke.add_argument("-n", type=int, default=200)
-    p_hecke.add_argument("-z", default="2+0j")
+    p_hecke.add_argument("-n", default=hecke["n"])
+    p_hecke.add_argument("-z", default=hecke["z"])
     p_hecke.set_defaults(handler=_cmd_hecke)
 
+    knead = recipe_defaults(recipe_kneading_entropy)
     p_knead = sub.add_parser("kneading", help="kneading determinant and entropy")
-    p_knead.add_argument("--map", default="tent")
+    p_knead.add_argument("--map", default=knead["map"])
     p_knead.add_argument("--entropy", action="store_true")
-    p_knead.add_argument("-n", type=int, default=2047)
-    p_knead.add_argument("--tol", type=float, default=1e-6)
+    p_knead.add_argument("-n", default=knead["n"])
+    p_knead.add_argument("--tol", default=knead["tol"])
     p_knead.set_defaults(handler=_cmd_kneading)
 
     p_tm = sub.add_parser("thue-morse", help="Thue-Morse bits")

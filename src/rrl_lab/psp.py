@@ -91,27 +91,29 @@ class PoleMeasure:
         tail = 0.0
         try:
             if isinstance(obj, dict):
-                tail = float(obj.get("tail_mass", 0.0))
+                tail = _json_number(obj.get("tail_mass", 0.0), float)
                 obj = obj["atoms"]
             atoms = []
             for rec in obj:
                 ang = rec["angle"]
                 if isinstance(ang, dict):
-                    pt = CirclePoint.exact(_json_int(ang["p"]), _json_int(ang["q"]))
+                    pt = CirclePoint.exact(*(_json_number(ang[k], int) for k in "pq"))
                 else:
-                    pt = CirclePoint.real(float(ang))
-                atoms.append((pt, complex(rec["re"], rec.get("im", 0.0))))
-        except (KeyError, TypeError, ValueError) as exc:
+                    pt = CirclePoint.real(_json_number(ang, float))
+                atoms.append((pt, complex(_json_number(rec["re"], float),
+                                          _json_number(rec.get("im", 0.0), float))))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed measure: {type(exc).__name__}: {exc}") from exc
         return cls(atoms, tail_mass=tail)
 
 
-def _json_int(x) -> int:
-    """x if it is a JSON integer (a bool is not one), else ValidationError."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValidationError(f"malformed measure: exact angle parts must be integers, "
-                              f"got {x!r}")
-    return x
+def _json_number(x, kind: type):
+    """x as ``kind`` if it is a JSON integer (kind int) or number (kind
+    float), else ValidationError: a bool or a string is neither."""
+    if isinstance(x, bool) or not isinstance(x, int if kind is int else (int, float)):
+        raise ValidationError(f"malformed measure: expected a JSON "
+                              f"{'integer' if kind is int else 'number'}, got {x!r}")
+    return kind(x)
 
 
 def uniform_roots_measure(q: int) -> PoleMeasure:

@@ -61,43 +61,37 @@ def parse_theta(text: str) -> float:
 def parse_angle(text: str) -> CirclePoint:
     """Angle in turns: 'p/q' gives an exact point, otherwise a named theta
     or a finite float."""
-    text = text.strip()
     if "/" not in text:
-        return CirclePoint.real(parse_number(float, NAMED_THETAS.get(text, text), "angle"))
-    try:
-        p, q = text.split("/")
-        return CirclePoint.exact(int(p), int(q))
-    except ValueError as exc:
-        raise ValidationError(f"bad angle {text!r}: {exc}") from exc
+        return CirclePoint.real(parse_theta(text))
+    p, _, q = text.partition("/")
+    return CirclePoint.exact(parse_number(int, p, "angle numerator"),
+                             parse_number(int, q, "angle denominator"))
 
 
-def parse_angles(text: str) -> list[CirclePoint]:
-    return [parse_angle(part) for part in text.split(",") if part.strip()]
+def parse_list(text: str, read: Callable[[str], Any]) -> list:
+    """The comma-separated items of ``text``, each stripped and read by
+    ``read``; empty items are skipped."""
+    return [read(item) for item in map(str.strip, text.split(",")) if item]
 
 
 def parse_shift_spec(text: str, points: list[CirclePoint]) -> list[int]:
-    """'factorial:J' -> 1!..J! ('factorial:LO:HI' -> LO!..HI!, 1 <= LO <= HI);
-    'pigeonhole:J' -> pigeonhole shifts for j = 1..J (J >= 1).
+    """'factorial:LO:HI' -> LO!..HI! (1 <= LO <= HI), 'factorial:J' is
+    'factorial:1:J'; 'pigeonhole:J' -> the pigeonhole shifts for j = 1..J
+    (J >= 1), scanned from j = J down, so J's cap is checked first.
 
     Every accepted spec gives at least one shift."""
     kind, _, arg = text.partition(":")
-    try:
-        if kind == "factorial":
-            lo, _, hi = arg.partition(":")
-            if not hi:
-                return factorial_shifts(int(lo) if lo else 6)
-            lo_j, hi_j = int(lo), int(hi)
-            if not 1 <= lo_j <= hi_j:
-                raise ValidationError(f"shift spec {text!r} needs 1 <= LO <= HI")
-            return factorial_shifts(hi_j)[lo_j - 1 :]
-        if kind == "pigeonhole":
-            j = int(arg) if arg else 6
-            if j < 1:
-                raise ValidationError(f"shift spec {text!r} needs J >= 1")
-            return sorted({pigeonhole_shift(points, jj) for jj in range(1, j + 1)})
-    except ValueError as exc:
-        raise ValidationError(f"bad shift spec {text!r}: {exc}") from exc
-    raise ValidationError(f"unknown shift spec {text!r}")
+    if kind not in ("factorial", "pigeonhole"):
+        raise ValidationError(f"unknown shift spec {text!r}")
+    js = [parse_number(int, j, f"integer in shift spec {text!r}") for j in arg.split(":")]
+    if kind == "pigeonhole" and len(js) == 1 and js[0] >= 1:
+        return sorted({pigeonhole_shift(points, j) for j in range(js[0], 0, -1)})
+    if kind == "factorial" and len(js) <= 2:
+        lo, hi = [1, *js][-2:]
+        if 1 <= lo <= hi:
+            return factorial_shifts(hi)[lo - 1 :]
+    raise ValidationError(f"shift spec {text!r} is not factorial:J, factorial:LO:HI "
+                          f"(1 <= LO <= HI) or pigeonhole:J (J >= 1)")
 
 
 def parse_number(kind: type, raw: Any, name: str):
@@ -149,15 +143,15 @@ def kneading_coeffs(map_spec: str, n: int) -> np.ndarray:
     return kneading_determinant(kneading_sequence(umap, n))
 
 
-def recipe_defaults(recipe: str) -> dict[str, Any]:
-    """The keyword parameters a recipe takes, with their defaults."""
-    return {key: p.default for key, p in inspect.signature(RECIPES[recipe]).parameters.items()}
+def recipe_defaults(recipe: Callable) -> dict[str, Any]:
+    """The keyword parameters a recipe function takes, with their defaults."""
+    return {key: p.default for key, p in inspect.signature(recipe).parameters.items()}
 
 
 def recipe_kwargs(recipe: str, params: dict) -> dict:
     """``params`` parsed by the types of the recipe's defaults (str, int,
     float or complex); a key the recipe does not take is a ValidationError."""
-    defaults = recipe_defaults(recipe)
+    defaults = recipe_defaults(RECIPES[recipe])
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValidationError(f"recipe {recipe!r} takes no parameter {', '.join(unknown)}; "
@@ -305,7 +299,7 @@ def recipe_thue_morse_product(n: int = 1023) -> tuple[dict, Table]:
 
 
 def recipe_balance(angles: str = "sqrt2", eps: float = 0.5) -> tuple[dict, Table]:
-    bs = balance_completion(parse_angles(angles), eps)
+    bs = balance_completion(parse_list(angles, parse_angle), eps)
     summary = {
         "epsilon": bs.epsilon,
         "defect": bs.defect,
@@ -320,7 +314,7 @@ def recipe_balance(angles: str = "sqrt2", eps: float = 0.5) -> tuple[dict, Table
 def recipe_probe_arc(measure: str = "", omega1: float = 0.0, omega2: float = math.pi / 4.0,
                      quadrature_n: int = 512, radii: str = "") -> tuple[dict, Table]:
     m = _load_measure(measure, 16)
-    rs = [parse_number(float, x, "radii") for x in radii.split(",")] if radii else None
+    rs = parse_list(radii, lambda x: parse_number(float, x, "radii")) if radii else None
     probe = arc_l1_growth(m, omega1, omega2, rs, quadrature_n)
     rs, integrals = list(map(float, probe.radii)), list(map(float, probe.integrals))
     summary = {

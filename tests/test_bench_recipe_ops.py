@@ -17,7 +17,8 @@ from rrl_lab.boundary import ARC_POINTS_CAP, DEFAULT_RADII
 from rrl_lab.diophantine import BALANCE_M_CAP
 from rrl_lab.dynamics import HECKE_N_CAP, ITINERARY_N_CAP, PRODUCT_N_CAP, ZERO_N_CAP
 from rrl_lab.psp import PoleMeasure, uniform_roots_measure
-from rrl_lab.recipes import RecipeConfig, parse_angles, parse_shift_spec, recipe_defaults
+from rrl_lab.recipes import (RECIPES, RecipeConfig, parse_angle, parse_list, parse_shift_spec,
+                             recipe_defaults)
 from rrl_lab.right_limits import (
     SEARCH_BLOCK,
     SEARCH_CELLS_CAP,
@@ -55,9 +56,9 @@ def reached_caps(recipe: str, p: dict) -> list[tuple[str, int, int]]:
     if recipe == "thue-morse-product":
         return [("product", p["n"], PRODUCT_N_CAP)]
     if recipe == "balance":
-        return [("points", len(parse_angles(p["angles"])), BALANCE_M_CAP)]
+        return [("points", len(parse_list(p["angles"], parse_angle)), BALANCE_M_CAP)]
     if recipe == "probe-arc":
-        radii = len(p["radii"].split(",")) if p["radii"] else len(DEFAULT_RADII)
+        radii = len(parse_list(p["radii"], float)) if p["radii"] else len(DEFAULT_RADII)
         return [("arc points", (p["quadrature_n"] + 1) * radii, ARC_POINTS_CAP)]
     raise AssertionError(f"no caps listed for recipe {recipe!r}")
 
@@ -76,7 +77,7 @@ def test_recipe_ops_stay_under_every_cap_they_reach(tmp_path):
     ops = recipe_ops(tmp_path)
     for recipe, fmt, params in ops:
         given = RecipeConfig(recipe, tmp_path / "op.out", fmt, params).params
-        for size, value, cap in reached_caps(recipe, {**recipe_defaults(recipe), **given}):
+        for size, value, cap in reached_caps(recipe, {**recipe_defaults(RECIPES[recipe]), **given}):
             assert value <= cap, (recipe, params, size, value, cap)
     # the thue-morse-product ops, the largest sizes of the benchmark, are among them
     assert any(recipe == "thue-morse-product" for recipe, _, _ in ops)

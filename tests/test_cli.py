@@ -9,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cli_under_512_mb
-from rrl_lab import recipes, right_limits
+from rrl_lab import diophantine, recipes, right_limits
 from rrl_lab.boundary import ARC_POINTS_CAP
 from rrl_lab.circle import CirclePoint
-from rrl_lab.cli import PARAM_KEYS, main
+from rrl_lab.cli import PARAM_KEYS, build_parser, main
 from rrl_lab.dynamics import HECKE_N_CAP, ITINERARY_N_CAP, ZERO_N_CAP
 from rrl_lab.errors import ValidationError
 from rrl_lab.psp import PoleMeasure, uniform_roots_measure
-from rrl_lab.recipes import parse_shift_spec
+from rrl_lab.recipes import (parse_angle, parse_list, parse_shift_spec, recipe_balance,
+                             recipe_defaults, recipe_hecke_unique, recipe_kneading_entropy)
 from rrl_lab.right_limits import outer_sum
 
 
@@ -97,14 +98,18 @@ def test_psp_rrl_non_finite_angle_is_validation_error(tmp_path, capsys):
 
 def test_psp_rrl_rejects_specs_that_verify_nothing(tmp_path, capsys):
     m = uniform_roots_measure(4)
+    # J is never implied: a spec with no J, or an empty LO or HI, is refused
     for spec in ("factorial:0:3", "factorial:3:2", "factorial:0", "pigeonhole:0",
-                 "pigeonhole:-2", "factorial:x", "factorial:2:y"):
+                 "pigeonhole:-2", "factorial:x", "factorial:2:y", "factorial", "factorial:",
+                 "factorial:3:", "factorial::3", "factorial:1:2:3", "pigeonhole",
+                 "pigeonhole:", "pigeonhole:1:2"):
         with pytest.raises(ValidationError):
             parse_shift_spec(spec, m.points)
         code, obj = _psp_rrl_error(tmp_path, capsys, m, spec)
         assert code == 2, spec
         assert obj["error"]["type"] == "ValidationError"
     assert parse_shift_spec("factorial:1:1", m.points) == [1]
+    assert parse_shift_spec("factorial:3", m.points) == [1, 2, 6]
     assert parse_shift_spec("factorial:3:4", m.points) == [6, 24]
     assert parse_shift_spec("pigeonhole:1", m.points) == [1]
 
@@ -173,6 +178,9 @@ def one_json_line(capsys, *argv):
     ["hecke", "--theta", "1e308", "--check-identity"],
     # an arc whose panels are below the smallest normal float
     ["run", "--recipe", "probe-arc", "--omega2", "1e-320"],
+    # a radius list with no item, and two shift modes at once
+    ["run", "--recipe", "probe-arc", "--radii", ","],
+    ["shifts", "--factorial", "3", "--pigeonhole", "2", "--angles", "sqrt2"],
 ])
 def test_unparsable_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -314,6 +322,17 @@ def test_kneading_tool_takes_feigenbaum_product(capsys):
     '[{"angle": 0.25, "re": 1.0, "im": Infinity}]',
     '[{"angle": {"p": 1, "q": 4}, "re": -Infinity}]',
     '{"atoms": [{"angle": 0.25, "re": 1.0}], "tail_mass": NaN}',
+    # every number must be a JSON number, and p and q JSON integers: a bool
+    # or a string is neither
+    '[{"angle": true, "re": 1.0}]',
+    '[{"angle": "0.25", "re": 1.0}]',
+    '[{"angle": 0.25, "re": true}]',
+    '[{"angle": 0.25, "re": 1.0, "im": "0.5"}]',
+    '[{"angle": {"p": 1, "q": false}, "re": 1.0}]',
+    '{"atoms": [{"angle": 0.25, "re": 1.0}], "tail_mass": "0.5"}',
+    '{"atoms": [{"angle": 0.25, "re": 1.0}], "tail_mass": true}',
+    # an integer that no float holds
+    '[{"angle": 0.25, "re": 1%s}]' % ("0" * 400),
 ])
 def test_bad_measure_files_exit_2(tmp_path, capsys, recipe, text):
     path = tmp_path / "m.json"
@@ -596,7 +615,59 @@ def test_shifts_pigeonhole(capsys):
         capsys, "shifts", "--pigeonhole", "4", "--angles", "sqrt2,sqrt3"
     )
     assert code == 0
-    assert len(obj["shifts"]) == 4 and all(k >= 1 for k in obj["shifts"])
+    points = parse_list("sqrt2,sqrt3", parse_angle)
+    assert obj["shifts"] == [diophantine.pigeonhole_shift(points, j) for j in range(1, 5)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["shifts", "--pigeonhole", str(diophantine.PIGEONHOLE_J_CAP + 1), "--angles", "sqrt2,0.3"],
+    ["run", "--recipe", "psp-rrl", "--shifts", f"pigeonhole:{diophantine.PIGEONHOLE_J_CAP + 1}"],
+])
+def test_over_cap_pigeonhole_scans_nothing(tmp_path, monkeypatch, capsys, argv):
+    # j = J is scanned first, so its cap refuses the run before any scan
+    def never_called(*args):
+        raise AssertionError("a pigeonhole scan ran before the cap check")
+
+    monkeypatch.setattr(diophantine, "_in_corner", never_called)
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "run":
+        argv = [*argv, "--out", "out.json"]
+    code, obj = one_json_line(capsys, *argv)
+    assert code == 3 and obj["error"]["type"] == "CapExceeded"
+
+
+@pytest.mark.parametrize("gappy, plain", [
+    (["balance", "--angles", "1/3,,sqrt2"], ["balance", "--angles", "1/3,sqrt2"]),
+    (["dirichlet", "--thetas", "sqrt2,,sqrt3", "-M", "100"],
+     ["dirichlet", "--thetas", "sqrt2,sqrt3", "-M", "100"]),
+    (["run", "--recipe", "probe-arc", "--radii", "0.9,,0.99"],
+     ["run", "--recipe", "probe-arc", "--radii", "0.9,0.99"]),
+    (["run", "--recipe", "probe-arc", "--radii", " 0.9 , 0.99 ,"],
+     ["run", "--recipe", "probe-arc", "--radii", "0.9,0.99"]),
+])
+def test_comma_lists_skip_empty_items(tmp_path, capsys, gappy, plain):
+    # --angles, --thetas and --radii share one list reader
+    out = tmp_path / "out.json"
+    results = []
+    for argv in (gappy, plain):
+        if argv[0] == "run":
+            argv = [*argv, "--out", str(out)]
+        code, obj = one_json_line(capsys, *argv)
+        assert code == 0
+        results.append((obj, out.read_bytes() if argv[0] == "run" else None))
+    assert results[0] == results[1]
+
+
+def test_tool_defaults_are_the_recipe_defaults():
+    parser = build_parser()
+    for argv, recipe, keys in (
+        (["balance", "--angles", "sqrt2"], recipe_balance, ["eps"]),
+        (["kneading"], recipe_kneading_entropy, ["map", "n", "tol"]),
+        (["hecke"], recipe_hecke_unique, ["theta", "n", "z"]),
+    ):
+        args = vars(parser.parse_args(argv))
+        defaults = recipe_defaults(recipe)
+        assert {key: args[key] for key in keys} == {key: defaults[key] for key in keys}
 
 
 def test_shifts_needs_mode(capsys):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from rrl_lab.boundary import arc_l1_growth
 from rrl_lab.circle import CirclePoint
 from rrl_lab.diophantine import (dirichlet_approx, is_eps_balanced, moment_sequence,
                                  pigeonhole_shift)
@@ -96,9 +97,10 @@ MEASURE = PoleMeasure([(CirclePoint.exact(1, 4), 1.0)])
     lambda: itinerary(UnimodalMap.tent(), 0.1, -1),
     lambda: feigenbaum_product(-1),
     lambda: pigeonhole_shift(PTS, 0),
+    lambda: arc_l1_growth(MEASURE, 0.0, 0.5, [], 64),
 ], ids=["dirichlet-no-theta", "dirichlet-m-0", "balanced-eps-0", "balanced-eps-1",
         "moments-n-neg", "taylor-n-neg", "itinerary-n-neg", "product-n-neg",
-        "pigeonhole-j-0"])
+        "pigeonhole-j-0", "arc-no-radii"])
 def test_library_refusals_are_validation_errors(call):
     with pytest.raises(ValidationError):
         call()
