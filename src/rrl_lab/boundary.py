@@ -16,8 +16,6 @@ import numpy as np
 from . import psp
 from .errors import CapExceeded, ValidationError
 
-# default radius schedule 1 - 10^(-k/2), k = 2..6
-DEFAULT_RADII = tuple(1.0 - 10.0 ** (-k / 2.0) for k in range(2, 7))
 # evaluation points of one probe, (quadrature_n + 1) per radius: the probe
 # holds about 60 B a point, and psp_eval on 16 atoms takes about 0.17 s per
 # 10^6 points
@@ -53,12 +51,14 @@ def arc_l1_growth(
     m: psp.PoleMeasure,
     omega1: float,
     omega2: float,
-    radii: Sequence[float] | None,
+    radii: Sequence[float],
     quadrature_n: int,
 ) -> ArcProbeResult:
     """Composite-trapezoid arc integrals of |g| over an increasing radius
-    grid, g the pole series of ``m``; ``radii=None`` is DEFAULT_RADII.
+    grid, g the pole series of ``m``.
 
+    |g(r e^{iw})| has period 2*pi, so the arc needs omega1 < omega2 <= omega1
+    + 2*pi; a longer one, or one whose length overflows, is a ValidationError.
     ``quadrature_n`` is the panel count (>= 64); a panel narrower than the
     smallest normal float is a ValidationError.  ``psp.psp_eval`` is called
     once, on a (radii, quadrature_n + 1) array whose row i holds the
@@ -67,9 +67,10 @@ def arc_l1_growth(
     indicates blow-up; it is evidence only.  More than ARC_POINTS_CAP points
     in all is CapExceeded, before any is built.
     """
-    if not omega1 < omega2:
-        raise ValidationError("need omega1 < omega2")
-    rs = np.asarray(list(radii) if radii is not None else DEFAULT_RADII, dtype=float)
+    if not 0.0 < omega2 - omega1 <= 2.0 * np.pi:
+        raise ValidationError(f"the arc ({omega1!r}, {omega2!r}) needs omega1 < omega2 and "
+                              f"at most one turn")
+    rs = np.asarray(list(radii), dtype=float)
     if not rs.size or np.any(rs <= 0) or np.any(rs >= 1) or np.any(np.diff(rs) <= 0):
         raise ValidationError("radii must be a nonempty increasing list inside (0, 1)")
     if quadrature_n < 64:

@@ -140,7 +140,7 @@ class CirclePoint:
         """lambda^k as a circle point; exact points stay exact for any int k."""
         if self.is_exact:
             p, q = self.angle.numerator, self.angle.denominator
-            return CirclePoint(Fraction((p * k) % q, q))
+            return CirclePoint.exact((p * k) % q, q)
         return CirclePoint(frac_part(self.angle * k))
 
     def value(self) -> complex:

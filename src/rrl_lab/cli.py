@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     hecke = recipe_defaults(recipe_hecke_unique)
     p_hecke = sub.add_parser("hecke", help="rotation-stream continuation values")
     p_hecke.add_argument("--theta", default=hecke["theta"])
-    p_hecke.add_argument("--gamma", default="0.0")
+    p_hecke.add_argument("--gamma", default=recipe_defaults(hecke_identity)["gamma"])
     p_hecke.add_argument("--check-identity", action="store_true")
     p_hecke.add_argument("-n", default=hecke["n"])
     p_hecke.add_argument("-z", default=hecke["z"])

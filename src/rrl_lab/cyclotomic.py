@@ -14,9 +14,10 @@ remainder modulo Phi_L.  Everything here is plain-int and overflow-free.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
-from .circle import CirclePoint, Fraction, turn_to_complex
+from .circle import CirclePoint, turn_to_complex
 from .errors import CapExceeded
 
 # terms one build step (or one pass of a reduction) may hold in its input

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -187,7 +186,7 @@ def _coeffs(pts: list[CirclePoint], divisor: CirclePoint | None = None) -> np.nd
         else:
             off.append(p)
     split = 2 * len(off) < n
-    missing = [CirclePoint(Fraction(r, n)) for r in range(n) if not on[r]] if split else []
+    missing = [CirclePoint.exact(r, n) for r in range(n) if not on[r]] if split else []
     exact = cyc.exact_exponents(pts)
     if exact is None:
         def div(c, p): return _divide_root(c, p.value())
@@ -308,7 +307,7 @@ def balance_completion(points_g: Sequence[CirclePoint], eps: float = 0.5) -> Bal
         if (n, replaced) in tried or len(set(replaced)) < m:
             continue
         tried.add((n, replaced))
-        f = g + [CirclePoint(Fraction(i, n)) for i in range(n) if i not in replaced]
+        f = g + [CirclePoint.exact(i, n) for i in range(n) if i not in replaced]
         ok, defect = is_eps_balanced(f, eps)
         if ok:
             return BalancedSet(

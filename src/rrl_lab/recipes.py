@@ -25,7 +25,6 @@ from .boundary import arc_l1_growth
 from .circle import CirclePoint
 from .diophantine import balance_completion, factorial_shifts, pigeonhole_shift
 from .dynamics import (
-    FEIGENBAUM_C,
     ZERO_N_CAP,
     UnimodalMap,
     feigenbaum_product,
@@ -44,6 +43,8 @@ from .right_limits import (outer_sum, outer_tail_bound, renascent_shift_search, 
 
 # Thue-Morse bits per block of the thue-morse-product check (64 KB of int8)
 THUE_MORSE_BLOCK = 1 << 16
+# largest Q of a uniform:Q measure; psp-rrl takes about 6 s at the cap
+UNIFORM_Q_CAP = 10**4
 
 NAMED_THETAS = {
     "golden": (math.sqrt(5.0) - 1.0) / 2.0,
@@ -135,8 +136,8 @@ def kneading_coeffs(map_spec: str, n: int) -> np.ndarray:
     if map_spec == "tent":
         umap = UnimodalMap.tent()
     elif name == "quadratic":
-        c = parse_number(float, c_text, "quadratic c") if c_text else FEIGENBAUM_C
-        umap = UnimodalMap.quadratic(c)
+        umap = (UnimodalMap.quadratic(parse_number(float, c_text, "quadratic c")) if c_text
+                else UnimodalMap.quadratic())
     else:
         raise ValidationError(
             f"unknown map spec {map_spec!r} (tent | quadratic:c | feigenbaum-product)")
@@ -186,22 +187,30 @@ def _rows_csv(out: TextIO, header: list[str], rows) -> None:
         out.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _load_measure(path: str, default_order: int) -> PoleMeasure:
-    if not path:
-        return uniform_roots_measure(default_order)
+def load_measure(text: str) -> PoleMeasure:
+    """'uniform:Q' -> the Q-th roots of unity, weight 1/Q each (1 <= Q <=
+    UNIFORM_Q_CAP, checked before any atom is built); any other text is the
+    path of a measure file, so a file named 'uniform:...' is './uniform:...'."""
+    if text.startswith("uniform:"):
+        q = parse_number(int, text[len("uniform:"):], f"order in measure spec {text!r}")
+        if q < 1:
+            raise ValidationError(f"measure spec {text!r} needs Q >= 1")
+        if q > UNIFORM_Q_CAP:
+            raise CapExceeded(f"measure spec {text!r}: Q exceeds cap {UNIFORM_Q_CAP}")
+        return uniform_roots_measure(q)
     try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read measure file {path!r}: {exc}") from exc
-    return PoleMeasure.loads(text)
+        data = Path(text).read_text()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
+        raise ValidationError(f"cannot read measure file {text!r}: {exc}") from exc
+    return PoleMeasure.loads(data)
 
 
 Table = Callable[[TextIO], None]
 
 
-def recipe_psp_rrl(measure: str = "", w: int = 32, shifts: str = "factorial:6"
+def recipe_psp_rrl(measure: str = "uniform:4", w: int = 32, shifts: str = "factorial:6"
                    ) -> tuple[dict, Table]:
-    m = _load_measure(measure, 4)
+    m = load_measure(measure)
     rows = verify_rrl_on_psp(m, parse_shift_spec(shifts, m.points), w)
     summary = {
         "half_width": w,
@@ -311,10 +320,13 @@ def recipe_balance(angles: str = "sqrt2", eps: float = 0.5) -> tuple[dict, Table
     return summary, lambda out: _rows_csv(out, header, [[summary[key] for key in header]])
 
 
-def recipe_probe_arc(measure: str = "", omega1: float = 0.0, omega2: float = math.pi / 4.0,
-                     quadrature_n: int = 512, radii: str = "") -> tuple[dict, Table]:
-    m = _load_measure(measure, 16)
-    rs = parse_list(radii, lambda x: parse_number(float, x, "radii")) if radii else None
+# radii 1 - 10^(-k/2), k = 2..6, each written as its repr
+def recipe_probe_arc(measure: str = "uniform:16", omega1: float = 0.0,
+                     omega2: float = math.pi / 4.0, quadrature_n: int = 512,
+                     radii: str = "0.9,0.9683772233983162,0.99,0.9968377223398316,0.999"
+                     ) -> tuple[dict, Table]:
+    m = load_measure(measure)
+    rs = parse_list(radii, lambda x: parse_number(float, x, "radii"))
     probe = arc_l1_growth(m, omega1, omega2, rs, quadrature_n)
     rs, integrals = list(map(float, probe.radii)), list(map(float, probe.integrals))
     summary = {

@@ -13,12 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from rrl_lab.boundary import ARC_POINTS_CAP, DEFAULT_RADII
+from rrl_lab.boundary import ARC_POINTS_CAP
 from rrl_lab.diophantine import BALANCE_M_CAP
 from rrl_lab.dynamics import HECKE_N_CAP, ITINERARY_N_CAP, PRODUCT_N_CAP, ZERO_N_CAP
-from rrl_lab.psp import PoleMeasure, uniform_roots_measure
-from rrl_lab.recipes import (RECIPES, RecipeConfig, parse_angle, parse_list, parse_shift_spec,
-                             recipe_defaults)
+from rrl_lab.recipes import (RECIPES, RecipeConfig, load_measure, parse_angle, parse_list,
+                             parse_shift_spec, recipe_defaults)
 from rrl_lab.right_limits import (
     SEARCH_BLOCK,
     SEARCH_CELLS_CAP,
@@ -42,9 +41,7 @@ def reached_caps(recipe: str, p: dict) -> list[tuple[str, int, int]]:
     """(size, value, cap) for each cap that a run of ``recipe`` with the full
     parameters ``p`` checks before its work."""
     if recipe == "psp-rrl":
-        m = PoleMeasure.loads(Path(p["measure"]).read_text()) if p["measure"] \
-            else uniform_roots_measure(4)
-        rows = len(parse_shift_spec(p["shifts"], m.points)) + 1
+        rows = len(parse_shift_spec(p["shifts"], load_measure(p["measure"]).points)) + 1
         return [("verify exponents", rows * (2 * p["w"] + 1), VERIFY_CELLS_CAP)]
     if recipe in ("hecke-unique", "hecke-two"):
         depth = [("hecke depth", p["n"], HECKE_N_CAP)] if recipe == "hecke-unique" else []
@@ -58,7 +55,7 @@ def reached_caps(recipe: str, p: dict) -> list[tuple[str, int, int]]:
     if recipe == "balance":
         return [("points", len(parse_list(p["angles"], parse_angle)), BALANCE_M_CAP)]
     if recipe == "probe-arc":
-        radii = len(parse_list(p["radii"], float)) if p["radii"] else len(DEFAULT_RADII)
+        radii = len(parse_list(p["radii"], float))
         return [("arc points", (p["quadrature_n"] + 1) * radii, ARC_POINTS_CAP)]
     raise AssertionError(f"no caps listed for recipe {recipe!r}")
 

@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from rrl_lab.boundary import DEFAULT_RADII, arc_l1_growth
+from rrl_lab.boundary import arc_l1_growth
 from rrl_lab.circle import CirclePoint
 from rrl_lab.errors import ValidationError
 from rrl_lab.psp import PoleMeasure, uniform_roots_measure
+from rrl_lab.recipes import parse_list, recipe_defaults, recipe_probe_arc
 
 # 1/(1 - z) as a pole series: the one atom -1 at z = 1
 ONE_OVER_ONE_MINUS_Z = PoleMeasure([(CirclePoint.exact(0, 1), -1.0)])
 
 
 def test_default_radius_schedule():
-    assert len(DEFAULT_RADII) == 5
-    assert abs(DEFAULT_RADII[0] - 0.9) < 1e-12
-    assert abs(DEFAULT_RADII[-1] - 0.999) < 1e-12
-    assert all(a < b for a, b in zip(DEFAULT_RADII, DEFAULT_RADII[1:]))
+    # probe-arc's default text reads as 1 - 10^(-k/2), k = 2..6, bit for bit
+    radii = parse_list(recipe_defaults(recipe_probe_arc)["radii"], float)
+    assert radii == [1.0 - 10.0 ** (-k / 2.0) for k in range(2, 7)]
 
 
 def test_single_pole_off_arc_is_bounded():
@@ -67,7 +67,9 @@ def test_quadrature_refinement_stability():
 def test_probe_validations():
     m = ONE_OVER_ONE_MINUS_Z
     with pytest.raises(ValidationError):
-        arc_l1_growth(m, 1.0, 0.5, None, 256)
+        arc_l1_growth(m, 1.0, 0.5, [0.9], 256)
+    with pytest.raises(ValidationError):  # longer than one turn
+        arc_l1_growth(m, 0.0, 2.0 * math.pi + 1e-9, [0.9], 256)
     with pytest.raises(ValidationError):
         arc_l1_growth(m, 0.0, 1.0, [0.9, 0.5], 256)
     with pytest.raises(ValidationError):

@@ -16,8 +16,9 @@ from rrl_lab.cli import PARAM_KEYS, build_parser, main
 from rrl_lab.dynamics import HECKE_N_CAP, ITINERARY_N_CAP, ZERO_N_CAP
 from rrl_lab.errors import ValidationError
 from rrl_lab.psp import PoleMeasure, uniform_roots_measure
-from rrl_lab.recipes import (parse_angle, parse_list, parse_shift_spec, recipe_balance,
-                             recipe_defaults, recipe_hecke_unique, recipe_kneading_entropy)
+from rrl_lab.recipes import (hecke_identity, parse_angle, parse_list, parse_shift_spec,
+                             recipe_balance, recipe_defaults, recipe_hecke_unique,
+                             recipe_kneading_entropy)
 from rrl_lab.right_limits import outer_sum
 
 
@@ -181,6 +182,19 @@ def one_json_line(capsys, *argv):
     # a radius list with no item, and two shift modes at once
     ["run", "--recipe", "probe-arc", "--radii", ","],
     ["shifts", "--factorial", "3", "--pigeonhole", "2", "--angles", "sqrt2"],
+    # arcs longer than one turn, whose integrals used to be NaN or inf
+    ["run", "--recipe", "probe-arc", "--omega1=-1e308", "--omega2=1e308", "--quadrature-n", "64"],
+    ["run", "--recipe", "probe-arc", "--omega1=0", "--omega2=1e308", "--quadrature-n", "64"],
+    ["run", "--recipe", "probe-arc", "--omega1=-1e308", "--omega2=0", "--quadrature-n", "64"],
+    # empty text is no default, and uniform:Q needs an integer Q >= 1
+    ["run", "--recipe", "probe-arc", "--radii", ""],
+    ["run", "--recipe", "probe-arc", "--measure", ""],
+    ["run", "--recipe", "psp-rrl", "--measure", ""],
+    ["run", "--recipe", "psp-rrl", "--measure", "uniform:0"],
+    ["run", "--recipe", "psp-rrl", "--measure", "uniform:-4"],
+    ["run", "--recipe", "probe-arc", "--measure", "uniform:x"],
+    ["run", "--recipe", "probe-arc", "--measure", "uniform:1.5"],
+    ["run", "--recipe", "psp-rrl", "--measure", "uniform:"],
 ])
 def test_unparsable_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -343,6 +357,42 @@ def test_bad_measure_files_exit_2(tmp_path, capsys, recipe, text):
     assert code == 2
     assert obj["error"]["type"] == "ValidationError"
     assert not (tmp_path / "out.json").exists()
+
+
+def test_measure_spec_and_path(tmp_path, monkeypatch, capsys):
+    # uniform:Q is a spec; a file named uniform:4 is reached as ./uniform:4
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "uniform:4").write_text(uniform_roots_measure(6).dumps())
+    artifacts = []
+    for measure in ("uniform:4", "./uniform:4", "uniform:6"):
+        code, _ = one_json_line(capsys, "run", "--recipe", "probe-arc", "--measure", measure,
+                                "--quadrature-n", "64", "--out", "out.json")
+        assert code == 0
+        artifacts.append((tmp_path / "out.json").read_bytes())
+    assert artifacts[0] != artifacts[1] == artifacts[2]
+
+
+@pytest.mark.parametrize("recipe", ["psp-rrl", "probe-arc"])
+def test_over_cap_uniform_measure_builds_nothing(tmp_path, monkeypatch, capsys, recipe):
+    def never_called(q):
+        raise AssertionError("an atom was built before the cap check")
+
+    monkeypatch.setattr(recipes, "uniform_roots_measure", never_called)
+    out = tmp_path / "out.json"
+    code, obj = one_json_line(capsys, "run", "--recipe", recipe, "--measure",
+                              f"uniform:{recipes.UNIFORM_Q_CAP + 1}", "--out", str(out))
+    assert code == 3 and obj["error"]["type"] == "CapExceeded"
+    assert not out.exists()
+
+
+def test_nul_in_measure_path_exits_2(tmp_path, capsys):
+    # a config value may hold a NUL, which no path can
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[run]\nrecipe = psp-rrl\n[params]\nmeasure = a\0b\n")
+    out = tmp_path / "out.json"
+    code, obj = one_json_line(capsys, "run", "--config", str(cfg), "--out", str(out))
+    assert code == 2 and obj["error"]["type"] == "ValidationError"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -664,6 +714,7 @@ def test_tool_defaults_are_the_recipe_defaults():
         (["balance", "--angles", "sqrt2"], recipe_balance, ["eps"]),
         (["kneading"], recipe_kneading_entropy, ["map", "n", "tol"]),
         (["hecke"], recipe_hecke_unique, ["theta", "n", "z"]),
+        (["hecke"], hecke_identity, ["gamma"]),
     ):
         args = vars(parser.parse_args(argv))
         defaults = recipe_defaults(recipe)

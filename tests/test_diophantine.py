@@ -412,6 +412,12 @@ def test_balance_completion_bounds_from_certificate():
         assert abs(q(lam.value())) >= m * (1 - eps) - 1e-9
 
 
+def test_balance_ladder_pin():
+    # the ladder's rung for 1/97, 1/89, fixed before any change to the ladder
+    bs = balance_completion([CirclePoint.exact(1, 97), CirclePoint.exact(1, 89)])
+    assert (bs.n_roots, bs.defect) == (8633, 0.0)
+
+
 def test_balance_completion_caps():
     pts = [CirclePoint.real(t) for t in (0.11, 0.23, 0.37, 0.41)]
     with pytest.raises(CapExceeded):

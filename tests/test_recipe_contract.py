@@ -4,8 +4,8 @@ Hypothesis draws a recipe from ``RECIPES`` and a subset of its parameters,
 each given as text chosen by the type of its default (``recipe_defaults``)
 or, for a text parameter, by its name.  The values mix well-formed text
 with lists and specs that have an empty item or no J, named values, 0,
-negatives, NaN text and one past each cap that the recipe checks before
-its work.  ``cli.main`` runs in-process, and every run must
+negatives, ±1e308, NaN text and one past each cap that the recipe checks
+before its work.  ``cli.main`` runs in-process, and every run must
 - exit 0, 2 or 3 with exactly one JSON line on stdout;
 - on exit 0 write an artifact that ``json.loads`` reads with NaN and the
   infinities rejected, and on any other exit write none;
@@ -33,12 +33,12 @@ from rrl_lab.cli import main
 from rrl_lab.diophantine import BALANCE_M_CAP, FACTORIAL_J_CAP, PIGEONHOLE_J_CAP
 from rrl_lab.dynamics import HECKE_N_CAP, ITINERARY_N_CAP, PRODUCT_N_CAP, ZERO_N_CAP
 from rrl_lab.psp import PoleMeasure, uniform_roots_measure
-from rrl_lab.recipes import RECIPES, recipe_defaults
+from rrl_lab.recipes import RECIPES, UNIFORM_Q_CAP, recipe_defaults
 from rrl_lab.right_limits import SEARCH_CELLS_CAP, SEARCH_K_CAP, VERIFY_CELLS_CAP
 
 BY_TYPE = {
     int: ["0", "-1", "1", "3", "64", "1.5", "x", ""],
-    float: ["0", "-1", "1e-3", "0.25", "1", "nan", "-inf", "x"],
+    float: ["0", "-1", "1e-3", "0.25", "1", "1e308", "-1e308", "nan", "-inf", "x"],
     complex: ["2", "-1.5+1j", "1.05j", "1", "0", "1e5", "nan", "infj", "x"],
 }
 # text parameters by name; "{dir}" is the directory of the measure files
@@ -54,7 +54,8 @@ BY_NAME = {
     "map": ["tent", "quadratic", "quadratic:-1.5", "quadratic:2.5", "quadratic:x",
             "feigenbaum-product", "logistic", ""],
     "radii": ["", "0.9,,0.99", " 0.5 , 0.9 ", ",", "0.99,0.9", "0.5,1", "0.5,nan", "0.5,x"],
-    "measure": ["", "{dir}/r6.json", "{dir}/float.json", "{dir}/tail.json", "{dir}/bool.json",
+    "measure": ["", "uniform:4", "uniform:1", "uniform:0", "uniform:x", "uniform:",
+                "{dir}/r6.json", "{dir}/float.json", "{dir}/tail.json", "{dir}/bool.json",
                 "{dir}/missing.json"],
 }
 # by (recipe, parameter): one past each cap the recipe checks before its
@@ -71,6 +72,8 @@ EXTRAS = {
     ("probe-arc", "quadrature_n"): [ARC_POINTS_CAP],  # cap + 1 points on one radius
     ("probe-arc", "omega1"): ["1e-320"],
     ("probe-arc", "omega2"): ["1e-320"],
+    ("psp-rrl", "measure"): [f"uniform:{UNIFORM_Q_CAP + 1}"],
+    ("probe-arc", "measure"): [f"uniform:{UNIFORM_Q_CAP + 1}"],
 }
 
 
@@ -131,3 +134,21 @@ def test_every_recipe_keeps_the_cli_contract(measure_dir, drawn):
         out = Path(tmp) / "out.json"
         argv = ["run", "--recipe", recipe, "--out", str(out), *flags]
         assert run_once(argv, out) == run_once(argv, out)
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPES))
+def test_every_default_is_written_in_the_signature(tmp_path, recipe):
+    # an empty default would leave the value it stands for to code behind the
+    # signature; each default given back as text runs the same as none given
+    defaults = recipe_defaults(RECIPES[recipe])
+    assert [key for key, value in defaults.items() if value == ""] == []
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in defaults.items()]
+    for fmt in ("json", "csv"):
+        runs = []
+        for given in ([], flags):
+            out = tmp_path / f"{len(runs)}.{fmt}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["run", "--recipe", recipe, "--format", fmt, "--out", str(out),
+                             *given]) == 0
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1]
