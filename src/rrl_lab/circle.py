@@ -6,8 +6,10 @@ exact points use modular arithmetic on p*k mod q, so exponents as large as
 j! stay exact; float points use (k*angle) mod 1.
 
 Complex values are produced by :func:`turn_to_complex`, which reduces the
-angle to the first octant before calling cos/sin.  Two consequences the
-rest of the library relies on:
+angle to the first octant before calling cos/sin.  This module owns that
+octant rule, in its two forms: the scalar :func:`turn_to_complex` and the
+array form :func:`turns_to_parts`, bit-equal to it, which the moment kernel
+reads.  Two consequences the rest of the library relies on:
 
 * identical angles always map to bit-identical complex values, so sums
   over a fixed atom list cancel exactly when the reduced angles match;
@@ -98,6 +100,35 @@ def turn_to_complex(t: Angle) -> complex:
     if quadrant == 2:
         return complex(-x, -y)
     return complex(y, -x)
+
+
+def turns_to_parts(t: np.ndarray, q: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of e^{2*pi*i*t}: turn_to_complex on arrays.
+
+    ``t`` holds float turns in [0, 1) when q is None, else the residues j
+    in [0, q) of the exact angles j/q, as int64 or as Python ints in an
+    object array.  Each element takes turn_to_complex's steps, so the parts
+    are bit-equal to it: below q = 2^53, 4*j and j/q stay exact in int64
+    and float64 and the one division rounds as int true division does;
+    from 2^53 on, that arithmetic runs on Python ints.  np.cos/np.sin equal
+    math.cos/math.sin on [0, pi/4], the only range they are passed, and
+    np.choose only selects.
+    """
+    if q is None:
+        quadrant = np.floor(4.0 * t)
+        r = t - quadrant * 0.25
+    else:
+        if q >= 2**53:
+            t = t.astype(object)
+        four = 4 * t
+        quadrant = four // q
+        r = np.asarray(four % q / q / 4.0, dtype=float)
+    low = r <= 0.125
+    a = 2.0 * math.pi * np.where(low, r, 0.25 - r)
+    c, s = np.cos(a), np.sin(a)
+    x, y = np.where(low, c, s), np.where(low, s, c)
+    quadrant = quadrant.astype(np.intp)
+    return np.choose(quadrant, [x, -y, -x, y]), np.choose(quadrant, [y, x, -y, -x])
 
 
 @dataclass(frozen=True)

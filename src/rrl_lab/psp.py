@@ -20,12 +20,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .circle import CirclePoint, power_turns, sorted_distinct, turn_to_complex
+from .circle import CirclePoint, power_turns, sorted_distinct, turns_to_parts
+from .circle import turn_to_complex  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .errors import PoleCollision, ValidationError
 
 DEFAULT_EXCLUSION = 1e-12
@@ -203,71 +203,6 @@ def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
     return complex(out) if zs.ndim == 0 else out
 
 
-def _reduced_exponents(orders: set[int], exps: list[int]) -> dict:
-    """For each exact order q, the exponents mod L as int64, or None.
-
-    Ascending orders join one group while q * lcm(group) < 2^63, and the
-    group shares one array of e mod L, L its lcm, so the index
-    (p*(e mod L)) mod q = (p*e) mod q is one int64 pass: memory grows with
-    the groups, not the orders (all orders up to 20 make one group).  An
-    order with q*q >= 2^63 fits no group and maps to None.  e mod L is
-    taken on Python ints, so shifts like 30! never reach int64.
-    """
-    groups: list[tuple[int, list[int]]] = []
-    for q in sorted(orders):
-        joined = math.lcm(groups[-1][0], q) if groups else q
-        if groups and q * joined < 2**63:
-            groups[-1] = (joined, groups[-1][1] + [q])
-        elif q * q < 2**63:
-            groups.append((q, [q]))
-    out = dict.fromkeys(orders)
-    for lcm, members in groups:
-        out.update(dict.fromkeys(members, np.array([e % lcm for e in exps], dtype=np.int64)))
-    return out
-
-
-def _exact_parts(p: int, q: int, reduced: np.ndarray | None, exps: list[int],
-                 tables: dict):
-    """cos and sin of 2*pi*p*e/q for every exponent, from turn_to_complex.
-
-    ``reduced`` is this order's entry of ``_reduced_exponents``; without
-    one, the exponents are reduced mod q on Python ints for this atom
-    alone.  Per order q the table of turn_to_complex(j/q) is kept in
-    ``tables`` when q is no longer than the exponent list; otherwise only
-    this atom's distinct residues are evaluated.
-    """
-    if reduced is None:
-        reduced = np.array([e % q for e in exps], dtype=object)
-    idx = (p * reduced) % q
-    if q <= len(exps):
-        if q not in tables:
-            tables[q] = np.array([turn_to_complex(Fraction(j, q)) for j in range(q)])
-        vals = tables[q][idx]
-    else:
-        uniq, inverse = np.unique(idx, return_inverse=True)
-        vals = np.array([turn_to_complex(Fraction(int(j), q)) for j in uniq])[inverse]
-    return vals.real, vals.imag
-
-
-def _float_parts(angle: float, exps_f: np.ndarray):
-    """cos and sin of 2*pi*angle*e: CirclePoint.power then turn_to_complex, vectorised.
-
-    ``exps_f`` holds the exponents rounded to float as Python's float * int
-    rounds them.  np.cos/np.sin equal math.cos/math.sin on [0, pi/4], the
-    only range the octant reduction below passes them.
-    """
-    u = power_turns(angle, exps_f)
-    quadrant = np.floor(4.0 * u)
-    r = u - quadrant * 0.25
-    low = r <= 0.125
-    t = 2.0 * math.pi * np.where(low, r, 0.25 - r)
-    c, s = np.cos(t), np.sin(t)
-    x, y = np.where(low, c, s), np.where(low, s, c)
-    re = np.select([quadrant == 0, quadrant == 1, quadrant == 2], [x, -y, -x], y)
-    im = np.select([quadrant == 0, quadrant == 1, quadrant == 2], [y, x, -y], -x)
-    return re, im
-
-
 def moments(m: PoleMeasure, exps: Sequence[int]) -> np.ndarray:
     """sum_atoms weight * lambda^e for each integer exponent e.
 
@@ -277,17 +212,35 @@ def moments(m: PoleMeasure, exps: Sequence[int]) -> np.ndarray:
     scalar loop ``total += w * lambda**e`` over CirclePoint powers.
     Exponents may be arbitrarily large Python ints for exact atoms; float
     atoms need e to fit a float (else ValidationError).
+
+    An exact atom p/q reads lambda^e at the residue (p*e) mod q, taken in
+    int64 when p*max|e| < 2^63 and q < 2^53, else on Python ints; an order
+    no longer than the exponent list is tabulated once a call, a longer
+    one is evaluated at this atom's residues.  A float atom rounds
+    angle*e as Python's float * int does.
     """
     exps = [int(e) for e in exps]
     tr, ti = np.zeros(len(exps)), np.zeros(len(exps))
-    reduced = _reduced_exponents({p.angle.denominator for p in m.points if p.is_exact},
-                                 exps)
+    big = max(map(abs, exps), default=0)
+    exps_i = np.array(exps, dtype=np.int64) if big < 2**63 else None
     tables: dict = {}
     exps_f = None
-    for p, w in m.atoms:
-        if p.is_exact:
-            q = p.angle.denominator
-            lr, li = _exact_parts(p.angle.numerator, q, reduced[q], exps, tables)
+    for pt, w in m.atoms:
+        if pt.is_exact:
+            p, q = pt.angle.numerator, pt.angle.denominator
+            if exps_i is not None and p * big < 2**63 and q < 2**53:
+                j = exps_i * p
+                j %= q
+            else:
+                j = np.array(exps, dtype=object) * p % q
+            if q <= len(exps):
+                if q not in tables:
+                    tables[q] = turns_to_parts(np.arange(q), q)
+                j = j.astype(np.intp, copy=False)
+                lr, li = tables[q][0][j], tables[q][1][j]
+            else:
+                lr, li = turns_to_parts(j, q)
+            del j  # 8 B an exponent, not held through the sums
         else:
             if exps_f is None:
                 try:
@@ -295,7 +248,7 @@ def moments(m: PoleMeasure, exps: Sequence[int]) -> np.ndarray:
                 except OverflowError as exc:
                     raise ValidationError(
                         "exponent too large for a float-angle atom") from exc
-            lr, li = _float_parts(p.angle, exps_f)
+            lr, li = turns_to_parts(power_turns(pt.angle, exps_f))
         tr = tr + (w.real * lr - w.imag * li)
         ti = ti + (w.real * li + w.imag * lr)
     out = np.empty(len(exps), dtype=complex)

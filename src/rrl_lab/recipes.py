@@ -43,7 +43,7 @@ from .right_limits import (outer_sum, outer_tail_bound, renascent_shift_search, 
 
 # Thue-Morse bits per block of the thue-morse-product check (64 KB of int8)
 THUE_MORSE_BLOCK = 1 << 16
-# largest Q of a uniform:Q measure; psp-rrl takes about 6 s at the cap
+# largest Q of a uniform:Q measure; psp-rrl takes about 1 s at the cap
 UNIFORM_Q_CAP = 10**4
 
 NAMED_THETAS = {
@@ -357,11 +357,13 @@ def run_recipe(cfg: RecipeConfig) -> dict:
     or its CSV table.  Returns the summary, with the recipe name.  An output
     path that cannot be made or written is a ValidationError: a parent that
     cannot be made, or a target that is a directory, before the recipe runs;
-    the file itself is opened only once the recipe returns."""
+    the file itself is opened only once the recipe returns.  A path with a
+    NUL, which the file system calls refuse with ValueError, is unwritable
+    too."""
     unwritable = f"cannot write {str(cfg.out)!r}"
     try:
         cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"{unwritable}: {exc}") from exc
     if cfg.out.is_dir():
         raise ValidationError(f"{unwritable}: it is a directory")
@@ -373,6 +375,6 @@ def run_recipe(cfg: RecipeConfig) -> dict:
                 table(out)
             else:
                 out.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"{unwritable}: {exc}") from exc
     return result

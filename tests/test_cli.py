@@ -637,19 +637,26 @@ def test_malformed_config_exits_2(tmp_path, capsys, text):
     assert "bad config file" in obj["error"]["message"]
 
 
-@pytest.mark.parametrize("target", ["directory", "under-a-file"])
+@pytest.mark.parametrize("target", ["directory", "under-a-file", "nul-in-parent", "nul-in-name"])
 def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys, target):
-    # a directory target and a parent under a file exit 2, not with a
-    # traceback, and before the recipe runs
-    def never_called(**params):
-        raise AssertionError("the recipe ran before --out was checked")
+    # a directory target, a parent under a file and a NUL in the parent exit
+    # 2, not with a traceback, and before the recipe runs; a NUL in the file
+    # name is found when the file is opened, once the recipe has returned
+    ran = []
 
-    monkeypatch.setitem(recipes.RECIPES, "balance", never_called)
+    def recipe(**params):
+        ran.append(params)
+        return {}, None
+
+    monkeypatch.setitem(recipes.RECIPES, "balance", recipe)
     (tmp_path / "file").write_text("")
-    out = tmp_path if target == "directory" else tmp_path / "file" / "a.json"
+    out = {"directory": tmp_path, "under-a-file": tmp_path / "file" / "a.json",
+           "nul-in-parent": tmp_path / "o\0" / "a.json",
+           "nul-in-name": tmp_path / "o\0.json"}[target]
     code, obj = one_json_line(capsys, "run", "--recipe", "balance", "--out", str(out))
     assert code == 2 and obj["error"]["type"] == "ValidationError"
     assert obj["error"]["message"].startswith(f"cannot write {str(out)!r}")
+    assert len(ran) == (target == "nul-in-name")
 
 
 # ---------------------------------------------------------------- tools

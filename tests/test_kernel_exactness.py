@@ -103,6 +103,42 @@ points = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)) | st.sam
      2.0, complex(0.0, 1.5), complex(-1.2, -0.9)])
 
 
+# -- the octant rule on arrays ---------------------------------------------------
+
+
+def assert_parts_are_turn_to_complex(parts, turns) -> None:
+    want = np.array([turn_to_complex(t) for t in turns])
+    assert np.array_equal(parts[0].view(np.uint64), want.real.view(np.uint64))
+    assert np.array_equal(parts[1].view(np.uint64), want.imag.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(float_angles, min_size=1, max_size=40))
+@example([k / 8 for k in range(8)] + [math.nextafter(k / 8, 0.0) for k in range(1, 9)]
+         + [math.nextafter(k / 8, 1.0) for k in range(8)])
+def test_turns_to_parts_of_float_turns_is_turn_to_complex(ts):
+    assert_parts_are_turn_to_complex(circle.turns_to_parts(np.array(ts)), ts)
+
+
+orders = st.integers(1, 10**6) | st.sampled_from([8, 8 * 10**9, 2**53 - 1, 2**53, 2**53 + 1,
+                                                  2**61 - 1, 10**40 + 7])
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders, st.lists(st.integers(0, 2**140), max_size=20))
+@example(2**53 + 1, [2**53, 2**52 + 3])
+@example(2**61 - 1, [2**61 - 2, 2**59 + 1])
+def test_turns_to_parts_of_exact_residues_is_turn_to_complex(q, draws):
+    # the octant edges k*q/8 and their neighbours, then residues at random
+    edges = [k * q // 8 + d for k in range(8) for d in (-1, 0, 1)]
+    js = [j for j in edges if 0 <= j < q] + [j % q for j in draws]
+    turns = [Fraction(j, q) for j in js]
+    assert_parts_are_turn_to_complex(circle.turns_to_parts(np.array(js, dtype=object), q), turns)
+    if q < 2**63:
+        assert_parts_are_turn_to_complex(circle.turns_to_parts(np.array(js, dtype=np.int64), q),
+                                         turns)
+
+
 # -- moments and Taylor coefficients -------------------------------------------
 
 
@@ -139,19 +175,27 @@ def test_verify_rrl_bitwise(m, shifts, w):
 
 
 def test_huge_denominator_and_shift_stay_exact():
-    # orders beyond int64 products, shifts beyond int64, and seven primes near
-    # 1000 whose lcm passes 2^63, so their exponents are reduced in two groups
+    # orders of 2^53 and above take Python ints at every exponent
     primes = [1009, 1013, 1019, 1021, 1031, 1033, 1039]
     m = PoleMeasure([(CirclePoint(Fraction(7, 10**12 + 39)), 1 - 2j),
                      (CirclePoint(Fraction(3, 2**61 - 1)), 0.5j),
+                     (CirclePoint(Fraction(2**52 + 7, 2**53 + 1)), -1.5),
                      (CirclePoint.exact(1, 5), -0.25),
+                     (CirclePoint.exact(3, 7), 0.75 + 1j),
                      *[(CirclePoint.exact(j, q), complex(j, -q) / q) for j, q in
                        enumerate(primes, 1)]])
-    exps = [-1, 0, 3, 1500, -2040, math.factorial(30) + 1, -(10**40)]
-    reduced = psp._reduced_exponents({5, *primes, 10**12 + 39, 2**61 - 1}, exps)
-    assert reduced[10**12 + 39] is None and reduced[2**61 - 1] is None
-    assert len({id(reduced[q]) for q in [5, *primes]}) == 2
-    assert same_bits(moments(m, exps), [moment_oracle(m, e) for e in exps])
+    for exps in [
+        # int64 residues for every order below 2^53: tables for 5 and 7, the
+        # primes and 10^12 + 39 at their own residues
+        [-1, 0, 3, 1500, -2040, 7, -8],
+        # p*e passes int64 for every numerator but 1
+        [2**63 - 1, -(2**63 - 1), 0, 1, -1, 2, 5],
+        # |e| = 2^63 puts the exponent list itself on Python ints
+        [-(2**63), 0, 1, 3, -5, 6, 2**62],
+        # shifts beyond int64
+        [-1, 0, 3, 1500, -2040, math.factorial(30) + 1, -(10**40)],
+    ]:
+        assert same_bits(moments(m, exps), [moment_oracle(m, e) for e in exps]), exps
 
 
 def test_float_atom_exponent_overflow_is_validation_error():
