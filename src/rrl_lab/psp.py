@@ -32,6 +32,10 @@ DEFAULT_EXCLUSION = 1e-12
 # points of one psp_eval block: its dozen float64 temporaries stay near
 # 1 MB, whatever the number of points or atoms
 EVAL_BLOCK = 2**13
+# base of the int64 digits that moments splits the exponents into, once a
+# call, when p*e passes int64: lcm(1, ..., 24), so every order up to 24
+# divides it and reads the last digit alone
+DIGIT_BASE = math.lcm(*range(1, 25))
 
 
 class PoleMeasure:
@@ -203,6 +207,36 @@ def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
     return complex(out) if zs.ndim == 0 else out
 
 
+def _digits(e: np.ndarray, big: int) -> list[np.ndarray]:
+    """The exponents ``e`` (int64, or Python ints in an object array) as
+    int64 rows of base-DIGIT_BASE digits, top first and at least two: the
+    top row is signed, the others lie in [0, DIGIT_BASE).  ``big`` is max|e|."""
+    rows = []
+    while not rows or big >= 2**63:
+        rows.append((e % DIGIT_BASE).astype(np.int64, copy=False))
+        e, big = e // DIGIT_BASE, big // DIGIT_BASE
+    return [e.astype(np.int64, copy=False), *rows[::-1]]
+
+
+def _residues(digits: list[np.ndarray], p: int, q: int) -> np.ndarray:
+    """(p*e) mod q in int64 from the exponents' ``_digits``, for q < 2^30.
+
+    Horner's rule mod q runs over every digit but the last, which then
+    enters times p; no step passes (DIGIT_BASE + q) * q < 2^63.
+    """
+    j = digits[-1] * (p % q)
+    if DIGIT_BASE % q:
+        high = digits[0] % q
+        for row in digits[1:-1]:
+            high *= DIGIT_BASE % q
+            high += row
+            high %= q
+        high *= DIGIT_BASE * p % q
+        j += high
+    j %= q
+    return j
+
+
 def moments(m: PoleMeasure, exps: Sequence[int]) -> np.ndarray:
     """sum_atoms weight * lambda^e for each integer exponent e.
 
@@ -213,26 +247,32 @@ def moments(m: PoleMeasure, exps: Sequence[int]) -> np.ndarray:
     Exponents may be arbitrarily large Python ints for exact atoms; float
     atoms need e to fit a float (else ValidationError).
 
-    An exact atom p/q reads lambda^e at the residue (p*e) mod q, taken in
-    int64 when p*max|e| < 2^63 and q < 2^53, else on Python ints; an order
-    no longer than the exponent list is tabulated once a call, a longer
-    one is evaluated at this atom's residues.  A float atom rounds
+    An exact atom p/q reads lambda^e at the residue (p*e) mod q: one int64
+    product when p*max|e| < 2^63, else from the exponents' base-DIGIT_BASE
+    digits (made once a call) when q < 2^30, else on Python ints.  An
+    order no longer than the exponent list is tabulated once a call, a
+    longer one is evaluated at this atom's residues.  A float atom rounds
     angle*e as Python's float * int does.
     """
     exps = [int(e) for e in exps]
     tr, ti = np.zeros(len(exps)), np.zeros(len(exps))
     big = max(map(abs, exps), default=0)
-    exps_i = np.array(exps, dtype=np.int64) if big < 2**63 else None
+    ints = np.array(exps, dtype=np.int64 if big < 2**63 else object)
+    digits = None
     tables: dict = {}
     exps_f = None
     for pt, w in m.atoms:
         if pt.is_exact:
             p, q = pt.angle.numerator, pt.angle.denominator
-            if exps_i is not None and p * big < 2**63 and q < 2**53:
-                j = exps_i * p
+            if p * big < 2**63:
+                j = ints * p
                 j %= q
+            elif q < 2**30:
+                if digits is None:
+                    digits = _digits(ints, big)
+                j = _residues(digits, p, q)
             else:
-                j = np.array(exps, dtype=object) * p % q
+                j = ints.astype(object) * p % q
             if q <= len(exps):
                 if q not in tables:
                     tables[q] = turns_to_parts(np.arange(q), q)

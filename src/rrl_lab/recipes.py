@@ -358,12 +358,14 @@ def run_recipe(cfg: RecipeConfig) -> dict:
     path that cannot be made or written is a ValidationError: a parent that
     cannot be made, or a target that is a directory, before the recipe runs;
     the file itself is opened only once the recipe returns.  A path with a
-    NUL, which the file system calls refuse with ValueError, is unwritable
+    NUL, which no file system call takes, is refused before the recipe runs
     too."""
     unwritable = f"cannot write {str(cfg.out)!r}"
+    if "\0" in str(cfg.out):
+        raise ValidationError(f"{unwritable}: it contains a NUL")
     try:
         cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         raise ValidationError(f"{unwritable}: {exc}") from exc
     if cfg.out.is_dir():
         raise ValidationError(f"{unwritable}: it is a directory")
@@ -375,6 +377,6 @@ def run_recipe(cfg: RecipeConfig) -> dict:
                 table(out)
             else:
                 out.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         raise ValidationError(f"{unwritable}: {exc}") from exc
     return result

@@ -175,25 +175,29 @@ def test_verify_rrl_bitwise(m, shifts, w):
 
 
 def test_huge_denominator_and_shift_stay_exact():
-    # orders of 2^53 and above take Python ints at every exponent
+    # orders of 2^30 and above take Python ints once p*e passes int64; 5, 7
+    # and 24 divide psp.DIGIT_BASE, the primes and 2^30 - 1 do not
     primes = [1009, 1013, 1019, 1021, 1031, 1033, 1039]
     m = PoleMeasure([(CirclePoint(Fraction(7, 10**12 + 39)), 1 - 2j),
                      (CirclePoint(Fraction(3, 2**61 - 1)), 0.5j),
                      (CirclePoint(Fraction(2**52 + 7, 2**53 + 1)), -1.5),
+                     (CirclePoint(Fraction(2**30 - 2, 2**30 - 1)), 2 + 0.5j),
                      (CirclePoint.exact(1, 5), -0.25),
                      (CirclePoint.exact(3, 7), 0.75 + 1j),
+                     (CirclePoint.exact(23, 24), -1j),
                      *[(CirclePoint.exact(j, q), complex(j, -q) / q) for j, q in
                        enumerate(primes, 1)]])
     for exps in [
-        # int64 residues for every order below 2^53: tables for 5 and 7, the
-        # primes and 10^12 + 39 at their own residues
+        # int64 residues for every order: tables for 5 and 7, the others at
+        # their own residues
         [-1, 0, 3, 1500, -2040, 7, -8],
-        # p*e passes int64 for every numerator but 1
+        # p*e passes int64 for every numerator but 1: two digits
         [2**63 - 1, -(2**63 - 1), 0, 1, -1, 2, 5],
         # |e| = 2^63 puts the exponent list itself on Python ints
         [-(2**63), 0, 1, 3, -5, 6, 2**62],
-        # shifts beyond int64
+        # shifts beyond int64, and many digits with a negative top digit
         [-1, 0, 3, 1500, -2040, math.factorial(30) + 1, -(10**40)],
+        [10**100 + 7, -(3**200), 2**64, -(2**64) - 1, 0, 5, math.factorial(25)],
     ]:
         assert same_bits(moments(m, exps), [moment_oracle(m, e) for e in exps]), exps
 
