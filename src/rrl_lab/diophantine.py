@@ -323,4 +323,4 @@ def moment_sequence(measure: PoleMeasure, n_max: int) -> np.ndarray:
     """Moments M(n) = sum weight * lambda^n for n = 0 .. n_max."""
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
-    return moments(measure, range(n_max + 1))
+    return moments(measure, [0], range(n_max + 1))[0]

@@ -32,10 +32,6 @@ DEFAULT_EXCLUSION = 1e-12
 # points of one psp_eval block: its dozen float64 temporaries stay near
 # 1 MB, whatever the number of points or atoms
 EVAL_BLOCK = 2**13
-# base of the int64 digits that moments splits the exponents into, once a
-# call, when p*e passes int64: lcm(1, ..., 24), so every order up to 24
-# divides it and reads the last digit alone
-DIGIT_BASE = math.lcm(*range(1, 25))
 
 
 class PoleMeasure:
@@ -207,105 +203,86 @@ def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
     return complex(out) if zs.ndim == 0 else out
 
 
-def _digits(e: np.ndarray, big: int) -> list[np.ndarray]:
-    """The exponents ``e`` (int64, or Python ints in an object array) as
-    int64 rows of base-DIGIT_BASE digits, top first and at least two: the
-    top row is signed, the others lie in [0, DIGIT_BASE).  ``big`` is max|e|."""
-    rows = []
-    while not rows or big >= 2**63:
-        rows.append((e % DIGIT_BASE).astype(np.int64, copy=False))
-        e, big = e // DIGIT_BASE, big // DIGIT_BASE
-    return [e.astype(np.int64, copy=False), *rows[::-1]]
-
-
-def _residues(digits: list[np.ndarray], p: int, q: int) -> np.ndarray:
-    """(p*e) mod q in int64 from the exponents' ``_digits``, for q < 2^30.
-
-    Horner's rule mod q runs over every digit but the last, which then
-    enters times p; no step passes (DIGIT_BASE + q) * q < 2^63.
-    """
-    j = digits[-1] * (p % q)
-    if DIGIT_BASE % q:
-        high = digits[0] % q
-        for row in digits[1:-1]:
-            high *= DIGIT_BASE % q
-            high += row
-            high %= q
-        high *= DIGIT_BASE * p % q
-        j += high
-    j %= q
-    return j
-
-
-def moments(m: PoleMeasure, exps: Sequence[int]) -> np.ndarray:
-    """sum_atoms weight * lambda^e for each integer exponent e.
+def moments(m: PoleMeasure, shifts: Sequence[int], exps: Sequence[int]) -> np.ndarray:
+    """sum_atoms weight * lambda^(s + e), one row per shift s and one column
+    per exponent e.
 
     The one kernel behind every moment and Taylor coefficient.  Atoms are
     summed in angle order with separate real and imaginary accumulators
     and the textbook complex product, so each entry is bit-equal to the
-    scalar loop ``total += w * lambda**e`` over CirclePoint powers.
-    Exponents may be arbitrarily large Python ints for exact atoms; float
-    atoms need e to fit a float (else ValidationError).
+    scalar loop ``total += w * lambda**(s + e)`` over CirclePoint powers.
+    Shifts may be arbitrarily large Python ints; exponents must fit int64
+    (else ValidationError), and float atoms need s + e to fit a float.
 
-    An exact atom p/q reads lambda^e at the residue (p*e) mod q: one int64
-    product when p*max|e| < 2^63, else from the exponents' base-DIGIT_BASE
-    digits (made once a call) when q < 2^30, else on Python ints.  An
-    order no longer than the exponent list is tabulated once a call, a
-    longer one is evaluated at this atom's residues.  A float atom rounds
-    angle*e as Python's float * int does.
+    An exact atom p/q reads lambda^(s + e) at the residue j = p*(s + e) mod q:
+    one int64 product of the table s + e when p*(max|s| + max|e|) < 2^63
+    and q < 2^63, else ((p*s mod q), taken on Python ints once a shift,
+    + p*e) mod q, in int64 when p*max|e| + q < 2^63 and on Python ints
+    otherwise.  An order no larger than the result is tabulated once a
+    call, a larger one is evaluated at this atom's residues.  A float atom
+    rounds angle*float(s + e) as Python's float * int does.
     """
-    exps = [int(e) for e in exps]
-    tr, ti = np.zeros(len(exps)), np.zeros(len(exps))
-    big = max(map(abs, exps), default=0)
-    ints = np.array(exps, dtype=np.int64 if big < 2**63 else object)
-    digits = None
+    ss = [int(s) for s in shifts]
+    try:
+        es = np.array([int(e) for e in exps], dtype=np.int64)
+    except OverflowError as exc:
+        raise ValidationError("exponents must fit int64") from exc
+    shape = (len(ss), len(es))
+    tr, ti = np.zeros(shape), np.zeros(shape)
+    big_e = max(-int(es.min()), int(es.max())) if es.size else 0
+    big = max(map(abs, ss), default=0) + big_e
+    table = np.add.outer(np.array(ss, dtype=np.int64), es) if big < 2**63 else None
     tables: dict = {}
     exps_f = None
     for pt, w in m.atoms:
         if pt.is_exact:
             p, q = pt.angle.numerator, pt.angle.denominator
-            if p * big < 2**63:
-                j = ints * p
-                j %= q
-            elif q < 2**30:
-                if digits is None:
-                    digits = _digits(ints, big)
-                j = _residues(digits, p, q)
+            if table is not None and p * big < 2**63 and q < 2**63:
+                j = table * p
             else:
-                j = ints.astype(object) * p % q
-            if q <= len(exps):
+                small = p * big_e + q < 2**63
+                c = np.array([p * s % q for s in ss], dtype=np.int64 if small else object)
+                j = c[:, None] + (es * p if small else es.astype(object) * p)
+            j %= q
+            if q <= j.size:
                 if q not in tables:
                     tables[q] = turns_to_parts(np.arange(q), q)
                 j = j.astype(np.intp, copy=False)
                 lr, li = tables[q][0][j], tables[q][1][j]
             else:
                 lr, li = turns_to_parts(j, q)
-            del j  # 8 B an exponent, not held through the sums
+            del j  # 8 B a cell, not held through the sums
         else:
             if exps_f is None:
+                exps_f = np.empty(shape)
                 try:
-                    exps_f = np.array([float(e) for e in exps])
+                    if table is not None:
+                        exps_f[:] = table
+                    else:
+                        el = es.tolist()
+                        for row, s in zip(exps_f, ss):
+                            row[:] = [float(s + e) for e in el]
                 except OverflowError as exc:
                     raise ValidationError(
                         "exponent too large for a float-angle atom") from exc
             lr, li = turns_to_parts(power_turns(pt.angle, exps_f))
         tr = tr + (w.real * lr - w.imag * li)
         ti = ti + (w.real * li + w.imag * lr)
-    out = np.empty(len(exps), dtype=complex)
+    out = np.empty(shape, dtype=complex)
     out.real, out.imag = tr, ti
     return out
 
 
 def taylor_coefficient(m: PoleMeasure, n: int) -> complex:
     """b_n = -sum weight * lambda^(-n-1), valid for any integer n."""
-    return -complex(moments(m, [-n - 1])[0])
+    return -complex(moments(m, [-n - 1], [0])[0, 0])
 
 
 def taylor_inner(m: PoleMeasure, n_max: int) -> np.ndarray:
     """Inner coefficients b_0 .. b_{n_max}."""
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
-    return -moments(m, range(-1, -n_max - 2, -1))
+    return -moments(m, [0], range(-1, -n_max - 2, -1))[0]
 
 
 def fourier_psp(fhat: Sequence[tuple[int, complex]], theta: float) -> PoleMeasure:

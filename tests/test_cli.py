@@ -122,6 +122,15 @@ def one_json_line(capsys, *argv):
     return code, json.loads(lines[0])
 
 
+def test_psp_rrl_order_past_int64_exits_0(tmp_path, capsys):
+    # p*e fits int64 at the default W, the order 10^40 + 7 does not
+    path = tmp_path / "huge.json"
+    path.write_text('[{"angle": {"p": 7, "q": %d}, "re": 1.0}]' % (10**40 + 7))
+    code, obj = one_json_line(capsys, "run", "--recipe", "psp-rrl", "--measure", str(path),
+                              "--out", str(tmp_path / "out.json"))
+    assert code == 0 and obj["status"] == "ok"
+
+
 @pytest.mark.parametrize("argv", [
     ["balance", "--angles", "1/0"],
     ["balance", "--angles", "1/2/3"],
@@ -259,11 +268,15 @@ def test_caps_exit_3(tmp_path, monkeypatch, capsys, argv):
     # default shifts factorial:6, 7 rows of 2W + 1 = 285713: 1999991 exponents
     ["run", "--recipe", "psp-rrl", "--w", "142856"],
     ["run", "--recipe", "probe-arc", "--radii", "0.5", "--quadrature-n", str(ARC_POINTS_CAP - 1)],
-    # 26 rows of 2W + 1 = 76923: 1999998 exponents past 2^63 (25!), split
-    # into int64 digits once a call; 29 does not divide psp.DIGIT_BASE
+    # 26 rows of 2W + 1 = 76923: 1999998 exponents past 2^63 (25!), each row
+    # at p*s mod 29 taken once on Python ints plus p*e in int64
     ["run", "--recipe", "psp-rrl", "--measure", "uniform:29", "--shifts", "factorial:1:25",
      "--w", "38461"],
-], ids=["itinerary", "zero-scan", "psp-rrl", "probe-arc", "psp-rrl-past-int64"])
+    # 1001 rows of 2W + 1 = 1997: 1998997 exponents, shifts of up to 2568 digits
+    ["run", "--recipe", "psp-rrl", "--measure", "uniform:4", "--shifts", "factorial:1:1000",
+     "--w", "998"],
+], ids=["itinerary", "zero-scan", "psp-rrl", "probe-arc", "psp-rrl-past-int64",
+        "psp-rrl-factorial-1000"])
 def test_runs_at_the_caps_fit_in_512_mb(tmp_path, argv):
     if argv[0] == "run":
         argv = [*argv, "--out", str(tmp_path / "out.json")]

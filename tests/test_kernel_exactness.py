@@ -98,6 +98,10 @@ FACTORIALS = [math.factorial(j) for j in range(12, 31)]
 exponents = st.integers(-400, 400) | st.builds(
     lambda k, n, sign: sign * k + n, st.sampled_from(FACTORIALS), st.integers(-3, 3),
     st.sampled_from([1, -1]))
+# shifts are any ints, past int64 too; exponents fill int64 to both ends
+shift_ints = exponents | st.sampled_from([2**63 - 1, 2**63, -(2**63) - 1, 2**64 + 5, -(10**40)])
+int64_exponents = st.integers(-400, 400) | st.integers(-(2**63), 2**63 - 1) | st.sampled_from(
+    [2**63 - 1, -(2**63 - 1), -(2**63)])
 points = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)) | st.sampled_from(
     [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.5, -0.5j,
      2.0, complex(0.0, 1.5), complex(-1.2, -0.9)])
@@ -142,10 +146,17 @@ def test_turns_to_parts_of_exact_residues_is_turn_to_complex(q, draws):
 # -- moments and Taylor coefficients -------------------------------------------
 
 
+def moments_oracle(m: PoleMeasure, shifts, exps) -> np.ndarray:
+    return np.array([[moment_oracle(m, s + e) for e in exps] for s in shifts],
+                    dtype=complex).reshape(len(shifts), len(exps))
+
+
 @SETTINGS
-@given(measures(), st.lists(exponents, max_size=30))
-def test_moments_bitwise_equal_to_scalar_loop(m, exps):
-    assert same_bits(moments(m, exps), [moment_oracle(m, e) for e in exps])
+@given(measures(), st.lists(shift_ints, max_size=5), st.lists(int64_exponents, max_size=12))
+def test_moments_bitwise_equal_to_scalar_loop(m, ss, exps):
+    got = moments(m, ss, exps)
+    assert got.shape == (len(ss), len(exps))
+    assert same_bits(got, moments_oracle(m, ss, exps))
 
 
 @SETTINGS
@@ -175,41 +186,60 @@ def test_verify_rrl_bitwise(m, shifts, w):
 
 
 def test_huge_denominator_and_shift_stay_exact():
-    # orders of 2^30 and above take Python ints once p*e passes int64; 5, 7
-    # and 24 divide psp.DIGIT_BASE, the primes and 2^30 - 1 do not
+    # once p*(s + e) passes int64, 3/qa and 1/qb (2^62 <= q < 2^63) take
+    # c + p*e, c = p*s mod q, in int64 up to the exponent E with p*E + q
+    # < 2^63 and on Python ints from E + 1 on; the shifts sa and -1 give
+    # c = q - 1, so c + p*E is within 4 of 2^63 and c + p*(E + 2) would
+    # wrap, by 2^64, which is 2^60 - 9 mod qa and 2^62 + 2 mod qb.  Orders
+    # of 2^63 and above always take Python ints
+    qa, qb = 5 * 2**60 + 3, 3 * 2**61 - 1
+    ea, eb = (2**63 - 1 - qa) // 3, 2**63 - 1 - qb
+    sa = (qa - 1) * pow(3, -1, qa) % qa
     primes = [1009, 1013, 1019, 1021, 1031, 1033, 1039]
     m = PoleMeasure([(CirclePoint(Fraction(7, 10**12 + 39)), 1 - 2j),
                      (CirclePoint(Fraction(3, 2**61 - 1)), 0.5j),
                      (CirclePoint(Fraction(2**52 + 7, 2**53 + 1)), -1.5),
                      (CirclePoint(Fraction(2**30 - 2, 2**30 - 1)), 2 + 0.5j),
+                     (CirclePoint(Fraction(3, qa)), 0.25 - 1j),
+                     (CirclePoint(Fraction(1, qb)), -0.5 + 0.5j),
+                     (CirclePoint(Fraction(7, 10**40 + 7)), 1.25j),
                      (CirclePoint.exact(1, 5), -0.25),
                      (CirclePoint.exact(3, 7), 0.75 + 1j),
                      (CirclePoint.exact(23, 24), -1j),
                      *[(CirclePoint.exact(j, q), complex(j, -q) / q) for j, q in
                        enumerate(primes, 1)]])
-    for exps in [
-        # int64 residues for every order: tables for 5 and 7, the others at
-        # their own residues
-        [-1, 0, 3, 1500, -2040, 7, -8],
-        # p*e passes int64 for every numerator but 1: two digits
-        [2**63 - 1, -(2**63 - 1), 0, 1, -1, 2, 5],
-        # |e| = 2^63 puts the exponent list itself on Python ints
-        [-(2**63), 0, 1, 3, -5, 6, 2**62],
-        # shifts beyond int64, and many digits with a negative top digit
-        [-1, 0, 3, 1500, -2040, math.factorial(30) + 1, -(10**40)],
-        [10**100 + 7, -(3**200), 2**64, -(2**64) - 1, 0, 5, math.factorial(25)],
+    for ss, exps in [
+        # one int64 table s + e for every order below 2^63: tables for 5 and 7,
+        # the others at their own residues
+        ([0, 1, -3], [-1, 0, 3, 1500, -2040, 7, -8]),
+        # p*(s + e) passes int64 for every numerator but 1
+        ([0, 1], [2**63 - 1, -(2**63 - 1), 0, 1, -1, 2, 5]),
+        ([5, -2], [-(2**63), 0, 1, 3, -5, 6, 2**62]),
+        # the shift 2^62 puts p*(s + e) past int64 for qa; 2^63 - 1 leaves no table
+        ([0, sa, 2**62, -(2**62) + 1], [ea, -ea, 0, 1]),
+        ([sa, 2**62], [ea + 1, ea + 2, -ea - 2, 0, 1]),
+        ([0, -1, 2**63 - 1], [eb, -eb, 2, -2]),
+        ([-1, 2**63 - 1], [eb + 1, eb + 2, -eb - 2, 0]),
+        # shifts beyond int64
+        ([math.factorial(30) + 1, -(10**40), 10**100 + 7, -(3**200), 2**64, -(2**64) - 1,
+          math.factorial(25)], [-1, 0, 3, 1500, -2040, 5]),
+        ([10**100 + 7, -(3**200)], [2**63 - 1, -(2**63), ea, -ea - 1, eb + 1]),
     ]:
-        assert same_bits(moments(m, exps), [moment_oracle(m, e) for e in exps]), exps
+        assert same_bits(moments(m, ss, exps), moments_oracle(m, ss, exps)), (ss, exps)
 
 
 def test_float_atom_exponent_overflow_is_validation_error():
     m = PoleMeasure([(CirclePoint.real(0.3), 1.0)])
     with pytest.raises(ValidationError):
-        moments(m, [math.factorial(171)])
+        moments(m, [math.factorial(171)], [0])
     with pytest.raises(ValidationError):
         verify_rrl_on_psp(m, [math.factorial(171)], 4)
-    # exact atoms take any exponent
-    assert moments(PoleMeasure([(CirclePoint.exact(1, 3), 1.0)]), [math.factorial(171)])[0] == 1
+    # exact atoms take any shift, and no atom an exponent past int64
+    exact = PoleMeasure([(CirclePoint.exact(1, 3), 1.0)])
+    assert moments(exact, [math.factorial(171)], [0])[0, 0] == 1
+    for e in (2**63, -(2**63) - 1):
+        with pytest.raises(ValidationError):
+            moments(exact, [0], [e])
 
 
 # -- pole-series evaluation ------------------------------------------------------
@@ -415,13 +445,13 @@ def test_frac_array_is_np_mod_and_python_mod(xs):
 
 
 @SETTINGS
-@given(measures(), st.lists(exponents, max_size=30))
-def test_float_atom_moments_unchanged_from_np_mod(m, exps):
-    want = moments(m, exps)
+@given(measures(), st.lists(shift_ints, max_size=5), st.lists(int64_exponents, max_size=12))
+def test_float_atom_moments_unchanged_from_np_mod(m, ss, exps):
+    want = moments(m, ss, exps)
     orig = circle.frac_array
     circle.frac_array = lambda x: np.mod(x, 1.0)
     try:
-        assert same_bits(moments(m, exps), want)
+        assert same_bits(moments(m, ss, exps), want)
     finally:
         circle.frac_array = orig
 

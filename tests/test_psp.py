@@ -115,7 +115,7 @@ def test_outer_series_consistency_with_eval():
         [(CirclePoint.exact(0, 3), 0.5), (CirclePoint.exact(1, 3), -1.0j)]
     )
     n = 120
-    b = -moments(m, range(n))
+    b = -moments(m, [0], range(n))[0]
     val = -sum(b[k - 1] * 3.0 ** (-k) for k in range(1, n + 1))
     tail = m.total_mass * 3.0 ** (-n)
     assert abs(val - psp_eval(m, 3.0)) < 1e-10 + tail

@@ -199,7 +199,7 @@ def test_generating_functions_match_pole_series(m, w, r, phase):
     # a pole series' outer series, read from its negative side b_{-k} = -M(k - 1),
     # is the pole series outside the disc within its tail bound
     z = r * complex(math.cos(phase), math.sin(phase))
-    neg = -moments(m, range(w - 1, -1, -1))  # b_{-W} .. b_{-1}
+    neg = -moments(m, [0], range(w - 1, -1, -1))[0]  # b_{-W} .. b_{-1}
     error = abs(outer_sum(neg.tolist(), w, z) - psp_eval(m, z))
     assert error <= m.total_mass * (outer_tail_bound(z, w) + OUTER_ROUNDING)
 
