@@ -102,23 +102,25 @@ def turn_to_complex(t: Angle) -> complex:
     return complex(y, -x)
 
 
-def turns_to_parts(t: np.ndarray, q: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def turns_to_parts(t: np.ndarray, q: int | np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of e^{2*pi*i*t}: turn_to_complex on arrays.
 
     ``t`` holds float turns in [0, 1) when q is None, else the residues j
     in [0, q) of the exact angles j/q, as int64 or as Python ints in an
-    object array.  Each element takes turn_to_complex's steps, so the parts
-    are bit-equal to it: below q = 2^53, 4*j and j/q stay exact in int64
-    and float64 and the one division rounds as int true division does;
-    from 2^53 on, that arithmetic runs on Python ints.  np.cos/np.sin equal
-    math.cos/math.sin on [0, pi/4], the only range they are passed, and
-    np.choose only selects.
+    object array.  q is one int, or an int64 array of orders below 2^53
+    that broadcasts against t.  Each element takes turn_to_complex's steps,
+    so the parts are bit-equal to it: below q = 2^53, 4*j and j/q stay
+    exact in int64 and float64 and the one division rounds as int true
+    division does; from 2^53 on, that arithmetic runs on Python ints.
+    np.cos/np.sin equal math.cos/math.sin on [0, pi/4], the only range they
+    are passed, and np.choose only selects.
     """
     if q is None:
         quadrant = np.floor(4.0 * t)
         r = t - quadrant * 0.25
     else:
-        if q >= 2**53:
+        if np.ndim(q) == 0 and q >= 2**53:
             t = t.astype(object)
         four = 4 * t
         quadrant = four // q

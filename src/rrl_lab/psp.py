@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +33,11 @@ DEFAULT_EXCLUSION = 1e-12
 # points of one psp_eval block: its dozen float64 temporaries stay near
 # 1 MB, whatever the number of points or atoms
 EVAL_BLOCK = 2**13
+# entries of one block of weighted rows in moments: the rows and their
+# build temporaries stay near 1 MB, whatever the number of atoms (an atom
+# whose row alone is longer has a block of its own); the residues
+# s mod q, e mod q kept for reuse fill at most max(cells, ROW_BLOCK)
+ROW_BLOCK = 2**14
 
 
 class PoleMeasure:
@@ -203,6 +209,83 @@ def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
     return complex(out) if zs.ndim == 0 else out
 
 
+def _mod(x: np.ndarray, q) -> np.ndarray:
+    """x mod q for an int64 array x and q > 0, an int or an int64 array that
+    broadcasts against x, as x - q*(x // q): numpy divides by a divisor
+    constant along the inner axis through libdivide, about three times as
+    fast as its remainder.  Near -2^63 the product may wrap past int64 and
+    the difference wraps back: int64 arithmetic is exact mod 2^64, and the
+    result lies in [0, q)."""
+    d = x // q
+    d *= q
+    return np.subtract(x, d, out=d)
+
+
+def _residues(orders: list[int], ss: list[int], s64, es: np.ndarray):
+    """s mod q and e mod q, int64, one row for each order q of ``orders``:
+    s mod q on ``s64``, the shifts as int64, or on Python ints once a
+    shift when they pass int64 (``s64`` None)."""
+    q = np.array(orders, dtype=np.int64)[:, None]
+    if s64 is not None:
+        sm = _mod(s64, q)
+    else:
+        sm = np.array([[s % x for s in ss] for x in orders], dtype=np.int64)
+    return sm.reshape(len(orders), len(ss)), _mod(es, q)
+
+
+def _row_block(atoms, row_q: list[int], k: int, tables: dict) -> dict:
+    """The weighted rows of the atoms with a row, from atoms[k] on.
+
+    ``row_q`` holds each atom's order q when moments reads it from a row,
+    else 0.  Atoms are taken in angle order, skipping those without a row,
+    while their rows, each 2Q long for the block's largest order Q, stay
+    within ROW_BLOCK entries; the first atom is always taken.  Returns a
+    dict from an atom's index to the real and imaginary parts of its row
+    R[j] = w * lambda^(p*j mod q), j in [0, 2Q).  The orders not yet in
+    ``tables`` are tabulated there by one ``turns_to_parts`` call with
+    per-element orders; the rows read their orders' tables at p*j mod q
+    (p*j < 2Q^2 <= cells^2 fits int64 for any result that fits in memory)
+    and take the weight's textbook product, one numpy pass over the block
+    each.  When every order divides Q the rows have period Q, and their
+    second half is a copy of the first.
+    """
+    picked = []
+    top = 0
+    for i in range(k, len(atoms)):
+        q = row_q[i]
+        if not q:
+            continue
+        if picked and (len(picked) + 1) * 2 * max(top, q) > ROW_BLOCK:
+            break
+        picked.append(i)
+        top = max(top, q)
+    q = [row_q[i] for i in picked]
+    orders = list(dict.fromkeys(q))
+    new = np.array([x for x in orders if x not in tables], dtype=np.int64)
+    if new.size:
+        hi = np.cumsum(new)
+        cr, ci = turns_to_parts(np.arange(hi[-1]) - np.repeat(hi - new, new), np.repeat(new, new))
+        for x, h in zip(new.tolist(), hi.tolist()):
+            tables[x] = cr[h - x:h], ci[h - x:h]
+    base = dict(zip(orders, np.cumsum([0] + orders).tolist()))
+    cr = np.concatenate([tables[x][0] for x in orders])
+    ci = np.concatenate([tables[x][1] for x in orders])
+
+    def col(v):
+        return np.array(v)[:, None]
+
+    half = all(top % x == 0 for x in orders)
+    j = _mod(col([atoms[i][0].angle.numerator for i in picked])
+             * np.arange(top if half else 2 * top), col(q))
+    j += col([base[x] for x in q])
+    lr, li = cr.take(j), ci.take(j)
+    wr, wi = col([atoms[i][1].real for i in picked]), col([atoms[i][1].imag for i in picked])
+    rr, ri = wr * lr - wi * li, wr * li + wi * lr
+    if half:
+        rr, ri = np.concatenate((rr, rr), axis=1), np.concatenate((ri, ri), axis=1)
+    return dict(zip(picked, zip(rr, ri)))
+
+
 def moments(m: PoleMeasure, shifts: Sequence[int], exps: Sequence[int]) -> np.ndarray:
     """sum_atoms weight * lambda^(s + e), one row per shift s and one column
     per exponent e.
@@ -214,13 +297,23 @@ def moments(m: PoleMeasure, shifts: Sequence[int], exps: Sequence[int]) -> np.nd
     Shifts may be arbitrarily large Python ints; exponents must fit int64
     (else ValidationError), and float atoms need s + e to fit a float.
 
-    An exact atom p/q reads lambda^(s + e) at the residue j = p*(s + e) mod q:
-    one int64 product of the table s + e when p*(max|s| + max|e|) < 2^63
-    and q < 2^63, else ((p*s mod q), taken on Python ints once a shift,
+    An exact atom p/q with 2q <= rows * columns reads its
+    weighted row R[j] = w * lambda^(p*j mod q), j in [0, 2q), at
+    j = (s mod q) + (e mod q), which is below 2q, so no second modulo is
+    needed: one index add, two gathers and two adds over the cells.  R
+    holds the products the scalar loop forms, so the sums keep their bits.
+    ``_row_block`` builds the rows of a run of such atoms at a time, within
+    ROW_BLOCK entries or one atom's row.  s mod q is taken on an int64
+    array of the shifts, or on Python ints once a shift when they pass
+    int64, and s mod q, e mod q are kept for the orders with the most such
+    atoms, within max(cells, ROW_BLOCK) entries.  Any other exact atom
+    reads lambda^(s + e) at the residue j = p*(s + e) mod q: one int64
+    product of the table s + e when p*(max|s| + max|e|) < 2^63 and
+    q < 2^63, else ((p*s mod q), taken on Python ints once a shift,
     + p*e) mod q, in int64 when p*max|e| + q < 2^63 and on Python ints
     otherwise.  An order no larger than the result is tabulated once a
-    call, a larger one is evaluated at this atom's residues.  A float atom
-    rounds angle*float(s + e) as Python's float * int does.
+    call and read at j, a larger one is evaluated at this atom's residues.
+    A float atom rounds angle*float(s + e) as Python's float * int does.
     """
     ss = [int(s) for s in shifts]
     try:
@@ -228,13 +321,46 @@ def moments(m: PoleMeasure, shifts: Sequence[int], exps: Sequence[int]) -> np.nd
     except OverflowError as exc:
         raise ValidationError("exponents must fit int64") from exc
     shape = (len(ss), len(es))
+    cells = len(ss) * len(es)
     tr, ti = np.zeros(shape), np.zeros(shape)
     big_e = max(-int(es.min()), int(es.max())) if es.size else 0
     big = max(map(abs, ss), default=0) + big_e
-    table = np.add.outer(np.array(ss, dtype=np.int64), es) if big < 2**63 else None
+    try:
+        s64 = np.array(ss, dtype=np.int64)
+    except OverflowError:
+        s64 = None
+    table = np.add.outer(s64, es) if big < 2**63 else None
+    # the order of each atom read from a weighted row (2q <= cells), else 0;
+    # s mod q and e mod q are kept for the orders with the most such atoms,
+    # as many as fit in max(cells, ROW_BLOCK) entries
+    row_q = [pt.angle.denominator if pt.is_exact and 2 * pt.angle.denominator <= cells else 0
+             for pt, _ in m.atoms]
+    keep = [q for q, _ in Counter(q for q in row_q if q).most_common(
+        max(cells, ROW_BLOCK) // (len(ss) + len(es) or 1))]
+    residues = {q: (sm[:, None], em) for q, sm, em in zip(keep, *_residues(keep, ss, s64, es))}
+    rows: dict = {}
     tables: dict = {}
     exps_f = None
-    for pt, w in m.atoms:
+    for k, (pt, w) in enumerate(m.atoms):
+        q = row_q[k]
+        if q:
+            if k not in rows:
+                # the last block's rows are freed before the next are built,
+                # and no view of them outlives its atom: the blocks then
+                # reuse one stretch of the heap, where a heap grown anew
+                # each block page-faulted ~50 times an atom at 2q ~ cells
+                rows = None
+                rows = _row_block(m.atoms, row_q, k, tables)
+            if q in residues:
+                sm, em = residues[q]
+            else:
+                sm, em = _residues([q], ss, s64, es)
+                sm, em = sm.T, em[0]
+            # (s mod q) + (e mod q) < 2q: no second modulo
+            j = sm + em
+            tr += rows[k][0].take(j)
+            ti += rows[k][1].take(j)
+            continue
         if pt.is_exact:
             p, q = pt.angle.numerator, pt.angle.denominator
             if table is not None and p * big < 2**63 and q < 2**63:

@@ -143,6 +143,25 @@ def test_turns_to_parts_of_exact_residues_is_turn_to_complex(q, draws):
                                          turns)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(orders.filter(lambda q: q < 2**53), st.integers(0, 2**140)),
+                min_size=1, max_size=20))
+@example([(1, 0), (8, 3), (2**53 - 1, 2**52), (10**6, 999_999), (7, 10**40)])
+def test_turns_to_parts_of_mixed_orders_is_turn_to_complex(draws):
+    # one int64 order per element below 2^53, elementwise and broadcast as
+    # a column against each order's octant edges
+    qs = [q for q, _ in draws]
+    js = [j % q for q, j in draws]
+    assert_parts_are_turn_to_complex(
+        circle.turns_to_parts(np.array(js, dtype=np.int64), np.array(qs, dtype=np.int64)),
+        [Fraction(j, q) for j, q in zip(js, qs)])
+    edges = np.array([[k * q // 8 % q for k in range(8)] for q in qs], dtype=np.int64)
+    parts = circle.turns_to_parts(edges, np.array(qs, dtype=np.int64)[:, None])
+    assert_parts_are_turn_to_complex(
+        (parts[0].ravel(), parts[1].ravel()),
+        [Fraction(int(j), q) for q, row in zip(qs, edges) for j in row])
+
+
 # -- moments and Taylor coefficients -------------------------------------------
 
 
@@ -226,6 +245,60 @@ def test_huge_denominator_and_shift_stay_exact():
         ([10**100 + 7, -(3**200)], [2**63 - 1, -(2**63), ea, -ea - 1, eb + 1]),
     ]:
         assert same_bits(moments(m, ss, exps), moments_oracle(m, ss, exps)), (ss, exps)
+
+
+# weights with signed zero parts; angles in angle order: 1/(2^61 - 1) and
+# 6/13 have no row in a 24- or 25-cell result (6/13: 2q = 26), 11/25 is
+# not even tabulated in the 24-cell one, and 5/12, 7/12 sit on the rule's
+# edge 2q = 24; 1/3, 2/5, 3/7, 1/2 and 5/8 always have a row
+ROW_EDGE_ATOMS = [(CirclePoint.exact(0, 1), complex(-0.0, 0.0)),
+                  (CirclePoint(Fraction(1, 2**61 - 1)), complex(1.0, -0.0)),
+                  (CirclePoint.exact(1, 3), complex(-0.0, -0.0)),
+                  (CirclePoint.exact(2, 5), 1.5 - 0.25j),
+                  (CirclePoint.exact(5, 12), complex(-0.0, 2.0)),
+                  (CirclePoint.exact(3, 7), -2.0 + 1j),
+                  (CirclePoint.exact(6, 13), complex(-1.25, -0.0)),
+                  (CirclePoint.exact(11, 25), 0.5j),
+                  (CirclePoint.exact(1, 2), complex(0.0, -0.0)),
+                  (CirclePoint.exact(7, 12), 0.75),
+                  (CirclePoint.exact(5, 8), complex(-0.5, 0.125))]
+INT64_EDGES = [-(2**63), 2**63 - 1, -(2**63 - 1)]
+
+
+@pytest.mark.parametrize("block", [psp.ROW_BLOCK, 48, 1])
+def test_row_rule_edges_bitwise_equal_to_scalar_loop(monkeypatch, block):
+    # blocks of every size down to one atom each, rows with and without a
+    # halved build, and residues kept or taken afresh
+    monkeypatch.setattr(psp, "ROW_BLOCK", block)
+    row_block = psp._row_block
+    with_rows = set()
+
+    def spy(atoms, row_q, k, tables):
+        rows = row_block(atoms, row_q, k, tables)
+        with_rows.update(atoms[i][0] for i in rows)
+        return rows
+
+    monkeypatch.setattr(psp, "_row_block", spy)
+    exact = PoleMeasure(ROW_EDGE_ATOMS)
+    floats = PoleMeasure(ROW_EDGE_ATOMS + [(CirclePoint.real(0.1), complex(0.0, -0.0)),
+                                           (CirclePoint.real(0.45), -1.0 + 0.5j),
+                                           (CirclePoint.real(0.9), complex(-0.0, 1.0))])
+    for m, ss, exps in [
+        # 24 cells: 2q = cells for 5/12 and 7/12; shifts past int64 reach the rows
+        # through s mod q
+        (exact, [0, math.factorial(1000), -(10**40)], INT64_EDGES + [0, 1, -1, 5, 7]),
+        # 25 cells: 2q = cells + 1 for 6/13
+        (exact, [0, math.factorial(1000), -(10**40), 2**63, -1], INT64_EDGES + [0, 3]),
+        # float atoms among them: s + e must fit a float
+        (floats, [0, -(10**40), 2**63], INT64_EDGES + [0, 1, -1, 5, 7]),
+        (floats, [0, -(10**40), 2**63, -1, 1], INT64_EDGES + [0, 3]),
+    ]:
+        with_rows.clear()
+        assert same_bits(moments(m, ss, exps), moments_oracle(m, ss, exps)), (ss, exps)
+        cells = len(ss) * len(exps)
+        assert with_rows == {p for p, _ in m.atoms if p.is_exact and 2 * p.angle.denominator
+                             <= cells}, cells
+    assert CirclePoint.exact(6, 13) not in with_rows  # 25 cells: 2q = cells + 1
 
 
 def test_float_atom_exponent_overflow_is_validation_error():

@@ -80,6 +80,30 @@ def test_eval_memory_bounded_by_output_and_block_temporaries():
     assert eval_peak(uniform_roots_measure(92), z) - peak < block_temps
 
 
+def moments_peak(fn) -> int:
+    """Traced peak bytes of fn(), the smaller of two runs."""
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            fn()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+def test_moments_memory_bounded_whatever_the_atoms():
+    # rows are built a block at a time and residues kept within
+    # max(cells, ROW_BLOCK) entries: 2000 atoms with rows of up to 4000
+    # entries (71 MB of rows at once) hold under 4 MB, and 399 orders
+    # 2 .. 400 at 20001 cells (one residue row each) under 12 MB
+    m = uniform_roots_measure(2000)
+    assert moments_peak(lambda: moments(m, [0, 1], range(-2000, 2001))) <= 4 * 10**6
+    m = PoleMeasure([(CirclePoint.exact(1, q), 1.0) for q in range(2, 401)])
+    assert moments_peak(lambda: taylor_inner(m, 20000)) <= 12 * 10**6
+
+
 def test_taylor_inner_single_pole():
     assert np.all(taylor_inner(ATOM_1, 10) == -1.0)
 

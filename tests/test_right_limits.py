@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLDEN
@@ -192,16 +192,34 @@ def small_measures(draw):
 OUTER_ROUNDING = 1e-12
 
 
+def underflow_allowance(w: int, atoms: int) -> float:
+    """Rounding below the smallest normal float, which no share of the mass
+    covers: there a rounded product or quotient errs by a fixed step of at
+    most math.ulp(0.0) / 2, counted here as a whole step, and sums of
+    subnormals are exact.  Per part (real or imaginary):
+    - each b_{-k} takes two rounded products per atom, W * atoms * 2 steps;
+      outer_sum weighs its errors by |z|^-k < 1;
+    - outer_sum takes two rounded products per term, W * 2 steps;
+    - psp_eval's Smith division takes one rounded product per atom, divided
+      by a denominator of modulus at least |z - lambda| / sqrt(2) >= 0.2 /
+      sqrt(2) > 1/8 (|z| >= 1.2), then one rounded quotient: 9 steps.
+    The complex error is at most twice the larger part's."""
+    return 2 * (2 * w * atoms + 2 * w + 9 * atoms) * math.ulp(0.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_measures(), st.integers(1, 200), st.floats(1.2, 8.0),
        st.floats(0.0, 2 * math.pi))
+# a subnormal weight: one step of math.ulp(0.0) past the mass-scaled bound
+@example(PoleMeasure([(CirclePoint.exact(0, 1), 2.2250738585e-313)]), 22, 2.0, 0.0)
 def test_generating_functions_match_pole_series(m, w, r, phase):
     # a pole series' outer series, read from its negative side b_{-k} = -M(k - 1),
     # is the pole series outside the disc within its tail bound
     z = r * complex(math.cos(phase), math.sin(phase))
     neg = -moments(m, [0], range(w - 1, -1, -1))[0]  # b_{-W} .. b_{-1}
     error = abs(outer_sum(neg.tolist(), w, z) - psp_eval(m, z))
-    assert error <= m.total_mass * (outer_tail_bound(z, w) + OUTER_ROUNDING)
+    assert error <= (m.total_mass * (outer_tail_bound(z, w) + OUTER_ROUNDING)
+                     + underflow_allowance(w, len(m.atoms)))
 
 
 def test_verify_rrl_roots_of_unity_exact_zero():
