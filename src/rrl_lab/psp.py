@@ -35,8 +35,9 @@ DEFAULT_EXCLUSION = 1e-12
 EVAL_BLOCK = 2**13
 # entries of one block of weighted rows in moments: the rows and their
 # build temporaries stay near 1 MB, whatever the number of atoms (an atom
-# whose row alone is longer has a block of its own); the residues
-# s mod q, e mod q kept for reuse fill at most max(cells, ROW_BLOCK)
+# whose row alone is longer, up to 2*cells entries, has a block of its
+# own); the residues s mod q, e mod q kept for reuse fill at most
+# max(cells, ROW_BLOCK)
 ROW_BLOCK = 2**14
 
 
@@ -244,10 +245,11 @@ def _row_block(atoms, row_q: list[int], k: int, tables: dict) -> dict:
     R[j] = w * lambda^(p*j mod q), j in [0, 2Q).  The orders not yet in
     ``tables`` are tabulated there by one ``turns_to_parts`` call with
     per-element orders; the rows read their orders' tables at p*j mod q
-    (p*j < 2Q^2 <= cells^2 fits int64 for any result that fits in memory)
-    and take the weight's textbook product, one numpy pass over the block
-    each.  When every order divides Q the rows have period Q, and their
-    second half is a copy of the first.
+    (Q <= cells, so a row is at most 2*cells entries and p*j < 2*cells^2
+    fits int64 for any result that fits in memory) and take the weight's
+    textbook product, one numpy pass over the block each.  When every
+    order divides Q the rows have period Q, and their second half is a
+    copy of the first.
     """
     picked = []
     top = 0
@@ -297,43 +299,39 @@ def moments(m: PoleMeasure, shifts: Sequence[int], exps: Sequence[int]) -> np.nd
     Shifts may be arbitrarily large Python ints; exponents must fit int64
     (else ValidationError), and float atoms need s + e to fit a float.
 
-    An exact atom p/q with 2q <= rows * columns reads its
-    weighted row R[j] = w * lambda^(p*j mod q), j in [0, 2q), at
-    j = (s mod q) + (e mod q), which is below 2q, so no second modulo is
-    needed: one index add, two gathers and two adds over the cells.  R
+    An exact atom p/q takes one of two routes.  With q <= rows * columns
+    it reads its weighted row R[j] = w * lambda^(p*j mod q), j in [0, 2q),
+    at j = (s mod q) + (e mod q), which is below 2q, so no second modulo
+    is needed: one index add, two gathers and two adds over the cells.  R
     holds the products the scalar loop forms, so the sums keep their bits.
     ``_row_block`` builds the rows of a run of such atoms at a time, within
     ROW_BLOCK entries or one atom's row.  s mod q is taken on an int64
     array of the shifts, or on Python ints once a shift when they pass
     int64, and s mod q, e mod q are kept for the orders with the most such
-    atoms, within max(cells, ROW_BLOCK) entries.  Any other exact atom
-    reads lambda^(s + e) at the residue j = p*(s + e) mod q: one int64
-    product of the table s + e when p*(max|s| + max|e|) < 2^63 and
-    q < 2^63, else ((p*s mod q), taken on Python ints once a shift,
-    + p*e) mod q, in int64 when p*max|e| + q < 2^63 and on Python ints
-    otherwise.  An order no larger than the result is tabulated once a
-    call and read at j, a larger one is evaluated at this atom's residues.
-    A float atom rounds angle*float(s + e) as Python's float * int does.
+    atoms, within max(cells, ROW_BLOCK) entries.  A larger order is
+    evaluated at the atom's own residues j = ((p*s mod q) + p*e) mod q,
+    p*s mod q taken on Python ints once a shift and the rest in int64 when
+    p*max|e| + q < 2^63, on Python ints otherwise.  A float atom rounds
+    angle*float(s + e) as Python's float * int does, the sum s + e taken
+    in int64 when max|s| + max|e| < 2^63 and on Python ints otherwise.
     """
     ss = [int(s) for s in shifts]
     try:
-        es = np.array([int(e) for e in exps], dtype=np.int64)
+        es = np.array(exps, dtype=np.int64)
     except OverflowError as exc:
         raise ValidationError("exponents must fit int64") from exc
     shape = (len(ss), len(es))
     cells = len(ss) * len(es)
     tr, ti = np.zeros(shape), np.zeros(shape)
     big_e = max(-int(es.min()), int(es.max())) if es.size else 0
-    big = max(map(abs, ss), default=0) + big_e
     try:
         s64 = np.array(ss, dtype=np.int64)
     except OverflowError:
         s64 = None
-    table = np.add.outer(s64, es) if big < 2**63 else None
-    # the order of each atom read from a weighted row (2q <= cells), else 0;
+    # the order of each atom read from a weighted row (q <= cells), else 0;
     # s mod q and e mod q are kept for the orders with the most such atoms,
     # as many as fit in max(cells, ROW_BLOCK) entries
-    row_q = [pt.angle.denominator if pt.is_exact and 2 * pt.angle.denominator <= cells else 0
+    row_q = [pt.angle.denominator if pt.is_exact and pt.angle.denominator <= cells else 0
              for pt, _ in m.atoms]
     keep = [q for q, _ in Counter(q for q in row_q if q).most_common(
         max(cells, ROW_BLOCK) // (len(ss) + len(es) or 1))]
@@ -363,27 +361,18 @@ def moments(m: PoleMeasure, shifts: Sequence[int], exps: Sequence[int]) -> np.nd
             continue
         if pt.is_exact:
             p, q = pt.angle.numerator, pt.angle.denominator
-            if table is not None and p * big < 2**63 and q < 2**63:
-                j = table * p
-            else:
-                small = p * big_e + q < 2**63
-                c = np.array([p * s % q for s in ss], dtype=np.int64 if small else object)
-                j = c[:, None] + (es * p if small else es.astype(object) * p)
+            small = p * big_e + q < 2**63
+            c = np.array([p * s % q for s in ss], dtype=np.int64 if small else object)
+            j = c[:, None] + (es * p if small else es.astype(object) * p)
             j %= q
-            if q <= j.size:
-                if q not in tables:
-                    tables[q] = turns_to_parts(np.arange(q), q)
-                j = j.astype(np.intp, copy=False)
-                lr, li = tables[q][0][j], tables[q][1][j]
-            else:
-                lr, li = turns_to_parts(j, q)
+            lr, li = turns_to_parts(j, q)
             del j  # 8 B a cell, not held through the sums
         else:
             if exps_f is None:
                 exps_f = np.empty(shape)
                 try:
-                    if table is not None:
-                        exps_f[:] = table
+                    if max(map(abs, ss), default=0) + big_e < 2**63:
+                        exps_f[:] = np.add.outer(s64, es)
                     else:
                         el = es.tolist()
                         for row, s in zip(exps_f, ss):

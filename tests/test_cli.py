@@ -299,6 +299,20 @@ def test_psp_rrl_on_many_orders_fits_in_512_mb(tmp_path):
     assert len(proc.stdout.strip().splitlines()) == 1
 
 
+def test_psp_rrl_on_the_longest_rows_fits_in_512_mb(tmp_path):
+    # 7 rows of 2W + 1 = 285713: 1999991 cells; 1/1999991 (q = cells) has
+    # the moment kernel's longest weighted row, 2q entries, and 3/1999989
+    # (1/666663 reduced) one of 1333326, each a block of its own
+    m = PoleMeasure([(CirclePoint.exact(1, 1999991), 0.5 + 0.25j),
+                     (CirclePoint.exact(3, 1999989), -0.75)])
+    path = tmp_path / "longest_rows.json"
+    path.write_text(m.dumps())
+    proc = cli_under_512_mb("run", "--recipe", "psp-rrl", "--measure", str(path),
+                            "--w", "142856", "--out", str(tmp_path / "out.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.strip().splitlines()) == 1
+
+
 def test_hecke_two_with_every_shift_a_hit_fits_in_512_mb(tmp_path):
     # at tol 1 every one of the 4 899 990 shifts is a hit, just under the
     # cells cap, and all fall in one cluster: the clustering may hold only

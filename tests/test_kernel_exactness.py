@@ -205,8 +205,8 @@ def test_verify_rrl_bitwise(m, shifts, w):
 
 
 def test_huge_denominator_and_shift_stay_exact():
-    # once p*(s + e) passes int64, 3/qa and 1/qb (2^62 <= q < 2^63) take
-    # c + p*e, c = p*s mod q, in int64 up to the exponent E with p*E + q
+    # 3/qa and 1/qb (2^62 <= q < 2^63), like every order above the cells,
+    # take c + p*e, c = p*s mod q, in int64 up to the exponent E with p*E + q
     # < 2^63 and on Python ints from E + 1 on; the shifts sa and -1 give
     # c = q - 1, so c + p*E is within 4 of 2^63 and c + p*(E + 2) would
     # wrap, by 2^64, which is 2^60 - 9 mod qa and 2^62 + 2 mod qb.  Orders
@@ -228,13 +228,14 @@ def test_huge_denominator_and_shift_stay_exact():
                      *[(CirclePoint.exact(j, q), complex(j, -q) / q) for j, q in
                        enumerate(primes, 1)]])
     for ss, exps in [
-        # one int64 table s + e for every order below 2^63: tables for 5 and 7,
-        # the others at their own residues
+        # small shifts and exponents: rows for 5 and 7, the others at their
+        # own residues in int64 below 2^63
         ([0, 1, -3], [-1, 0, 3, 1500, -2040, 7, -8]),
-        # p*(s + e) passes int64 for every numerator but 1
+        # exponents at the int64 edges
         ([0, 1], [2**63 - 1, -(2**63 - 1), 0, 1, -1, 2, 5]),
         ([5, -2], [-(2**63), 0, 1, 3, -5, 6, 2**62]),
-        # the shift 2^62 puts p*(s + e) past int64 for qa; 2^63 - 1 leaves no table
+        # the exponents E, E + 1 and E + 2 of qa and qb, with c = q - 1 at
+        # the shifts sa and -1
         ([0, sa, 2**62, -(2**62) + 1], [ea, -ea, 0, 1]),
         ([sa, 2**62], [ea + 1, ea + 2, -ea - 2, 0, 1]),
         ([0, -1, 2**63 - 1], [eb, -eb, 2, -2]),
@@ -247,10 +248,11 @@ def test_huge_denominator_and_shift_stay_exact():
         assert same_bits(moments(m, ss, exps), moments_oracle(m, ss, exps)), (ss, exps)
 
 
-# weights with signed zero parts; angles in angle order: 1/(2^61 - 1) and
-# 6/13 have no row in a 24- or 25-cell result (6/13: 2q = 26), 11/25 is
-# not even tabulated in the 24-cell one, and 5/12, 7/12 sit on the rule's
-# edge 2q = 24; 1/3, 2/5, 3/7, 1/2 and 5/8 always have a row
+# weights with signed zero parts; angles in angle order: 1/(2^61 - 1)
+# never has a row, 11/25 has none in a 24-cell result (q = cells + 1) and
+# one in a 25-cell result (q = cells); 6/13 has a row longer than either
+# result (2q = 26), 5/12 and 7/12 one as long as the 24-cell result
+# (2q = 24); 1/3, 2/5, 3/7, 1/2 and 5/8 always have a row
 ROW_EDGE_ATOMS = [(CirclePoint.exact(0, 1), complex(-0.0, 0.0)),
                   (CirclePoint(Fraction(1, 2**61 - 1)), complex(1.0, -0.0)),
                   (CirclePoint.exact(1, 3), complex(-0.0, -0.0)),
@@ -283,11 +285,15 @@ def test_row_rule_edges_bitwise_equal_to_scalar_loop(monkeypatch, block):
     floats = PoleMeasure(ROW_EDGE_ATOMS + [(CirclePoint.real(0.1), complex(0.0, -0.0)),
                                            (CirclePoint.real(0.45), -1.0 + 0.5j),
                                            (CirclePoint.real(0.9), complex(-0.0, 1.0))])
+    seen = {}
     for m, ss, exps in [
-        # 24 cells: 2q = cells for 5/12 and 7/12; shifts past int64 reach the rows
+        # 24 cells: q = cells + 1 for 11/25; shifts past int64 reach the rows
         # through s mod q
         (exact, [0, math.factorial(1000), -(10**40)], INT64_EDGES + [0, 1, -1, 5, 7]),
-        # 25 cells: 2q = cells + 1 for 6/13
+        # 24 cells, small shifts and exponents: 11/25 and 1/(2^61 - 1) take
+        # their residues in int64
+        (exact, [0, 1, -1], [0, 1, -1, 2, -3, 5, 8, -13]),
+        # 25 cells: q = cells for 11/25
         (exact, [0, math.factorial(1000), -(10**40), 2**63, -1], INT64_EDGES + [0, 3]),
         # float atoms among them: s + e must fit a float
         (floats, [0, -(10**40), 2**63], INT64_EDGES + [0, 1, -1, 5, 7]),
@@ -296,9 +302,11 @@ def test_row_rule_edges_bitwise_equal_to_scalar_loop(monkeypatch, block):
         with_rows.clear()
         assert same_bits(moments(m, ss, exps), moments_oracle(m, ss, exps)), (ss, exps)
         cells = len(ss) * len(exps)
-        assert with_rows == {p for p, _ in m.atoms if p.is_exact and 2 * p.angle.denominator
+        assert with_rows == {p for p, _ in m.atoms if p.is_exact and p.angle.denominator
                              <= cells}, cells
-    assert CirclePoint.exact(6, 13) not in with_rows  # 25 cells: 2q = cells + 1
+        seen[cells] = set(with_rows)
+    assert CirclePoint.exact(11, 25) not in seen[24]  # q = cells + 1
+    assert CirclePoint.exact(11, 25) in seen[25]  # q = cells
 
 
 def test_float_atom_exponent_overflow_is_validation_error():
