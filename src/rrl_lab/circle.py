@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -133,7 +133,7 @@ def turns_to_parts(t: np.ndarray, q: int | np.ndarray | None = None
     return np.choose(quadrant, [x, -y, -x, y]), np.choose(quadrant, [y, x, -y, -x])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CirclePoint:
     """A point lambda = e^{2*pi*i*angle} on the unit circle."""
 
@@ -142,7 +142,7 @@ class CirclePoint:
     def __post_init__(self):
         a = self.angle
         if isinstance(a, Fraction):
-            if not (0 <= a < 1):
+            if not 0 <= a.numerator < a.denominator:
                 object.__setattr__(self, "angle", a % 1)
         elif isinstance(a, float):
             if not math.isfinite(a):
@@ -159,7 +159,9 @@ class CirclePoint:
         negative q denotes the same rational, q = 0 is a ValidationError."""
         if q == 0:
             raise ValidationError(f"angle {p}/{q}: denominator must be nonzero")
-        return cls(Fraction(p, q))
+        if q < 0:
+            p, q = -p, -q
+        return cls(Fraction(p % q, q))
 
     @classmethod
     def real(cls, t: float) -> "CirclePoint":
@@ -185,16 +187,27 @@ class CirclePoint:
         return f"CirclePoint({self.angle!r})"
 
 
-def sorted_distinct(points: Iterable[CirclePoint]) -> list[CirclePoint]:
-    """The points in angle order; DuplicatePoint when two share an angle.
+def angle_order(points: Sequence[CirclePoint]) -> list[int]:
+    """Indices of the points in angle order; DuplicatePoint when two share
+    an angle.  An exact p/q and a float equal to it are the same angle.
 
-    An exact p/q and a float equal to it are the same angle.
+    The sort key is (float(angle), angle).  float() is monotone on exact and
+    float angles alike, so the order is the angle order, and the exact
+    angle is compared only to break a tie of floats: distinct ``Fraction``s
+    that round to one float, or a float equal to an exact angle.
     """
-    pts = sorted(points, key=lambda p: p.angle)
-    for a, b in zip(pts, pts[1:]):
-        if a.angle == b.angle:
-            raise DuplicatePoint(f"repeated point at angle {a.angle}")
-    return pts
+    keys = [(float(p.angle), p.angle) for p in points]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if keys[i] == keys[j]:
+            raise DuplicatePoint(f"repeated point at angle {points[i].angle}")
+    return order
+
+
+def sorted_distinct(points: Iterable[CirclePoint]) -> list[CirclePoint]:
+    """The points in angle order; DuplicatePoint when two share an angle."""
+    pts = list(points)
+    return [pts[i] for i in angle_order(pts)]
 
 
 def roots_of_unity(q: int) -> list[CirclePoint]:

@@ -199,7 +199,7 @@ def _coeffs(pts: list[CirclePoint], divisor: CirclePoint | None = None) -> np.nd
         def e(p): return p.angle.numerator * (lcm // p.angle.denominator)
         def div(c, p): return cyc.synthetic_div_root(c, e(p), lcm)
         def mul(c, p): return cyc.mul_root(c, e(p), lcm)
-        def values(c): return np.array([cyc.to_complex(x, lcm) for x in c])
+        def values(c): return cyc.to_complex(c, lcm)
         if split:  # the orders on R_N have lcm N, so N | L
             coeffs = [{0: -1}] + [{} for _ in range(n - 1)] + [{0: 1}]  # X^N - 1
         else:

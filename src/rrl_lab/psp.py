@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circle import CirclePoint, power_turns, sorted_distinct, turns_to_parts
+from .circle import CirclePoint, angle_order, power_turns, turns_to_parts
 from .circle import turn_to_complex  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .errors import PoleCollision, ValidationError
 
@@ -53,9 +53,9 @@ class PoleMeasure:
                  tail_mass: float = 0.0):
         if not 0 <= tail_mass < math.inf:
             raise ValidationError(f"tail_mass must be finite and nonnegative, got {tail_mass!r}")
-        weights = {p.angle: complex(w) for p, w in atoms}
+        atoms = [(p, complex(w)) for p, w in atoms]
         self.atoms: list[tuple[CirclePoint, complex]] = [
-            (p, weights[p.angle]) for p in sorted_distinct(p for p, _ in atoms)]
+            atoms[i] for i in angle_order([p for p, _ in atoms])]
         for p, w in self.atoms:
             if not cmath.isfinite(w):
                 raise ValidationError(f"weight at {p} must be finite, got {w!r}")

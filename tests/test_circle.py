@@ -7,8 +7,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rrl_lab.circle import CirclePoint, frac_part, roots_of_unity, turn_to_complex
-from rrl_lab.errors import ValidationError
+from rrl_lab.circle import (
+    CirclePoint,
+    frac_part,
+    roots_of_unity,
+    sorted_distinct,
+    turn_to_complex,
+)
+from rrl_lab.errors import DuplicatePoint, ValidationError
+from rrl_lab.psp import PoleMeasure
 
 
 def test_quarter_turn_values_are_exact():
@@ -107,6 +114,36 @@ def test_roots_of_unity_sorted_distinct():
     assert angles == sorted(angles)
     assert len(set(angles)) == 12
     assert all(p.power(12).angle == 0 for p in pts)
+
+
+# angles whose floats tie: distinct Fractions with q > 2^53 that round to one
+# float, and floats equal to exact angles
+TIED_ANGLES = [Fraction(1, 2**60), Fraction(1, 2**60 + 1), Fraction(2, 2**61 + 1),
+               float(Fraction(1, 2**60)), Fraction(1, 2), 0.5, Fraction(1, 4), 0.25,
+               Fraction(1, 3), 1.0 / 3.0, Fraction(3, 2**62), 0.0, Fraction(0)]
+ANGLES = st.one_of(
+    st.sampled_from(TIED_ANGLES),
+    st.builds(lambda q, p: Fraction(p % q, q), st.integers(1, 2**64), st.integers(0, 2**64)),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+@given(st.lists(ANGLES, max_size=12))
+@example([Fraction(1, 2**60), Fraction(1, 2**60 + 1)])
+@example([0.5, Fraction(1, 2)])
+def test_sorted_distinct_is_the_angle_sort(angles):
+    points = [CirclePoint(a) for a in angles]
+    oracle = sorted(points, key=lambda p: p.angle)
+    if any(a.angle == b.angle for a, b in zip(oracle, oracle[1:])):
+        with pytest.raises(DuplicatePoint):
+            sorted_distinct(points)
+        with pytest.raises(DuplicatePoint):
+            PoleMeasure([(p, 1.0) for p in points])
+        return
+    assert [id(p) for p in sorted_distinct(points)] == [id(p) for p in oracle]
+    # a measure keeps each weight with its point, in the same order
+    atoms = PoleMeasure([(p, complex(i)) for i, p in enumerate(points)]).atoms
+    assert [(id(p), w) for p, w in atoms] == [(id(p), complex(points.index(p))) for p in oracle]
 
 
 def test_frac_part_snap():

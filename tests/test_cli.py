@@ -285,6 +285,16 @@ def test_runs_at_the_caps_fit_in_512_mb(tmp_path, argv):
     assert json.loads(proc.stdout)["status"] in ("ok", "no-zero")
 
 
+def test_balance_on_the_large_ladder_fits_in_512_mb():
+    # 1/997, 2/991 certifies at N = 164506, L = 2 * 83 * 991 * 997: one
+    # rewritten term of P_F's coefficients becomes 990 or 996
+    proc = cli_under_512_mb("balance", "--angles", "1/997,2/991")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["n_roots"] == 164506
+
+
 def test_psp_rrl_on_many_orders_fits_in_512_mb(tmp_path):
     # all 128 reduced fractions of order <= 20 at the verify cap: the moment
     # kernel's memory must not grow with the number of distinct orders

@@ -418,6 +418,13 @@ def test_balance_ladder_pin():
     assert (bs.n_roots, bs.defect) == (8633, 0.0)
 
 
+def test_large_balance_ladder_pin():
+    # the rung for 1/997, 2/991, as the ladder gave it before the batched
+    # reduction and conversion of P_F's coefficients
+    bs = balance_completion([CirclePoint.exact(1, 997), CirclePoint.exact(2, 991)])
+    assert (bs.n_roots, bs.defect) == (164506, 0.0063020912511815835)
+
+
 def test_balance_completion_caps():
     pts = [CirclePoint.real(t) for t in (0.11, 0.23, 0.37, 0.41)]
     with pytest.raises(CapExceeded):

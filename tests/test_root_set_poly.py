@@ -46,7 +46,7 @@ def in_angle_order(points):
 
 def exact_oracle(points) -> np.ndarray:
     exps, lcm = cyc.exact_exponents(in_angle_order(points))
-    return np.array([cyc.to_complex(e, lcm) for e in cyc.product_from_roots(exps, lcm)])
+    return cyc.to_complex(cyc.product_from_roots(exps, lcm), lcm)
 
 
 def convolve_oracle(points) -> np.ndarray:
@@ -180,7 +180,7 @@ def test_q_poly_exact_division_path_is_bitwise_the_generic_quotient():
     exps, lcm = cyc.exact_exponents(in_angle_order(points))
     quotient = cyc.synthetic_div_root(cyc.product_from_roots(exps, lcm),
                                       lcm // 5, lcm)
-    want = np.array([cyc.to_complex(e, lcm) for e in quotient])
+    want = cyc.to_complex(quotient, lcm)
     assert np.array_equal(bits(q_poly(lam, points).coeffs), bits(want))
 
 
