@@ -10,6 +10,7 @@ unity through the coefficient 1-norm of P_F(X) - (X^|F| - 1).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cyclotomic as cyc
-from .circle import CirclePoint, frac_part, power_turns, sorted_distinct
+from .circle import CirclePoint, angle_key, frac_part, power_turns, sorted_distinct
 from .errors import CapExceeded, NotARoot, RrlLabError, ValidationError
 from .psp import PoleMeasure, moments
 
@@ -307,11 +308,15 @@ def balance_completion(points_g: Sequence[CirclePoint], eps: float = 0.5) -> Bal
         if (n, replaced) in tried or len(set(replaced)) < m:
             continue
         tried.add((n, replaced))
-        f = g + [CirclePoint.exact(i, n) for i in range(n) if i not in replaced]
+        # the kept roots are in angle order, and G's points go in by
+        # bisection: the certificate's sort is the only one
+        f = [CirclePoint.exact(i, n) for i in range(n) if i not in replaced]
+        for p in g:
+            bisect.insort(f, p, key=angle_key)
         ok, defect = is_eps_balanced(f, eps)
         if ok:
             return BalancedSet(
-                points=sorted_distinct(f),
+                points=f,
                 epsilon=float(eps),
                 defect=defect,
                 n_roots=n,

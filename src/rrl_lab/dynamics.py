@@ -26,8 +26,8 @@ PRODUCT_N_CAP = 2 * 10**8
 # about 18 B a step, 2 s and 190 MB at the cap
 ITINERARY_N_CAP = 10**7
 # largest degree of the smallest-real-zero scan, which holds the coefficients
-# as floats and as Horner blocks, about 20 B each: memory binds it (240 MB at
-# the cap), not time (under 1 s on feigenbaum-product)
+# as int8 and as floats, 9 B each: memory binds it (140 MB at the cap), not
+# time (under 0.5 s on feigenbaum-product)
 ZERO_N_CAP = 10**7
 # deepest Hecke continuation: hecke_outer_eval and the outer_sum it is
 # checked against are Python loops, about 0.4 s and 0.3 s per 10^6 terms
@@ -223,37 +223,64 @@ def _tail_bound(r: float, n: int) -> float:
     return r ** (n + 1) / (1.0 - r)
 
 
+def _blocks_read(rs: np.ndarray, n: int) -> np.ndarray:
+    """Blocks of B = ceil(sqrt(n+1)) terms that each r in rs (0 <= r < 1) sums: the
+    fewest past which every r^k < tiny, at least 1 and at most all J of c."""
+    B = math.isqrt(n) + 1
+    # r below tiny reads its first block only: log(tiny) / (B log(tiny)) = 1/B
+    cut = np.ceil(math.log(_TINY) / (B * np.log(np.maximum(rs, _TINY))))
+    return np.clip(cut, 1, -(-(n + 1) // B)).astype(np.int64)
+
+
 def _series_values(c: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, int]:
     """Values p(rs) = sum c_k rs^k, and K, the most roundings any term goes through.
 
     Blocked Horner (Paterson & Stockmeyer, SIAM J. Comput. 1973): c is cut
     into J blocks of B = ceil(sqrt(n+1)) terms, every block polynomial
     P_j(r) = sum_i c_{jB+i} r^i comes from one matrix product with the
-    Vandermonde columns r^0 .. r^(B-1), and the blocks are summed by Horner
-    in R = r^B.  A term meets at most B - 2 roundings in its power, B in the
-    dot product (any summation order, with or without FMA), B - 1 in R and 2
-    per outer step, so K = 2B - 2 + (J - 1)(B + 1).  Powers and R below
+    (B, points) powers r^0 .. r^(B-1), and the blocks are summed by Horner
+    in R = r^B.  Only the first ``_blocks_read`` blocks of the largest r are
+    summed; a last block shorter than B is its own product.  A term meets at
+    most B - 2 roundings in its power, B in the dot product (any summation
+    order, with or without FMA), B - 1 in R and 2 per outer step, so
+    K = 2B - 2 + (J - 1)(B + 1) whatever the blocks read.  Powers and R below
     ``_TINY``, the smallest normal float, are set to 0 first: subnormal
     operands slow the matrix product several times over.  Each term dropped
-    so is below tiny for |c_k| <= 1, so for 0 <= rs < 1
+    so, or by the blocks left unread, is below tiny for |c_k| <= 1 (log's
+    rounding can move the cut one block only where r^k exceeds tiny by about
+    1e-12 of it, which the spare tiny covers), so for 0 <= rs < 1
     |error| <= gamma_K * sum |c_k| rs^k + (n + 2) tiny / (1 - rs).  The dot
-    products run in BLAS, whose last bits may differ between builds; only the
-    bound is relied on.
+    products run in BLAS, whose last bits may differ between builds and
+    between shapes; only the bound is relied on.
     """
     n = len(c) - 1
     B = math.isqrt(n) + 1  # ceil(sqrt(n + 1))
     J = -(-(n + 1) // B)
-    blocks = np.zeros(J * B)
-    blocks[: n + 1] = c
-    powers = np.vander(rs, B, increasing=True)
+    read = int(_blocks_read(rs, n).max())
+    powers = np.empty((B, rs.size))
+    powers[0] = 1.0
+    powers[1:] = rs
+    # r^i = r^(i-1) * r, the roundings of np.vander, down contiguous rows
+    np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
     powers[powers < _TINY] = 0.0
-    parts = blocks.reshape(J, B) @ powers.T
-    big_r = powers[:, -1] * rs
+    whole = min(read, (n + 1) // B)  # blocks wholly inside c, read in place
+    parts = [*c[: whole * B].reshape(whole, B) @ powers]
+    if whole < read:
+        parts.append(c[whole * B :] @ powers[: n + 1 - whole * B])
+    big_r = powers[-1] * rs
     big_r[big_r < _TINY] = 0.0
     vals = parts[-1]
-    for j in range(J - 2, -1, -1):
-        vals = vals * big_r + parts[j]
+    for part in parts[-2::-1]:
+        vals = vals * big_r + part
     return vals, 2 * B - 2 + (J - 1) * (B + 1)
+
+
+def _runs(rs: np.ndarray, n: int) -> Iterator[slice]:
+    """Runs of consecutive points of rs whose ``_blocks_read`` round up to one power of two."""
+    # the exponent frexp gives count - 1 is ceil(log2(count))
+    rank = np.frexp(_blocks_read(rs, n) - 1)[1]
+    edges = [0, *(np.flatnonzero(rank[1:] != rank[:-1]) + 1).tolist(), rs.size]
+    return (slice(lo, hi) for lo, hi in zip(edges, edges[1:]))
 
 
 def _certified_signs(vals: np.ndarray, rs: np.ndarray, roundings: int,
@@ -265,7 +292,8 @@ def _certified_signs(vals: np.ndarray, rs: np.ndarray, roundings: int,
     Stability of Numerical Algorithms, eq. 5.3, for Horner's 2n);
     ``tail / (1 - r)`` bounds the terms left out of the series, so with
     tail = r^(n+1) the sign holds for the full series.  The (n + 2) tiny of
-    ``_series_values``' flushed powers goes into tail as well.
+    ``_series_values``' flushed powers and unread blocks goes into tail as
+    well.
     """
     nu = roundings * _UNIT_ROUNDOFF
     return np.where(np.abs(vals) > (nu / (1.0 - nu) + tail) / (1.0 - rs), np.sign(vals), 0.0)
@@ -282,12 +310,14 @@ def smallest_real_zero(coeffs: Sequence[float], tol: float) -> RealZeroResult:
     """Smallest zero of sum c_n z^n on (0, r_max], coefficients bounded by 1.
 
     r_max is the largest radius where the truncation tail r^(N+1)/(1-r)
-    stays below tol/2.  One blocked pass (``_series_values``) covers 513
+    stays below tol/2.  Blocked passes (``_series_values``) cover 513
     points on [0, r_max], where the first sign change certified for the
-    full series brackets its zero, and 257 on [r_max, 1 - 1e-9].  Without
-    such a bracket, a sign change certified against roundoff alone within
-    either grid raises InsufficientDepth; with neither, the result is
-    NoZero (entropy 0).  The bracket (a, b) is narrowed by rescanning 65
+    full series brackets its zero, one ascending run of points at a time
+    (``_runs``), and stop at the run that certifies it.  Without such a
+    bracket, 257 points on [r_max, 1 - 1e-9] are evaluated too, and a sign
+    change certified against roundoff alone within either grid raises
+    InsufficientDepth; with neither, the result is NoZero (entropy 0).
+    The bracket (a, b) is narrowed by rescanning 65
     points inside it until it stops shrinking, on the prefix c_0 .. c_m
     with b^(m+1) <= u, the unit roundoff: the tail term bounds the dropped
     coefficients.  These short rescans use Horner's rule (``np.polyval``,
@@ -297,7 +327,8 @@ def smallest_real_zero(coeffs: Sequence[float], tol: float) -> RealZeroResult:
     if len(coeffs) - 1 > ZERO_N_CAP:
         raise CapExceeded(f"zero scan degree {len(coeffs) - 1} exceeds cap {ZERO_N_CAP}")
     c = np.asarray(coeffs, dtype=float)
-    if not (c.size and np.all(np.abs(c) <= 1.0 + 1e-12)):
+    # min and max, not abs: no float temporary the size of c (a NaN fails both)
+    if not (c.size and -1.0 - 1e-12 <= c.min() and c.max() <= 1.0 + 1e-12):
         raise ValidationError("coefficients must be finite and bounded by 1")
     if not tol > 0:
         raise ValidationError("tol must be positive")
@@ -316,20 +347,27 @@ def smallest_real_zero(coeffs: Sequence[float], tol: float) -> RealZeroResult:
                 hi = mid
         r_max = lo
 
-    inner = np.linspace(0.0, r_max, 513)
-    rs = np.concatenate((inner, np.linspace(r_max, 1.0 - 1e-9, 257)))
-    vals, roundings = _series_values(c, rs)
     flushed = (n + 2) * _TINY
-    flip = _first_flip(_certified_signs(vals[: inner.size], inner, roundings,
-                                        inner ** (n + 1) + flushed))
-    if flip is None:
+    inner = np.linspace(0.0, r_max, 513)
+    tail = inner ** (n + 1) + flushed
+    vals, signs = np.empty(inner.size), np.zeros(inner.size)
+    # ascending runs: the first flip of a prefix is the first flip of the grid
+    for run in _runs(inner, n):
+        vals[run], roundings = _series_values(c, inner[run])
+        signs[run] = _certified_signs(vals[run], inner[run], roundings, tail[run])
+        flip = _first_flip(signs[: run.stop])
+        if flip is not None:
+            break
+    else:
         # a sign change of the truncated series alone, on [0, r_max] where the
         # tail hides it or beyond r_max, is a zero this depth cannot place
-        bare = _certified_signs(vals, rs, roundings, flushed)
-        if any(_first_flip(part) is not None for part in (bare[: inner.size], bare[inner.size :])):
-            raise InsufficientDepth(
-                f"uncertified sign change (r_max = {r_max}); deepen the truncation")
-        return RealZeroResult("no-zero", None, 0.0, None, r_max)
+        if _first_flip(_certified_signs(vals, inner, roundings, flushed)) is None:
+            outer = np.linspace(r_max, 1.0 - 1e-9, 257)
+            vals = np.concatenate([_series_values(c, outer[run])[0] for run in _runs(outer, n)])
+            if _first_flip(_certified_signs(vals, outer, roundings, flushed)) is None:
+                return RealZeroResult("no-zero", None, 0.0, None, r_max)
+        raise InsufficientDepth(
+            f"uncertified sign change (r_max = {r_max}); deepen the truncation")
     a, b = float(inner[flip[0]]), float(inner[flip[1]])
     m = min(n, math.ceil(math.log(_UNIT_ROUNDOFF) / math.log(b)))
     while True:

@@ -330,11 +330,12 @@ def moments(m: PoleMeasure, shifts: Sequence[int], exps: Sequence[int]) -> np.nd
         s64 = None
     # the order of each atom read from a weighted row (q <= cells), else 0;
     # s mod q and e mod q are kept for the orders with the most such atoms,
-    # as many as fit in max(cells, ROW_BLOCK) entries
+    # as many as fit in max(cells, ROW_BLOCK) entries (most_common()[:k] is
+    # most_common(k), ties included, without the heapq import)
     row_q = [pt.angle.denominator if pt.is_exact and pt.angle.denominator <= cells else 0
              for pt, _ in m.atoms]
-    keep = [q for q, _ in Counter(q for q in row_q if q).most_common(
-        max(cells, ROW_BLOCK) // (len(ss) + len(es) or 1))]
+    keep = [q for q, _ in Counter(q for q in row_q if q).most_common()[
+        : max(cells, ROW_BLOCK) // (len(ss) + len(es) or 1)]]
     residues = {q: (sm[:, None], em) for q, sm, em in zip(keep, *_residues(keep, ss, s64, es))}
     rows: dict = {}
     tables: dict = {}

@@ -15,6 +15,7 @@ from rrl_lab.circle import (
     frac_part,
     power_turns,
     roots_of_unity,
+    sorted_distinct,
 )
 from rrl_lab.diophantine import (
     FACTORIAL_J_CAP,
@@ -423,6 +424,21 @@ def test_large_balance_ladder_pin():
     # reduction and conversion of P_F's coefficients
     bs = balance_completion([CirclePoint.exact(1, 997), CirclePoint.exact(2, 991)])
     assert (bs.n_roots, bs.defect) == (164506, 0.0063020912511815835)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(
+    st.integers(1, 30).flatmap(lambda q: st.integers(0, q - 1).map(
+        lambda p: CirclePoint.exact(p, q))),
+    st.floats(0.0, 1.0, exclude_max=True).map(CirclePoint.real)), min_size=1, max_size=3))
+@example([CirclePoint.real(0.1), CirclePoint.exact(1, 3), CirclePoint.real(0.9)])
+def test_balance_completion_points_in_angle_order(points):
+    # the kept roots and G's bisected points come out as the angle sort has them
+    try:
+        bs = balance_completion(points)
+    except (DuplicatePoint, CapExceeded):
+        assume(False)
+    assert [p.angle for p in bs.points] == [p.angle for p in sorted_distinct(bs.points)]
 
 
 def test_balance_completion_caps():

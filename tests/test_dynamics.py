@@ -502,6 +502,25 @@ def test_series_values_within_gamma_k(n, unimodular, seed, rs):
             assert abs(mpmath.mpf(v) - exact) <= gamma / (1 - mpmath.mpf(r)), (n, r)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**7), st.floats(0.0, 1.0 - 1e-9))
+@example(200_000, 0.5)
+@example(10**7, 0.9999)
+@example(0, 0.0)
+def test_blocks_read_stop_where_every_power_is_below_tiny(n, r):
+    # past the blocks a point reads every r^k is below tiny, to the 1e-12 of
+    # log's rounding that the spare tiny of the bound covers; one block fewer
+    # would leave out a larger power
+    b = math.isqrt(n) + 1
+    j = int(dynamics._blocks_read(np.array([r]), n)[0])
+    with mpmath.workdps(40):
+        tiny, r = mpmath.mpf(np.finfo(float).tiny), mpmath.mpf(r)
+        if j < -(-(n + 1) // b):
+            assert r ** (j * b) <= tiny * (1 + mpmath.mpf(10) ** -12)
+        if j > 1:
+            assert r ** ((j - 1) * b) > tiny * (1 - mpmath.mpf(10) ** -12)
+
+
 # status and bracket as a plain Horner scan (np.polyval on all n + 1 terms) gives them, tol 1e-6
 @pytest.mark.parametrize("spec,n,status,bracket", [
     ("tent", 2000, "zero", (0.49999999999999384, 0.5000000000000062)),
@@ -517,6 +536,99 @@ def test_series_values_within_gamma_k(n, unimodular, seed, rs):
 def test_deep_scan_keeps_horner_results(spec, n, status, bracket):
     res = smallest_real_zero(kneading_coeffs(spec, n).astype(float), 1e-6)
     assert (res.status, res.bracket) == (status, bracket)
+
+
+def one_pass_scan(c: np.ndarray, tol: float) -> dynamics.RealZeroResult:
+    # the earlier scan: both grids, all J blocks at every point, one product
+    n = len(c) - 1
+    lo, hi = 0.0, 1.0 - 1e-9
+    if dynamics._tail_bound(hi, n) < tol / 2.0:
+        r_max = hi
+    else:
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if dynamics._tail_bound(mid, n) < tol / 2.0 else (lo, mid)
+        r_max = lo
+    inner = np.linspace(0.0, r_max, 513)
+    rs = np.concatenate((inner, np.linspace(r_max, 1.0 - 1e-9, 257)))
+    b = math.isqrt(n) + 1
+    j = -(-(n + 1) // b)
+    blocks = np.zeros(j * b)
+    blocks[: n + 1] = c
+    powers = np.vander(rs, b, increasing=True)
+    powers[powers < dynamics._TINY] = 0.0
+    parts = blocks.reshape(j, b) @ powers.T
+    big_r = powers[:, -1] * rs
+    big_r[big_r < dynamics._TINY] = 0.0
+    vals = parts[-1]
+    for i in range(j - 2, -1, -1):
+        vals = vals * big_r + parts[i]
+    roundings = 2 * b - 2 + (j - 1) * (b + 1)
+    flushed = (n + 2) * dynamics._TINY
+    signs = dynamics._certified_signs
+    flip = dynamics._first_flip(signs(vals[: inner.size], inner, roundings,
+                                      inner ** (n + 1) + flushed))
+    if flip is None:
+        bare = signs(vals, rs, roundings, flushed)
+        if any(dynamics._first_flip(part) is not None
+               for part in (bare[: inner.size], bare[inner.size :])):
+            raise InsufficientDepth(
+                f"uncertified sign change (r_max = {r_max}); deepen the truncation")
+        return dynamics.RealZeroResult("no-zero", None, 0.0, None, r_max)
+    a, b = float(inner[flip[0]]), float(inner[flip[1]])
+    m = min(n, math.ceil(math.log(dynamics._UNIT_ROUNDOFF) / math.log(b)))
+    while True:
+        rs = np.linspace(a, b, 65)
+        vals = np.polyval(c[: m + 1][::-1], rs)
+        flip = dynamics._first_flip(signs(vals, rs, 2 * m, rs ** (m + 1)))
+        if flip is None or (rs[flip[0]], rs[flip[1]]) == (a, b):
+            break
+        a, b = float(rs[flip[0]]), float(rs[flip[1]])
+    root = 0.5 * (a + b)
+    return dynamics.RealZeroResult("zero", root, -math.log(root), (a, b), r_max,
+                                   (-math.log(b), -math.log(a) if a > 0 else None))
+
+
+def outcome(scan, c, tol):
+    try:
+        return scan(c, tol)
+    except InsufficientDepth as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["unimodular", "uniform"]), st.integers(0, 5000),
+       st.integers(0, 2**32 - 1), st.floats(1e-12, 0.5))
+@example("tent", 2000, 0, 1e-6)
+@example("tent", 20000, 0, 1e-6)
+@example("quadratic:-1.75", 2000, 0, 1e-6)
+@example("quadratic:-1.75", 20000, 0, 1e-6)
+@example("quadratic", 2000, 0, 1e-6)
+@example("quadratic", 20000, 0, 1e-6)
+@example("feigenbaum-product", 2000, 0, 1e-6)
+@example("feigenbaum-product", 20000, 0, 1e-6)
+@example("feigenbaum-product", 200000, 0, 1e-6)
+# the first flip, inner points 319 and 320, spans two runs
+@example("quadratic:-1.75", 2031, 0, 1e-6)
+# a no-zero a deeper scan contradicts: it stays as it was
+@example("quadratic:-1.4181747752961682", 62, 0, 1e-2)
+def test_run_scan_equals_one_pass_scan(kind, n, seed, tol):
+    # same RealZeroResult, or the same InsufficientDepth, as the one-pass scan
+    if kind in ("unimodular", "uniform"):
+        rng = np.random.default_rng(seed)
+        c = rng.choice([-1.0, 1.0], n + 1) if kind == "unimodular" else rng.uniform(-1.0, 1.0, n + 1)
+    else:
+        c = kneading_coeffs(kind, n).astype(float)
+    assert outcome(smallest_real_zero, c, tol) == outcome(one_pass_scan, c, tol)
+
+
+def test_run_boundary_example_flips_across_two_runs():
+    # the n = 2031 @example above keeps its point: a run starts at inner
+    # point 320, and the bracket lies between inner points 319 and 320
+    res = smallest_real_zero(kneading_coeffs("quadratic:-1.75", 2031).astype(float), 1e-6)
+    inner = np.linspace(0.0, res.r_max, 513)
+    assert 320 in [run.start for run in dynamics._runs(inner, 2031)]
+    assert inner[319] <= res.bracket[0] < res.bracket[1] <= inner[320]
 
 
 def test_zero_hidden_by_tail_is_insufficient_depth():

@@ -6,10 +6,15 @@ the imports that a deletion leaves behind.  An import on a line marked
 perfbench/tracing.py wraps in that module, so a tracer shim cannot outlive
 its WRAPPED entry.  The package root imports nothing: each name is read
 from the module that defines it, so the public surface is written once.
+No recipe imports a module on first use that ``import rrl_lab.cli`` has not:
+every CLI run would pay for it.
 """
 
 import ast
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +73,27 @@ def test_check_sees_an_unused_import():
     assert unused_imports(source) == ["Callable (line 2)", "json (line 1)"]
     assert unused_imports("import json  # noqa: F401\n") == []
     assert noqa_imports("import json  # noqa: F401\nimport os\n") == ["json"]
+
+
+RUN_EVERY_RECIPE = """
+import sys, tempfile
+from pathlib import Path
+import rrl_lab.cli
+from rrl_lab.recipes import RECIPES, RecipeConfig, run_recipe
+before = set(sys.modules)
+with tempfile.TemporaryDirectory() as out:
+    for recipe in RECIPES:
+        for fmt in ("json", "csv"):
+            run_recipe(RecipeConfig(recipe, Path(out) / f"{recipe}.{fmt}", fmt))
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_recipes_import_nothing_after_the_cli():
+    # each recipe once at its defaults, as JSON and as CSV, in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", RUN_EVERY_RECIPE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
