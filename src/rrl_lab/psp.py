@@ -30,8 +30,8 @@ from .circle import turn_to_complex  # noqa: F401  (perfbench/tracing.py wraps i
 from .errors import PoleCollision, ValidationError
 
 DEFAULT_EXCLUSION = 1e-12
-# points of one psp_eval block: its dozen float64 temporaries stay near
-# 1 MB, whatever the number of points or atoms
+# points of one psp_eval block: its twelve float64 arrays (sums, z - lambda,
+# magnitudes, Smith's operands) take 768 KB, whatever the points or atoms
 EVAL_BLOCK = 2**13
 # entries of one block of weighted rows in moments: the rows and their
 # build temporaries stay near 1 MB, whatever the number of atoms (an atom
@@ -128,32 +128,28 @@ def uniform_roots_measure(q: int) -> PoleMeasure:
     return PoleMeasure([(CirclePoint.exact(p, q), 1.0 / q) for p in range(q)])
 
 
-def _smith_quot(ar, ai, br: np.ndarray, bi: np.ndarray):
+def _smith_quot(ar, ai, br: np.ndarray, bi: np.ndarray, by_imag: np.ndarray):
     """(ar + ai*i) / (br + bi*i) elementwise, as CPython divides complex numbers.
 
-    Smith's algorithm spelled out on real arrays (CPython's ``_Py_c_quot``),
-    so every quotient is bit-equal to the scalar ``/``; numpy's own complex
-    division rounds differently.  Each element runs the one branch that
-    ``|br| >= |bi|`` picks, with its operands selected by ``np.where``:
-    sums whose operands are swapped are exact, and each difference keeps
-    the branch's own operand order, so signs of zero carry.  The dividend
-    parts broadcast against the divisor.  Zero divisors are excluded by the
-    caller.
+    Smith's algorithm on real arrays, bit-equal to CPython's ``_Py_c_quot``
+    (numpy's division rounds differently), in the formula of its |br| >= |bi|
+    branch.  Where ``by_imag`` (|br| < |bi|) holds, that formula divides
+    (-i)*a by (-i)*b = bi - br*i and forms CPython's other branch up to
+    negated factors and swapped addends, both exact, so signed zeros, ties
+    and infinite parts keep their bits; elsewhere, a NaN in b included, it
+    divides a by b, so b's NaN keeps its sign.  Four ``np.where`` pick the
+    operands.  The caller excludes zero divisors and sets np.errstate.
     """
-    by_real = np.abs(br) >= np.abs(bi)
-    big, small = np.where(by_real, br, bi), np.where(by_real, bi, br)
-    with np.errstate(all="ignore"):
-        ratio = small / big
-        denom = small
-        denom *= ratio
-        denom += big
-        ar_r, ai_r = ar * ratio, ai * ratio
-        qr = np.where(by_real, ar, ar_r)
-        qr += np.where(by_real, ai_r, ai)
-        qr /= denom
-        qi = np.where(by_real, ai, ai_r)
-        qi -= np.where(by_real, ar_r, ar)
-        qi /= denom
+    big, small = np.where(by_imag, bi, br), np.where(by_imag, -br, bi)
+    xr, xi = np.where(by_imag, ai, ar), np.where(by_imag, -ar, ai)
+    ratio = small / big
+    denom = np.multiply(small, ratio, out=small)
+    denom += big
+    qr = xi * ratio
+    qr += xr
+    qr /= denom
+    qi = np.subtract(xi, np.multiply(xr, ratio, out=xr), out=xi)
+    qi /= denom
     return qr, qi
 
 
@@ -174,39 +170,43 @@ def _collision_message(m: PoleMeasure, z: np.ndarray) -> str:
 def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
     """Evaluate the pole series at z (a scalar or an array), atoms in angle order.
 
-    A scalar z goes through the same code as a length-1 array and comes
-    back as a complex; an array comes back as a complex array of its shape.
-    The points are taken in blocks of at most EVAL_BLOCK, and each block
-    runs the atoms in angle order: numpy passes over the block form
-    z - lambda, divide the weight by it and add the quotient to the block's
-    accumulators, so each point sees the float operations of the scalar
-    sum ``total += w / (z - lambda)`` and results are bit-equal to it.  The
-    accumulators are written into the output at the end of their block, so
-    the whole evaluation holds 16 B a point besides one block's temporaries.
-    Raises PoleCollision, before returning any sum, when a point is within
-    DEFAULT_EXCLUSION of an atom, naming the first such point in
-    ``z.ravel()`` order and its first such atom.  The distance is taken
-    only where both parts of z - lambda are within DEFAULT_EXCLUSION, as
-    they are at every colliding point.
+    A scalar z goes through the same code as a length-1 array and comes back
+    as a complex; an array comes back as a complex array of its shape.  The
+    points are taken in blocks of at most EVAL_BLOCK, and each block runs
+    the atoms in angle order: numpy passes over the block form z - lambda,
+    divide w by it and add the quotient to the block's accumulators: each
+    point sees the float operations of ``total += w / (z - lambda)``, the
+    scalar sum, bit for bit.  The accumulators are written into the output at
+    the end of their block, so the evaluation holds 16 B a point besides one
+    block's temporaries.  Raises PoleCollision, before returning any sum,
+    when a point is within DEFAULT_EXCLUSION of an atom, naming the first
+    such point in ``z.ravel()`` order and its first such atom.  The distance
+    is taken only where max(|Re|, |Im|) of z - lambda, the larger magnitude
+    the division branches on, is within DEFAULT_EXCLUSION (a NaN-skipping
+    ``np.fmin`` screens the block).
     """
     zs = np.asarray(z, dtype=complex)
     out = np.empty(zs.shape, dtype=complex)
     flat, flat_out = zs.ravel(), out.reshape(-1)
     atoms = [(p.value(), w) for p, w in m.atoms]
-    for lo in range(0, flat.size, EVAL_BLOCK):
-        block = slice(lo, lo + EVAL_BLOCK)
-        zr, zi = flat.real[block], flat.imag[block]
-        acc_r, acc_i = np.zeros(zr.size), np.zeros(zr.size)
-        for lam, w in atoms:
-            dr, di = zr - lam.real, zi - lam.imag
-            near = np.abs(dr) <= DEFAULT_EXCLUSION
-            near &= np.abs(di) <= DEFAULT_EXCLUSION
-            if near.any() and np.any(np.hypot(dr[near], di[near]) <= DEFAULT_EXCLUSION):
-                raise PoleCollision(_collision_message(m, flat[block]))
-            qr, qi = _smith_quot(w.real, w.imag, dr, di)
-            acc_r += qr
-            acc_i += qi
-        flat_out.real[block], flat_out.imag[block] = acc_r, acc_i
+    with np.errstate(all="ignore"):
+        for lo in range(0, flat.size, EVAL_BLOCK):
+            block = slice(lo, lo + EVAL_BLOCK)
+            zr, zi = flat.real[block], flat.imag[block]
+            acc_r, acc_i = np.zeros(zr.size), np.zeros(zr.size)
+            for lam, w in atoms:
+                dr, di = zr - lam.real, zi - lam.imag
+                abs_r, abs_i = np.abs(dr), np.abs(di)
+                by_imag = abs_r < abs_i
+                mag = np.maximum(abs_r, abs_i, out=abs_r)
+                if np.fmin.reduce(mag) <= DEFAULT_EXCLUSION:
+                    near = mag <= DEFAULT_EXCLUSION
+                    if np.any(np.hypot(dr[near], di[near]) <= DEFAULT_EXCLUSION):
+                        raise PoleCollision(_collision_message(m, flat[block]))
+                qr, qi = _smith_quot(w.real, w.imag, dr, di, by_imag)
+                acc_r += qr
+                acc_i += qi
+            flat_out.real[block], flat_out.imag[block] = acc_r, acc_i
     return complex(out) if zs.ndim == 0 else out
 
 

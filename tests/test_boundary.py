@@ -74,6 +74,9 @@ def test_probe_validations():
         arc_l1_growth(m, 0.0, 1.0, [0.9, 0.5], 256)
     with pytest.raises(ValidationError):
         arc_l1_growth(m, 0.0, 1.0, [0.9, 1.5], 256)
+    for radii in ([math.nan], [0.5, math.nan], [math.nan, 0.5]):
+        with pytest.raises(ValidationError):
+            arc_l1_growth(m, 0.0, 1.0, radii, 256)
     with pytest.raises(ValidationError):
         arc_l1_growth(m, 0.0, 1.0, [0.5, 0.9], quadrature_n=32)
 

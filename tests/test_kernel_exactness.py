@@ -105,6 +105,13 @@ int64_exponents = st.integers(-400, 400) | st.integers(-(2**63), 2**63 - 1) | st
 points = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)) | st.sampled_from(
     [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.5, -0.5j,
      2.0, complex(0.0, 1.5), complex(-1.2, -0.9)])
+# points lambda_k + delta for a drawn pole: (point index, atom index, Re delta,
+# Im delta), each part of delta at the exclusion radius eps, half or twice it,
+# or 0, so that the collision screen and both Smith branches meet near poles
+EPS = psp.DEFAULT_EXCLUSION
+offsets = st.sampled_from([0.0, EPS / 2, -EPS / 2, EPS, -EPS, 2 * EPS, -2 * EPS])
+near_poles = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), offsets, offsets),
+                      max_size=6)
 
 
 # -- the octant rule on arrays ---------------------------------------------------
@@ -347,19 +354,24 @@ def test_psp_eval_array_bitwise_equal_to_scalar(m, zs):
 
 @SETTINGS
 @given(measures(), st.lists(points, min_size=1, max_size=40), st.integers(1, 7),
-       st.none() | st.integers(0, 10**6))
+       st.none() | st.integers(0, 10**6), near_poles)
 # 7 points a block: the point on the pole 1 is in block 8
 @example(PoleMeasure([(CirclePoint.exact(j, 3), 1.0) for j in range(3)]),
-         [0.5j] * 49 + [1.0], 7, None)
+         [0.5j] * 49 + [1.0], 7, None, [])
 # more atoms than points in a block
 @example(PoleMeasure([(CirclePoint.exact(j, 7), complex(j, -1.0)) for j in range(7)]
                      + [(CirclePoint.real(0.05 + j / 5), -0.5j) for j in range(5)]),
-         [0.5j, -0.0, complex(-0.0, -0.0), 2.0, complex(-1.2, -0.9), 0.25, 1.5j], 3, None)
-def test_psp_eval_in_small_blocks_bitwise_equal_to_scalar(m, zs, block, hit):
+         [0.5j, -0.0, complex(-0.0, -0.0), 2.0, complex(-1.2, -0.9), 0.25, 1.5j], 3, None, [])
+def test_psp_eval_in_small_blocks_bitwise_equal_to_scalar(m, zs, block, hit, near):
     # blocks of a few points: one draw spans several blocks, most with a
-    # partial last one, and a point put on a pole may sit in any block
-    if hit is not None and m.atoms:
-        zs[hit % len(zs)] = m.atoms[hit % len(m.atoms)][0].value()
+    # partial last one, and a point put on or next to a pole may sit in any
+    # block
+    if m.atoms:
+        for j, k, dr, di in near:
+            lam = m.atoms[k % len(m.atoms)][0].value()
+            zs[j % len(zs)] = complex(lam.real + dr, lam.imag + di)
+        if hit is not None:
+            zs[hit % len(zs)] = m.atoms[hit % len(m.atoms)][0].value()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(psp, "EVAL_BLOCK", block)
         try:
@@ -381,6 +393,22 @@ def test_psp_eval_keeps_shape_and_collides_like_scalar():
         psp_eval(m, np.array([0.5, 1.0 + 1e-14]))
     with pytest.raises(PoleCollision):
         psp_eval(m, 1.0)
+
+
+def test_psp_eval_screen_lets_the_distance_decide():
+    # both parts of z - 1 within eps, yet |z - 1| = 1.27e-12 > eps; then one
+    # part within eps: neither collides.  A NaN point is never within eps,
+    # sums to the scalar loop's NaN, and does not hide the point on the pole
+    # next to it
+    m = PoleMeasure([(CirclePoint.exact(0, 1), 1.0)])
+    for z in (complex(1 + 0.9e-12, 0.9e-12), complex(1 + 0.5e-12, 3e-12)):
+        assert abs(z - 1) > psp.DEFAULT_EXCLUSION
+        assert same_bits(psp_eval(m, np.array([z])), [eval_oracle(m, z)])
+    for z in (complex(math.nan, 0.5), complex(0.5, math.nan)):
+        assert same_bits(psp_eval(m, np.array([z])), [eval_oracle(m, z)])
+    for zs in ([math.nan, 1.0], [1.0, math.nan]):
+        with pytest.raises(PoleCollision):
+            psp_eval(m, np.array(zs, dtype=complex))
 
 
 def test_psp_eval_collision_message_does_not_depend_on_block():
@@ -569,7 +597,8 @@ def test_smith_division_equals_python_division():
     for a in (complex(0.7, -1.3), complex(-0.0, 2.5), complex(1e200, 1e-200),
               complex(0.0, -0.0), complex(-0.0, 0.0), complex(-2.0, -0.0), complex(1.0, 1.0),
               complex(math.inf, 1.0)):
-        qr, qi = _smith_quot(a.real, a.imag, br, bi)
+        with np.errstate(all="ignore"):
+            qr, qi = _smith_quot(a.real, a.imag, br, bi, np.abs(br) < np.abs(bi))
         want = [a / complex(x, y) for x, y in zip(br.tolist(), bi.tolist())]
         assert np.array_equal(qr.view(np.uint64), np.array([v.real for v in want]).view(np.uint64))
         assert np.array_equal(qi.view(np.uint64), np.array([v.imag for v in want]).view(np.uint64))
