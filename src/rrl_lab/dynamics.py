@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -22,9 +23,14 @@ FEIGENBAUM_C = -1.401155189  # quadratic parameter at the period-doubling limit
 # largest degree of the lacunary product: its int8 coefficients stay near
 # 200 MB, well inside 512 MB of address space with the interpreter
 PRODUCT_N_CAP = 2 * 10**8
-# longest itinerary: the Python loop keeps a list and then an int64 array,
-# about 18 B a step, 2 s and 190 MB at the cap
+# longest itinerary: the signs are one int64 array, 8 B a step (80 MB at the
+# cap); an orbit with no exact float cycle calls the Python map at every
+# step, 0.1-0.2 us a step (1.2-1.8 s at the cap), one that cycles stops there
 ITINERARY_N_CAP = 10**7
+# most orbit points read in one chunk by itinerary (128 KB of float64); the
+# chunks double from 64 points up to it, so each ends at a power of two or
+# inside the stretch that one Brent anchor covers
+ITINERARY_CHUNK = 2**14
 # largest degree of the smallest-real-zero scan, which holds the coefficients
 # as int8 and as floats, 9 B each: memory binds it (140 MB at the cap), not
 # time (under 0.5 s on feigenbaum-product)
@@ -131,8 +137,12 @@ class UnimodalMap:
 
     ``increasing_side`` names the branch on which the map increases; the
     itinerary observable is +1 on the closed increasing side (including
-    the critical point) and -1 on the other side.  Critical orbits are
-    assumed non-periodic by the caller; periodicity is not detected here.
+    the critical point) and -1 on the other side.  ``fn`` maps a float to a
+    float and depends on its argument alone, so a float orbit that meets a
+    point it has met before repeats from there on: ``itinerary`` reads the
+    signs of such an orbit up to its first exact float cycle and repeats
+    them.  The cycle is one of the float orbit, not a claim that the true
+    orbit is periodic.
     """
 
     fn: Callable[[float], float]
@@ -164,25 +174,67 @@ class UnimodalMap:
 
 
 def itinerary(umap: UnimodalMap, x0: float, n_max: int) -> np.ndarray:
-    """Signs (phi(T^k(x0)))_{0<=k<=n_max} as a +-1 integer array.
+    """Signs (phi(T^k(x0)))_{0<=k<=n_max} as a +-1 int64 array.
 
+    The float orbit x_0 = float(x0), x_{k+1} = fn(x_k) is read in chunks of
+    up to ITINERARY_CHUNK points, each chunk's signs from one comparison.
     An orbit point that is not finite (the map does not keep the orbit in
-    its interval) is a ``ValidationError``: its sign means nothing.
+    its interval) is a ``ValidationError``: its sign means nothing, and fn
+    is never called on it.  Brent's cycle check (BIT 20, 1980) compares
+    each anchor x_s, s = 2^i - 1, with every x_t, 2^i <= t < 2^(i+1), on
+    their uint64 bit patterns, so that +0.0 and -0.0 stay apart.  At the
+    first t whose bits equal x_s's, x_(t+j) = x_(s+j) for every j, because
+    fn reads x alone: the signs from t on are signs[s:t] repeated, copied
+    in place, and fn is not called again.  So an orbit that cycles after
+    mu steps costs O(mu) calls whatever n_max is, and the signs are the
+    step-by-step loop's, bit for bit.
     """
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
     if n_max > ITINERARY_N_CAP:
         raise CapExceeded(f"itinerary length n = {n_max} exceeds cap {ITINERARY_N_CAP}")
     fn, critical, isfinite = umap.fn, umap.critical, math.isfinite
-    left = umap.increasing_side == "left"
-    signs = []
-    x = float(x0)
-    for k in range(n_max + 1):
-        if not isfinite(x):
-            raise ValidationError(f"{umap.name}: orbit of {x0!r} is not finite at step {k}")
-        signs.append((1 if x <= critical else -1) if left else (1 if x >= critical else -1))
-        x = fn(x)
-    return np.array(signs, dtype=np.int64)
+    # -1 off the closed increasing side
+    off_side = np.greater if umap.increasing_side == "left" else np.less
+
+    def orbit():
+        x = float(x0)
+        while isfinite(x):
+            yield x
+            x = fn(x)
+
+    points = orbit()
+    signs = np.empty(n_max + 1, dtype=np.int64)
+    lo = 0
+    while lo <= n_max:
+        want = min(max(lo, 64), ITINERARY_CHUNK, n_max + 1 - lo)
+        x = np.fromiter(islice(points, want), dtype=float)
+        hi = lo + x.size
+        if x.size < want:
+            raise ValidationError(f"{umap.name}: orbit of {x0!r} is not finite at step {hi}")
+        signs[lo:hi] = np.where(off_side(x, critical), -1, 1)
+        bits = x.view(np.uint64)
+        t = max(lo, 1)
+        while t < hi:
+            s = (1 << (t.bit_length() - 1)) - 1  # the anchor of t: s < t <= 2s + 1
+            if s >= lo:
+                anchor = bits[s - lo]
+            end = min(hi, 2 * s + 2)
+            hit = np.flatnonzero(bits[t - lo:end - lo] == anchor)
+            if hit.size:
+                # signs[t:] repeats signs[s:t]: copy the known stretch
+                # signs[s:t], doubled each time, after itself
+                t += int(hit[0])
+                while t <= n_max:
+                    m = min(t - s, n_max + 1 - t)
+                    signs[t:t + m] = signs[s:s + m]
+                    t += m
+                return signs
+            t = end
+        if hi & (hi - 1) == 0:
+            anchor = bits[-1]  # x_(hi-1), the anchor of the next chunk
+        lo = hi
+    return signs
 
 
 def kneading_sequence(umap: UnimodalMap, n_max: int) -> np.ndarray:
@@ -193,10 +245,11 @@ def kneading_sequence(umap: UnimodalMap, n_max: int) -> np.ndarray:
 def kneading_determinant(eps: Sequence[int]) -> np.ndarray:
     """Coefficients d_0 .. d_N of D(z) = 1 + sum eps_1...eps_k z^k, an int8 array."""
     e = np.asarray(eps, dtype=np.int64)
-    if not np.all(np.abs(e) == 1):
+    # three reductions and an int8 product: no temporary of e's size in int64
+    if e.size and (e.min() < -1 or e.max() > 1 or not e.all()):
         raise ValidationError("kneading signs must be +-1")
     d = np.ones(len(e) + 1, dtype=np.int8)
-    np.cumprod(e, out=d[1:])
+    np.cumprod(e, dtype=np.int8, out=d[1:])
     return d
 
 

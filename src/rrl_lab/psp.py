@@ -183,7 +183,10 @@ def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
     such point in ``z.ravel()`` order and its first such atom.  The distance
     is taken only where max(|Re|, |Im|) of z - lambda, the larger magnitude
     the division branches on, is within DEFAULT_EXCLUSION (a NaN-skipping
-    ``np.fmin`` screens the block).
+    ``np.fmin`` screens the block).  A point with a NaN part sums, as in the
+    scalar loop, to CPython's positive NaN in both parts (``_Py_c_quot``
+    returns its own NaN for a NaN divisor, whatever the NaN's sign), set by
+    one ``np.isnan`` pass over the points when the measure has atoms.
     """
     zs = np.asarray(z, dtype=complex)
     out = np.empty(zs.shape, dtype=complex)
@@ -207,6 +210,8 @@ def psp_eval(m: PoleMeasure, z) -> complex | np.ndarray:
                 acc_r += qr
                 acc_i += qi
             flat_out.real[block], flat_out.imag[block] = acc_r, acc_i
+    if atoms:
+        flat_out[np.isnan(flat)] = complex(math.nan, math.nan)
     return complex(out) if zs.ndim == 0 else out
 
 
@@ -305,10 +310,11 @@ def moments(m: PoleMeasure, shifts: Sequence[int], exps: Sequence[int]) -> np.nd
     is needed: one index add, two gathers and two adds over the cells.  R
     holds the products the scalar loop forms, so the sums keep their bits.
     ``_row_block`` builds the rows of a run of such atoms at a time, within
-    ROW_BLOCK entries or one atom's row.  s mod q is taken on an int64
-    array of the shifts, or on Python ints once a shift when they pass
-    int64, and s mod q, e mod q are kept for the orders with the most such
-    atoms, within max(cells, ROW_BLOCK) entries.  A larger order is
+    ROW_BLOCK entries or one atom's row, and an order's cos/sin table is
+    dropped once the last atom of that order has its row.  s mod q is taken
+    on an int64 array of the shifts, or on Python ints once a shift when
+    they pass int64, and s mod q, e mod q are kept for the orders with the
+    most such atoms, within max(cells, ROW_BLOCK) entries.  A larger order is
     evaluated at the atom's own residues j = ((p*s mod q) + p*e) mod q,
     p*s mod q taken on Python ints once a shift and the rest in int64 when
     p*max|e| + q < 2^63, on Python ints otherwise.  A float atom rounds
@@ -336,6 +342,8 @@ def moments(m: PoleMeasure, shifts: Sequence[int], exps: Sequence[int]) -> np.nd
              for pt, _ in m.atoms]
     keep = [q for q, _ in Counter(q for q in row_q if q).most_common()[
         : max(cells, ROW_BLOCK) // (len(ss) + len(es) or 1)]]
+    # the index of each order's last atom: its table goes with that row
+    last = dict(zip(row_q, range(len(row_q))))
     residues = {q: (sm[:, None], em) for q, sm, em in zip(keep, *_residues(keep, ss, s64, es))}
     rows: dict = {}
     tables: dict = {}
@@ -350,6 +358,9 @@ def moments(m: PoleMeasure, shifts: Sequence[int], exps: Sequence[int]) -> np.nd
                 # each block page-faulted ~50 times an atom at 2q ~ cells
                 rows = None
                 rows = _row_block(m.atoms, row_q, k, tables)
+                end = next(reversed(rows))
+                for x in [x for x in tables if last[x] <= end]:
+                    del tables[x]
             if q in residues:
                 sm, em = residues[q]
             else:

@@ -309,6 +309,19 @@ def test_psp_rrl_on_many_orders_fits_in_512_mb(tmp_path):
     assert len(proc.stdout.strip().splitlines()) == 1
 
 
+def test_psp_rrl_on_300_long_orders_fits_in_512_mb(tmp_path):
+    # 7 rows of 2W + 1 = 14401: 100807 cells, so each atom 1/q reads a
+    # weighted row from its own cos/sin table of q entries, 1.6 MB; the 300
+    # tables together would pass 512 MB if none were dropped before the end
+    m = PoleMeasure([(CirclePoint.exact(1, q), 1.0) for q in range(100_000, 100_300)])
+    path = tmp_path / "orders300.json"
+    path.write_text(m.dumps())
+    proc = cli_under_512_mb("run", "--recipe", "psp-rrl", "--measure", str(path),
+                            "--w", "7200", "--out", str(tmp_path / "out.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.strip().splitlines()) == 1
+
+
 def test_psp_rrl_on_the_longest_rows_fits_in_512_mb(tmp_path):
     # 7 rows of 2W + 1 = 285713: 1999991 cells; 1/1999991 (q = cells) has
     # the moment kernel's longest weighted row, 2q entries, and 3/1999989

@@ -14,6 +14,7 @@ from rrl_lab.cli import THUE_MORSE_TOOL_N_CAP
 from rrl_lab.circle import frac_part
 from rrl_lab.dynamics import (
     FEIGENBAUM_C,
+    ITINERARY_CHUNK,
     PRODUCT_N_CAP,
     UnimodalMap,
     _series_values,
@@ -320,6 +321,89 @@ def test_itinerary_is_the_plain_loop(c, u, n):
         return
     got = itinerary(umap, x0, n)
     assert got.dtype == np.int64 and got.tolist() == want
+
+
+# float critical orbits of x^2 + c that meet an exact cycle (c = -1 and -2 at
+# once, -1.3 from step 69, -1.4181747752961682 from step 3985, Feigenbaum's c
+# from step 690177 with period 65536) and some that do not within 10^5 steps
+CYCLING_C = (-1.0, -2.0, -1.3, -1.4181747752961682, FEIGENBAUM_C)
+NON_CYCLING_C = (-1.9, -1.75)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.one_of(st.none(), st.sampled_from(CYCLING_C + NON_CYCLING_C), st.floats(-2.0, 0.25)),
+       u=st.one_of(st.none(), st.floats(0.0, 1.0)),
+       n=st.one_of(st.integers(0, 3000),
+                   # next to the anchors 2^i - 1 and the chunk ends 64 * 2^j
+                   # and k * ITINERARY_CHUNK
+                   st.builds(lambda i, d: max(0, 2**i + d), st.integers(0, 17),
+                             st.integers(-2, 2)),
+                   st.builds(lambda k, d: k * ITINERARY_CHUNK + d, st.integers(1, 5),
+                             st.integers(-2, 2))))
+@example(c=None, u=None, n=100_000)
+@example(c=-1.3, u=None, n=2**16 + 1)
+@example(c=-1.4181747752961682, u=None, n=10_000)
+@example(c=FEIGENBAUM_C, u=None, n=1_200_000)  # the cycle is found at t = 2^20 + 65535
+@example(c=-1.9, u=None, n=100_000)
+@example(c=-1.75, u=None, n=100_000)
+@example(c=-2.0, u=None, n=ITINERARY_CHUNK + 1)
+def test_itinerary_with_cycles_is_the_plain_loop(c, u, n):
+    umap = UnimodalMap.tent() if c is None else UnimodalMap.quadratic(c)
+    beta = 1.0 if c is None else (1.0 + math.sqrt(1.0 - 4.0 * c)) / 2.0
+    x0 = umap.critical if u is None else (u if c is None else beta * (2.0 * u - 1.0))
+    try:
+        want = plain_itinerary(umap, x0, n)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=str(exc).rsplit(" ", 1)[-1] + "$"):
+            itinerary(umap, x0, n)
+        return
+    got = itinerary(umap, x0, n)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_itinerary_tells_signed_zeros_apart():
+    # 0.0 -> -0.0 -> 1.0 -> 1.0 ...: an == check would take x_1 = -0.0 for
+    # a repeat of x_0 = 0.0 and read +1 at every step
+    def fn(x):
+        if x == 0.0:
+            return 1.0 if math.copysign(1.0, x) < 0 else -0.0
+        return x
+
+    umap = UnimodalMap(fn=fn, critical=0.5, increasing_side="left")
+    got = itinerary(umap, 0.0, 1000)
+    assert got.tolist() == plain_itinerary(umap, 0.0, 1000) == [1, 1] + [-1] * 999
+
+
+def counting(umap):
+    """umap with an fn that records every point it is called on."""
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return umap.fn(x)
+
+    return UnimodalMap(fn, umap.critical, umap.increasing_side, umap.name), seen
+
+
+def test_itinerary_stops_calling_the_map_at_the_first_cycle():
+    # tent: 1/2 -> 1 -> 0 -> 0 ...
+    umap, seen = counting(UnimodalMap.tent())
+    signs = itinerary(umap, 0.5, 10**6)
+    assert len(seen) < 100
+    assert signs[:3].tolist() == [1, -1, 1] and np.all(signs[2:] == 1)
+    assert signs.size == 10**6 + 1
+
+
+@pytest.mark.parametrize("x0,n", [(0.0, 200), (0.0, 11), (math.inf, 5), (math.nan, 0)])
+def test_itinerary_never_calls_the_map_on_a_non_finite_point(x0, n):
+    # x^2 + 2.5 from 0 reaches inf at step 11
+    umap, seen = counting(UnimodalMap(fn=lambda x: x * x + 2.5, critical=0.0,
+                                      increasing_side="right", name="escaping"))
+    step = 0 if not math.isfinite(x0) else 11
+    with pytest.raises(ValidationError,
+                       match=rf"^escaping: orbit of {x0!r} is not finite at step {step}$"):
+        itinerary(umap, x0, n)
+    assert all(math.isfinite(x) for x in seen) and len(seen) == step
 
 
 def test_kneading_determinant_all_plus():

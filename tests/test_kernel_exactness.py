@@ -411,6 +411,21 @@ def test_psp_eval_screen_lets_the_distance_decide():
             psp_eval(m, np.array(zs, dtype=complex))
 
 
+def test_psp_eval_sums_a_negative_nan_part_to_the_scalar_loops_nan():
+    # z - lambda keeps a NaN's sign, but CPython's complex division returns
+    # its own positive NaN for any NaN divisor, and the sums keep that NaN
+    m = PoleMeasure([(CirclePoint.exact(1, 4), 1 - 2j), (CirclePoint.exact(0, 1), 0.5)])
+    positive = bits([complex(math.nan, math.nan)])
+    for z in (complex(-math.nan, 0.5), complex(0.5, -math.nan),
+              complex(-math.nan, -math.nan), complex(math.nan, 0.5)):
+        want = eval_oracle(m, z)
+        assert np.array_equal(bits([want]), positive)
+        assert same_bits(psp_eval(m, np.array([z, 2.0, z])), [want, eval_oracle(m, 2.0), want])
+        assert same_bits([psp_eval(m, z)], [want])
+        # no atom: the scalar loop's sum stays 0j
+        assert same_bits([psp_eval(PoleMeasure([]), z)], [0j])
+
+
 def test_psp_eval_collision_message_does_not_depend_on_block():
     # point 4 is within 1e-12 of the poles 0.1 and 0.1 + 1e-13, 6.3e-13
     # apart, and point 11 is on the pole 1, first in angle order: at blocks
